@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import json
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
-    RawExample,
     SynthConfig,
     Vocabulary,
     batch,
@@ -50,8 +50,9 @@ from .model import (
     Model,
     ModelConfig,
 )
-from .optim import AdamState, SgdState, SwatsState, make_state
-from .recurrent import GRU, LSTM
+from .optim import make_state
+from .recurrent import GRU
+from .span import RecallConfig
 
 log = logging.getLogger("sebertnets")
 
@@ -63,122 +64,100 @@ _VARIANT_ALIASES = {
 }
 
 
+def _key(default, section: str, help_text: str, ini: str | None = None):
+    """A config key: ``[section] ini`` in the INI file (``ini`` defaults
+    to the field name) and ``--ini`` on the command line, cast to the
+    default's type (``str`` when the default is ``None``)."""
+    caster = str if default is None else type(default)
+    return dataclasses.field(default=default, metadata={
+        "section": section, "help": help_text, "ini": ini, "type": caster})
+
+
 @dataclass
 class RunConfig:
-    """Every tunable of a run, with paper-default hyper-parameters."""
+    """Every tunable of a run, with paper-default hyper-parameters; the
+    fields are the only config schema."""
 
-    # [run]
-    variant: str = SEBERTNETS
-    seed: int = 0
-    epochs: int = 5
-    batch_size: int = 32
-    optimizer: str = "adam"
-    lr: float = 1e-3
-    eps_switch: float = 1e-9
-    top_k: int = 5
-    match_mode: str = "any"
-    max_span_len: int = 30
-    # [model]
-    d_model: int = 64
-    n_layers: int = 2
-    n_heads: int = 4
-    d_ff: int = 256
-    dropout: float = 0.1
-    activation: str = "relu"
-    cell: str = GRU
-    hidden: int = 200
-    max_len: int = 140
-    # [data]
-    train: str | None = None
-    dev: str | None = None
-    checkpoint: str = "model.sebn"
-    log_path: str = "train_log.jsonl"
-    # [synth]
-    n_examples: int = 1000
-    multi_entity_fraction: float = 0.0
-    min_distractors: int = 1
-    max_distractors: int = 2
+    variant: str = _key(SEBERTNETS, "run",
+                        "model variant: bert, sebertnets, or hsebertnets")
+    seed: int = _key(0, "run", "random seed")
+    epochs: int = _key(5, "run", "training epochs")
+    batch_size: int = _key(32, "run", "examples per step")
+    optimizer: str = _key("adam", "run", "adam, sgd, or swats")
+    lr: float = _key(1e-3, "run", "learning rate")
+    eps_switch: float = _key(1e-9, "run", "swats switch threshold")
+    top_k: int = _key(5, "run", "candidates per example")
+    match_mode: str = _key("any", "run", "count a hit on any or all gold entities")
+    max_span_len: int = _key(30, "run", "longest decodable span")
+    d_model: int = _key(64, "model", "encoder width")
+    n_layers: int = _key(2, "model", "encoder layers")
+    n_heads: int = _key(4, "model", "attention heads")
+    d_ff: int = _key(256, "model", "feed-forward width")
+    dropout: float = _key(0.1, "model", "dropout rate")
+    activation: str = _key("relu", "model", "relu or gelu")
+    cell: str = _key(GRU, "model", "recurrent cell: lstm or gru")
+    hidden: int = _key(200, "model", "recurrent hidden size")
+    max_len: int = _key(140, "model", "token budget per example")
+    train: str | None = _key(None, "data", "training data JSONL")
+    dev: str | None = _key(None, "data", "dev data JSONL")
+    checkpoint: str = _key("model.sebn", "data", "checkpoint output path")
+    log_path: str = _key("train_log.jsonl", "data", "training log output path",
+                         ini="log")
+    n_examples: int = _key(1000, "synth", "synthetic corpus size")
+    multi_entity_fraction: float = _key(0.0, "synth", "share of multi-entity examples")
+    min_distractors: int = _key(1, "synth", "fewest distractor cues")
+    max_distractors: int = _key(2, "synth", "most distractor cues")
+
+    def encoder_config(self, vocab_size: int = 1) -> EncoderConfig:
+        return EncoderConfig(
+            vocab_size=vocab_size, d_model=self.d_model, n_layers=self.n_layers,
+            n_heads=self.n_heads, d_ff=self.d_ff, max_len=self.max_len,
+            dropout_rate=self.dropout, activation=self.activation)
+
+    def model_config(self) -> ModelConfig:
+        return ModelConfig(variant=self.variant, cell=self.cell, hidden_size=self.hidden)
+
+    def optimizer_state(self):
+        return make_state(self.optimizer, lr=self.lr, eps_switch=self.eps_switch)
+
+    def synth_config(self) -> SynthConfig:
+        # the [synth] keys are SynthConfig's field names
+        return SynthConfig(**{key: getattr(self, key) for key in _keys_in("synth")})
 
     def validate(self) -> None:
+        """Resolve the variant alias and check the run-only keys, then build
+        each owner's config so that it checks the rest."""
         if self.variant not in _VARIANT_ALIASES:
             raise UsageError(
                 f"variant must be one of {sorted(_VARIANT_ALIASES)}, "
                 f"got {self.variant!r}"
             )
         self.variant = _VARIANT_ALIASES[self.variant]
-        if self.cell not in (LSTM, GRU):
-            raise UsageError(f"cell must be {LSTM!r} or {GRU!r}, got {self.cell!r}")
-        if self.optimizer not in ("adam", "sgd", "swats"):
-            raise UsageError(f"optimizer must be adam, sgd, or swats, "
-                             f"got {self.optimizer!r}")
-        if self.activation not in ("relu", "gelu"):
-            raise UsageError(f"activation must be relu or gelu, "
-                             f"got {self.activation!r}")
         if self.match_mode not in ("any", "all"):
             raise UsageError(f"match_mode must be any or all, "
                              f"got {self.match_mode!r}")
-        for name in ("batch_size", "top_k", "d_model", "n_layers", "n_heads",
-                     "d_ff", "hidden", "max_len", "max_span_len", "n_examples"):
-            if getattr(self, name) < 1:
-                raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.batch_size < 1:
+            raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise UsageError(f"epochs must be >= 0, got {self.epochs}")
-        if self.d_model % self.n_heads:
-            raise UsageError(f"d_model {self.d_model} is not divisible by "
-                             f"n_heads {self.n_heads}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise UsageError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.lr < 0.0:
             raise UsageError(f"lr must be >= 0, got {self.lr}")
-        if not 0.0 <= self.multi_entity_fraction <= 1.0:
-            raise UsageError(f"multi_entity_fraction must lie in [0, 1], "
-                             f"got {self.multi_entity_fraction}")
+        try:
+            self.encoder_config()
+            self.model_config()
+            self.optimizer_state()
+            self.synth_config()
+            RecallConfig(k=self.top_k, max_span_len=self.max_span_len)
+        except ContractError as exc:
+            raise UsageError(str(exc)) from exc
 
 
-# (ini key, config field, caster) per section; flags reuse the ini keys
-_SCHEMA: dict[str, dict[str, tuple[str, type]]] = {
-    "run": {
-        "variant": ("variant", str),
-        "seed": ("seed", int),
-        "epochs": ("epochs", int),
-        "batch_size": ("batch_size", int),
-        "optimizer": ("optimizer", str),
-        "lr": ("lr", float),
-        "eps_switch": ("eps_switch", float),
-        "top_k": ("top_k", int),
-        "match_mode": ("match_mode", str),
-        "max_span_len": ("max_span_len", int),
-    },
-    "model": {
-        "d_model": ("d_model", int),
-        "n_layers": ("n_layers", int),
-        "n_heads": ("n_heads", int),
-        "d_ff": ("d_ff", int),
-        "dropout": ("dropout", float),
-        "activation": ("activation", str),
-        "cell": ("cell", str),
-        "hidden": ("hidden", int),
-        "max_len": ("max_len", int),
-    },
-    "data": {
-        "train": ("train", str),
-        "dev": ("dev", str),
-        "checkpoint": ("checkpoint", str),
-        "log": ("log_path", str),
-    },
-    "synth": {
-        "n_examples": ("n_examples", int),
-        "multi_entity_fraction": ("multi_entity_fraction", float),
-        "min_distractors": ("min_distractors", int),
-        "max_distractors": ("max_distractors", int),
-    },
-}
+# INI key (and flag dest) -> field
+_KEYS = {f.metadata["ini"] or f.name: f for f in dataclasses.fields(RunConfig)}
 
-_KEY_TO_FIELD = {
-    key: (field, caster)
-    for section in _SCHEMA.values()
-    for key, (field, caster) in section.items()
-}
+
+def _keys_in(*sections: str) -> list[str]:
+    return [key for key, f in _KEYS.items() if f.metadata["section"] in sections]
 
 
 def _require_path(path, what: str) -> str:
@@ -197,16 +176,17 @@ def _parse_ini(path: str, cfg: RunConfig) -> RunConfig:
     except configparser.Error as exc:
         raise UsageError(f"config {path!r}: {exc}") from exc
     for section in parser.sections():
-        if section not in _SCHEMA:
+        keys = _keys_in(section)
+        if not keys:
             raise UsageError(f"config {path!r}: unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in keys:
                 raise UsageError(
                     f"config {path!r}: unknown key {key!r} in [{section}]"
                 )
-            field, caster = _SCHEMA[section][key]
+            caster = _KEYS[key].metadata["type"]
             try:
-                setattr(cfg, field, caster(raw))
+                setattr(cfg, _KEYS[key].name, caster(raw))
             except ValueError as exc:
                 raise UsageError(
                     f"config {path!r}: key {key!r} needs a {caster.__name__}, "
@@ -221,19 +201,15 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if config_path:
         _require_path(config_path, "config")
         cfg = _parse_ini(config_path, cfg)
-    for key, (field, _) in _KEY_TO_FIELD.items():
+    for key, f in _KEYS.items():
         value = getattr(args, key, None)
         if value is not None:
-            setattr(cfg, field, value)
+            setattr(cfg, f.name, value)
     cfg.validate()
     return cfg
 
 
 # --------------------------------------------------------------- helpers
-
-
-def _strip_gold(ex: RawExample) -> RawExample:
-    return dataclasses.replace(ex, entity=None, entities=None)
 
 
 def _encode_for_training(examples, vocab, max_len):
@@ -248,61 +224,52 @@ def _encode_for_training(examples, vocab, max_len):
     return kept, skipped
 
 
-def _encode_for_inference(examples, vocab, max_len):
-    return [encode_example(_strip_gold(ex), vocab, max_len) for ex in examples]
+def _encode_for_inference(examples, model: Model):
+    """Encode for ``model`` with the gold entities removed."""
+    return [encode_example(dataclasses.replace(ex, entity=None, entities=None),
+                           model.vocab, model.enc_cfg.max_len) for ex in examples]
 
 
 def _batches(encoded, batch_size, order=None):
     idx = order if order is not None else range(len(encoded))
-    chunk = []
-    for j in idx:
-        chunk.append(encoded[j])
-        if len(chunk) == batch_size:
-            yield batch(chunk)
-            chunk = []
-    if chunk:
-        yield batch(chunk)
+    for i in range(0, len(idx), batch_size):
+        yield batch([encoded[j] for j in idx[i:i + batch_size]])
 
 
-def _predictions(model: Model, encoded, cfg_k: int, max_span_len: int,
-                 batch_size: int) -> dict[str, list]:
-    recall = model.recall_config(k=cfg_k, max_span_len=max_span_len)
+def _predictions(model: Model, encoded, cfg: RunConfig) -> dict[str, list]:
+    recall = model.recall_config(k=cfg.top_k, max_span_len=cfg.max_span_len)
     out: dict[str, list] = {}
-    for b in _batches(encoded, batch_size):
+    for b in _batches(encoded, cfg.batch_size):
         for item, cands in zip(b.items, model.predict(b, recall)):
             out[item.example_id] = cands
     return out
 
 
-def _phase(state) -> str | None:
-    if isinstance(state, SwatsState):
-        return state.phase
-    if isinstance(state, AdamState):
-        return "adam"
-    if isinstance(state, SgdState):
-        return "sgd"
-    return None
+def _score(texts: dict[str, list[str]], examples, cfg: RunConfig):
+    gold = {ex.id: list(ex.gold_entities) for ex in examples}
+    return evaluate(texts, gold, k_max=cfg.top_k, match_mode=cfg.match_mode)
 
 
-def _load_model(args) -> Model:
+def _texts(preds: dict[str, list]) -> dict[str, list[str]]:
+    return {k: [c.entity_text for c in v] for k, v in preds.items()}
+
+
+def _load_model(args, cfg: RunConfig | None = None) -> Model:
+    """The ``--checkpoint`` model, decoded as ``--variant`` if one was given."""
     _require_path(args.checkpoint, "checkpoint")
-    variant = None
-    requested = getattr(args, "variant", None)
-    if requested is not None:
-        if requested not in _VARIANT_ALIASES:
-            raise UsageError(
-                f"variant must be one of {sorted(_VARIANT_ALIASES)}, "
-                f"got {requested!r}"
-            )
-        variant = _VARIANT_ALIASES[requested]
+    variant = cfg.variant if getattr(args, "variant", None) is not None else None
     model, _ = Model.load(args.checkpoint, variant=variant)
     return model
 
 
-def _open_out(path):
-    if path:
-        return open(path, "w", encoding="utf-8", newline="")
-    return None
+@contextlib.contextmanager
+def _output(path):
+    """``path`` opened for writing, or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        yield fh
 
 
 # -------------------------------------------------------------- commands
@@ -310,8 +277,7 @@ def _open_out(path):
 
 def cmd_train(args) -> None:
     cfg = _build_config(args)
-    _require_path(cfg.train, "training data")
-    raw = load_jsonl(cfg.train)
+    raw = load_jsonl(_require_path(cfg.train, "training data"))
     flat = flatten_for_training(raw)
     if not flat:
         raise DataError("training data holds no examples with a gold entity")
@@ -322,24 +288,14 @@ def cmd_train(args) -> None:
     if not encoded:
         raise DataError("no trainable examples survived encoding")
 
+    model = Model(cfg.model_config(), cfg.encoder_config(vocab.size), vocab,
+                  seed=cfg.seed)
     dev_raw = None
     dev_encoded = None
     if cfg.dev:
-        _require_path(cfg.dev, "dev data")
-        dev_raw = load_jsonl(cfg.dev)
-        dev_encoded = _encode_for_inference(dev_raw, vocab, cfg.max_len)
-
-    try:
-        enc_cfg = EncoderConfig(
-            vocab_size=vocab.size, d_model=cfg.d_model, n_layers=cfg.n_layers,
-            n_heads=cfg.n_heads, d_ff=cfg.d_ff, max_len=cfg.max_len,
-            dropout_rate=cfg.dropout, activation=cfg.activation)
-        model = Model(ModelConfig(variant=cfg.variant, cell=cfg.cell,
-                                  hidden_size=cfg.hidden),
-                      enc_cfg, vocab, seed=cfg.seed)
-    except ContractError as exc:
-        raise UsageError(str(exc)) from exc
-    state = make_state(cfg.optimizer, lr=cfg.lr, eps_switch=cfg.eps_switch)
+        dev_raw = load_jsonl(_require_path(cfg.dev, "dev data"))
+        dev_encoded = _encode_for_inference(dev_raw, model)
+    state = cfg.optimizer_state()
     rng = np.random.default_rng(cfg.seed)
 
     log.info("training %s on %d examples (%d chars), %d epoch(s)",
@@ -352,15 +308,10 @@ def cmd_train(args) -> None:
                 total += model.train_step(b, state, rng) * len(b)
             mean_loss = total / len(encoded)  # per-example, partition-invariant
             record = {"epoch": epoch, "loss": mean_loss,
-                      "dev_f1": None, "phase": _phase(state)}
+                      "dev_f1": None, "phase": state.phase}
             if dev_encoded is not None:
-                preds = _predictions(model, dev_encoded, cfg.top_k,
-                                     cfg.max_span_len, cfg.batch_size)
-                gold = {ex.id: list(ex.gold_entities) for ex in dev_raw}
-                texts = {k: [c.entity_text for c in v] for k, v in preds.items()}
-                rep = evaluate(texts, gold, k_max=cfg.top_k,
-                               match_mode=cfg.match_mode)
-                record["dev_f1"] = list(rep.f1)
+                texts = _texts(_predictions(model, dev_encoded, cfg))
+                record["dev_f1"] = list(_score(texts, dev_raw, cfg).f1)
             lf.write(json.dumps(record, ensure_ascii=False) + "\n")
             log.info("epoch %d: loss %.4f%s", epoch, mean_loss,
                      "" if record["dev_f1"] is None
@@ -388,20 +339,14 @@ def _read_prediction_file(path) -> dict[str, list[str]]:
 
 
 def cmd_eval(args) -> None:
-    _require_path(args.data, "data")
-    examples = load_jsonl(args.data)
-    gold = {ex.id: list(ex.gold_entities) for ex in examples}
+    cfg = _build_config(args)
+    examples = load_jsonl(_require_path(args.data, "data"))
     if args.predictions:
-        _require_path(args.predictions, "predictions")
-        texts = _read_prediction_file(args.predictions)
+        texts = _read_prediction_file(_require_path(args.predictions, "predictions"))
     else:
-        model = _load_model(args)
-        encoded = _encode_for_inference(examples, model.vocab,
-                                        model.enc_cfg.max_len)
-        preds = _predictions(model, encoded, args.top_k, args.max_span_len,
-                             args.batch_size)
-        texts = {k: [c.entity_text for c in v] for k, v in preds.items()}
-    rep = evaluate(texts, gold, k_max=args.top_k, match_mode=args.match_mode)
+        model = _load_model(args, cfg)
+        texts = _texts(_predictions(model, _encode_for_inference(examples, model), cfg))
+    rep = _score(texts, examples, cfg)
     if args.json:
         print(rep.to_json())
     else:
@@ -412,15 +357,11 @@ def cmd_eval(args) -> None:
 
 
 def cmd_predict(args) -> None:
-    _require_path(args.data, "data")
-    examples = load_jsonl(args.data)
-    model = _load_model(args)
-    encoded = _encode_for_inference(examples, model.vocab, model.enc_cfg.max_len)
-    preds = _predictions(model, encoded, args.top_k, args.max_span_len,
-                         args.batch_size)
-    sink = _open_out(args.out)
-    try:
-        out = sink if sink is not None else sys.stdout
+    cfg = _build_config(args)
+    examples = load_jsonl(_require_path(args.data, "data"))
+    model = _load_model(args, cfg)
+    preds = _predictions(model, _encode_for_inference(examples, model), cfg)
+    with _output(args.out) as out:
         for ex in examples:
             cands = preds[ex.id]
             line = {
@@ -432,27 +373,19 @@ def cmd_predict(args) -> None:
                 ],
             }
             out.write(json.dumps(line, ensure_ascii=False) + "\n")
-    finally:
-        if sink is not None:
-            sink.close()
 
 
 def cmd_inspect(args) -> None:
-    _require_path(args.data, "data")
-    examples = load_jsonl(args.data)
+    examples = load_jsonl(_require_path(args.data, "data"))
     wanted = [ex for ex in examples if ex.id == args.example_id]
     if not wanted:
         raise DataError(f"example id {args.example_id!r} not found in {args.data}")
     model = _load_model(args)
-    encoded = _encode_for_inference(wanted[:1], model.vocab,
-                                    model.enc_cfg.max_len)
-    b = batch(encoded)
+    b = batch(_encode_for_inference(wanted[:1], model))
     _, attentions = model.forward(b)
     labels = [model.vocab.token_label(int(t)) for t in b.token_ids[0]]
 
-    sink = _open_out(args.out)
-    try:
-        out = sink if sink is not None else sys.stdout
+    with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["layer", "head", "query_token"] + labels)
         for layer_idx, att in enumerate(attentions):
@@ -461,25 +394,13 @@ def cmd_inspect(args) -> None:
                 for q, q_label in enumerate(labels):
                     weights = [f"{w:.8f}" for w in att[0, head, q]]
                     writer.writerow([layer_idx, head, q_label] + weights)
-    finally:
-        if sink is not None:
-            sink.close()
 
 
 def cmd_synth(args) -> None:
     cfg = _build_config(args)
     if not args.out:
         raise UsageError("synth requires --out")
-    try:
-        synth_cfg = SynthConfig(
-            n_examples=cfg.n_examples,
-            multi_entity_fraction=cfg.multi_entity_fraction,
-            min_distractors=cfg.min_distractors,
-            max_distractors=cfg.max_distractors,
-        )
-    except ContractError as exc:
-        raise UsageError(str(exc)) from exc
-    examples = generate_synthetic(synth_cfg, seed=cfg.seed)
+    examples = generate_synthetic(cfg.synth_config(), seed=cfg.seed)
     write_jsonl(examples, args.out)
     log.info("wrote %d examples to %s", len(examples), args.out)
 
@@ -492,42 +413,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_OVERRIDE_FLAGS: dict[str, tuple[type, str]] = {
-    "variant": (str, "model variant: bert, sebertnets, or hsebertnets"),
-    "seed": (int, "random seed"),
-    "epochs": (int, "training epochs"),
-    "batch_size": (int, "examples per step"),
-    "optimizer": (str, "adam, sgd, or swats"),
-    "lr": (float, "learning rate"),
-    "eps_switch": (float, "swats switch threshold"),
-    "top_k": (int, "candidates per example"),
-    "match_mode": (str, "count a hit on any or all gold entities"),
-    "max_span_len": (int, "longest decodable span"),
-    "d_model": (int, "encoder width"),
-    "n_layers": (int, "encoder layers"),
-    "n_heads": (int, "attention heads"),
-    "d_ff": (int, "feed-forward width"),
-    "dropout": (float, "dropout rate"),
-    "activation": (str, "relu or gelu"),
-    "cell": (str, "recurrent cell: lstm or gru"),
-    "hidden": (int, "recurrent hidden size"),
-    "max_len": (int, "token budget per example"),
-    "train": (str, "training data JSONL"),
-    "dev": (str, "dev data JSONL"),
-    "checkpoint": (str, "checkpoint output path"),
-    "log": (str, "training log output path"),
-    "n_examples": (int, "synthetic corpus size"),
-    "multi_entity_fraction": (float, "share of multi-entity examples"),
-    "min_distractors": (int, "fewest distractor cues"),
-    "max_distractors": (int, "most distractor cues"),
-}
-
-
-def _add_flags(sp, names):
-    for name in names:
-        typ, help_text = _OVERRIDE_FLAGS[name]
-        sp.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None,
-                        dest=name, help=help_text)
+def _add_flags(sp, keys):
+    for key in keys:
+        f = _KEYS[key]
+        sp.add_argument(f"--{key.replace('_', '-')}", type=f.metadata["type"],
+                        default=None, dest=key, help=f.metadata["help"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -538,11 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("train", help="train a model and write a checkpoint")
     tr.add_argument("--config", default=None, help="INI config path")
-    _add_flags(tr, ["variant", "seed", "epochs", "batch_size", "optimizer",
-                    "lr", "eps_switch", "top_k", "match_mode", "max_span_len",
-                    "d_model", "n_layers", "n_heads", "d_ff", "dropout",
-                    "activation", "cell", "hidden", "max_len",
-                    "train", "dev", "checkpoint", "log"])
+    _add_flags(tr, _keys_in("run", "model", "data"))
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="score a checkpoint or prediction file")
@@ -550,13 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--predictions", default=None,
                     help="score this prediction JSONL instead of a checkpoint")
     ev.add_argument("--data", required=True)
-    ev.add_argument("--top-k", type=int, default=5, dest="top_k")
-    ev.add_argument("--match-mode", default="any", dest="match_mode",
-                    choices=["any", "all"])
-    ev.add_argument("--max-span-len", type=int, default=30, dest="max_span_len")
-    ev.add_argument("--batch-size", type=int, default=32, dest="batch_size")
-    ev.add_argument("--variant", default=None,
-                    help="decode as this variant (recurrent family only)")
+    _add_flags(ev, ["top_k", "match_mode", "max_span_len", "batch_size", "variant"])
     ev.add_argument("--json", action="store_true",
                     help="print the report as JSON instead of a table")
     ev.add_argument("--json-out", default=None, dest="json_out",
@@ -566,10 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("predict", help="emit ranked entities as JSONL")
     pr.add_argument("--checkpoint", required=True)
     pr.add_argument("--data", required=True)
-    pr.add_argument("--top-k", type=int, default=5, dest="top_k")
-    pr.add_argument("--max-span-len", type=int, default=30, dest="max_span_len")
-    pr.add_argument("--batch-size", type=int, default=32, dest="batch_size")
-    pr.add_argument("--variant", default=None)
+    _add_flags(pr, ["top_k", "max_span_len", "batch_size", "variant"])
     pr.add_argument("--out", default=None, help="output path (default stdout)")
     pr.set_defaults(func=cmd_predict)
 
@@ -584,8 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     sy = sub.add_parser("synth", help="write a synthetic corpus as JSONL")
     sy.add_argument("--config", default=None, help="INI config path")
     sy.add_argument("--out", required=True)
-    _add_flags(sy, ["seed", "n_examples", "multi_entity_fraction",
-                    "min_distractors", "max_distractors"])
+    _add_flags(sy, ["seed", *_keys_in("synth")])
     sy.set_defaults(func=cmd_synth)
     return p
 
@@ -598,15 +474,12 @@ def console_main(argv=None) -> int:
         args = parser.parse_args(argv)
         args.func(args)
         return 0
-    except UsageError as exc:
+    except (UsageError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except SebertNetsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

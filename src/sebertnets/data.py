@@ -284,8 +284,10 @@ def _parse_record(obj: dict, line: int) -> RawExample:
 
 def load_jsonl(path) -> list[RawExample]:
     """Read one JSON object per line; blank lines are skipped. Raises
-    ``DataError`` with the 1-based line number on any malformed record."""
+    ``DataError`` with the 1-based line number on any malformed record
+    and on the second record that reuses an id."""
     out = []
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
@@ -296,7 +298,11 @@ def load_jsonl(path) -> list[RawExample]:
                 raise DataError(f"invalid JSON: {e.msg}", line_no) from e
             if not isinstance(obj, dict):
                 raise DataError("record is not a JSON object", line_no)
-            out.append(_parse_record(obj, line_no))
+            ex = _parse_record(obj, line_no)
+            if ex.id in seen:
+                raise DataError(f"duplicate id {ex.id!r}", line_no)
+            seen.add(ex.id)
+            out.append(ex)
     return out
 
 

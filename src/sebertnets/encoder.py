@@ -33,6 +33,9 @@ class EncoderConfig:
     activation: str = "relu"
 
     def __post_init__(self):
+        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be positive")
         if self.d_model % self.n_heads != 0:
             raise ContractError(
                 f"d_model {self.d_model} is not divisible by n_heads {self.n_heads}")
@@ -41,9 +44,6 @@ class EncoderConfig:
         if self.activation not in _ACTIVATIONS:
             raise ContractError(f"activation must be one of {sorted(_ACTIVATIONS)}, "
                                 f"got {self.activation!r}")
-        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be positive")
 
     @property
     def d_head(self) -> int:

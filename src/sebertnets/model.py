@@ -38,7 +38,7 @@ from .errors import (
     ContractError,
     DivergenceError,
 )
-from .optim import AdamState, SgdState, SwatsState, apply_step, clip_global_norm
+from .optim import apply_step, clip_global_norm, state_from_meta, state_meta, state_moments
 from .recurrent import GRU, LSTM, RecurrentParams, bidirectional_encode
 from .span import (
     ALL_CHANNELS,
@@ -77,8 +77,8 @@ class ModelConfig:
             )
         if self.cell not in (LSTM, GRU):
             raise ContractError(f"cell must be {LSTM!r} or {GRU!r}, got {self.cell!r}")
-        if self.hidden_size < 1:
-            raise ContractError(f"hidden_size must be >= 1, got {self.hidden_size}")
+        if not isinstance(self.hidden_size, int) or self.hidden_size < 1:
+            raise ContractError(f"hidden_size must be an int >= 1, got {self.hidden_size!r}")
 
     @property
     def recurrent(self) -> bool:
@@ -229,50 +229,9 @@ class Model:
 # ------------------------------------------------------------ checkpoints
 
 
-def _optimizer_meta(state) -> dict | None:
-    if state is None:
-        return None
-    if isinstance(state, SwatsState):
-        a = state.adam
-        return {"kind": "swats", "lr": a.lr, "beta1": a.beta1, "beta2": a.beta2,
-                "eps": a.eps, "k": a.k, "eps_switch": state.eps_switch,
-                "phase": state.phase, "lam": state.lam, "sgd_lr": state.sgd_lr}
-    if isinstance(state, AdamState):
-        return {"kind": "adam", "lr": state.lr, "beta1": state.beta1,
-                "beta2": state.beta2, "eps": state.eps, "k": state.k}
-    if isinstance(state, SgdState):
-        return {"kind": "sgd", "lr": state.lr}
-    raise ContractError(f"cannot serialize optimizer {type(state).__name__}")
-
-
-def _moment_dicts(state) -> tuple[dict, dict]:
-    if isinstance(state, SwatsState):
-        return state.adam.m, state.adam.v
-    if isinstance(state, AdamState):
-        return state.m, state.v
-    return {}, {}
-
-
-def _optimizer_from_meta(meta: dict | None, m: dict, v: dict):
-    if meta is None:
-        return None
-    kind = meta["kind"]
-    if kind == "sgd":
-        return SgdState(lr=meta["lr"])
-    adam = AdamState(lr=meta["lr"], beta1=meta["beta1"], beta2=meta["beta2"],
-                     eps=meta["eps"], k=meta["k"], m=m, v=v)
-    if kind == "adam":
-        return adam
-    if kind == "swats":
-        return SwatsState(adam=adam, eps_switch=meta["eps_switch"],
-                          phase=meta["phase"], lam=meta["lam"],
-                          sgd_lr=meta["sgd_lr"])
-    raise CheckpointError(f"unknown optimizer kind {kind!r}", offset=12)
-
-
 def save_checkpoint(model: Model, path, optimizer_state=None) -> None:
     params = model.parameters()
-    m, v = _moment_dicts(optimizer_state)
+    m, v = state_moments(optimizer_state)
     arrays: list[tuple[str, np.ndarray]] = [
         (name, p.data) for name, p in params.items()
     ]
@@ -294,7 +253,7 @@ def save_checkpoint(model: Model, path, optimizer_state=None) -> None:
         "encoder": asdict(model.enc_cfg),
         "vocab": model.vocab.to_json(),
         "training": {"step": model.step,
-                     "optimizer": _optimizer_meta(optimizer_state)},
+                     "optimizer": state_meta(optimizer_state)},
         "params": directory,
     }
     meta_bytes = json.dumps(meta, ensure_ascii=False).encode("utf-8")
@@ -336,6 +295,38 @@ def _read_meta(blob: bytes) -> tuple[dict, int]:
 def _families_match(stored: str, requested: str) -> bool:
     stored_rec = stored in _RECURRENT
     return stored_rec == (requested in _RECURRENT)
+
+
+def _rebuild(meta: dict, arrays: dict[str, np.ndarray], variant: str
+             ) -> tuple[Model, object | None]:
+    """The model, decoded as ``variant``, and optimizer state that the
+    checked metadata and payload arrays describe."""
+    cfg = ModelConfig(variant=variant, cell=meta["model"].get("cell"),
+                      hidden_size=meta["model"].get("hidden_size"))
+    enc_cfg = EncoderConfig(**meta["encoder"])
+    vocab = Vocabulary.from_json(meta["vocab"])
+    model = Model(cfg, enc_cfg, vocab, seed=0)
+    model.step = int(meta["training"]["step"])
+
+    params = model.parameters()
+    for name, p in params.items():
+        if name not in arrays:
+            raise CheckpointError(f"parameter {name!r} missing from directory",
+                                  offset=12)
+        got = arrays[name]
+        if got.shape != p.shape:
+            raise CheckpointError(
+                f"parameter {name!r} has shape {got.shape}, expected {p.shape}",
+                offset=12)
+        p.data = got.astype(p.data.dtype, copy=False)
+
+    m = {}
+    v = {}
+    for name in params:
+        if f"optim.m.{name}" in arrays:
+            m[name] = arrays[f"optim.m.{name}"]
+            v[name] = arrays[f"optim.v.{name}"]
+    return model, state_from_meta(meta["training"]["optimizer"], m, v)
 
 
 def load_checkpoint(path, variant: str | None = None
@@ -381,37 +372,14 @@ def load_checkpoint(path, variant: str | None = None
         arrays[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(
             entry["shape"]).copy()
 
-    stored_variant = meta["model"]["variant"]
+    stored_variant = meta["model"].get("variant")
     target = variant if variant is not None else stored_variant
     if variant is not None and not _families_match(stored_variant, target):
         raise CompatibilityError(
             f"checkpoint built for {stored_variant!r} cannot be loaded as "
             f"{target!r}: parameter sets differ"
         )
-    cfg = ModelConfig(variant=target, cell=meta["model"]["cell"],
-                      hidden_size=meta["model"]["hidden_size"])
-    enc_cfg = EncoderConfig(**meta["encoder"])
-    vocab = Vocabulary.from_json(meta["vocab"])
-    model = Model(cfg, enc_cfg, vocab, seed=0)
-    model.step = int(meta["training"]["step"])
-
-    params = model.parameters()
-    for name, p in params.items():
-        if name not in arrays:
-            raise CheckpointError(f"parameter {name!r} missing from directory",
-                                  offset=12)
-        got = arrays[name]
-        if got.shape != p.shape:
-            raise CheckpointError(
-                f"parameter {name!r} has shape {got.shape}, expected {p.shape}",
-                offset=12)
-        p.data = got.astype(p.data.dtype, copy=False)
-
-    m = {}
-    v = {}
-    for name in params:
-        if f"optim.m.{name}" in arrays:
-            m[name] = arrays[f"optim.m.{name}"]
-            v[name] = arrays[f"optim.v.{name}"]
-    opt = _optimizer_from_meta(meta["training"]["optimizer"], m, v)
-    return model, opt
+    try:
+        return _rebuild(meta, arrays, target)
+    except ContractError as exc:
+        raise CheckpointError(str(exc), offset=12) from exc

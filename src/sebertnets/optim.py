@@ -14,7 +14,7 @@ lam are accumulated at float64 regardless of parameter dtype.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,6 +23,27 @@ from .tensor import Tensor
 
 ADAM_PHASE = "adam"
 SGD_PHASE = "sgd"
+
+# checkpoint JSON types per scalar field annotation of a state class; the
+# moment dicts and the nested Adam state are not scalars
+_META_TYPES = {"float": (int, float), "int": (int,), "str": (str,),
+               "float | None": (int, float, type(None))}
+
+
+def _scalars(st) -> dict:
+    return {f.name: getattr(st, f.name) for f in fields(st) if f.type in _META_TYPES}
+
+
+def _read_scalars(cls, meta: dict) -> dict:
+    out = {}
+    for f in fields(cls):
+        if f.type in _META_TYPES:
+            value = meta.get(f.name)
+            if isinstance(value, bool) or not isinstance(value, _META_TYPES[f.type]):
+                raise ContractError(f"optimizer {f.name!r} must be {f.type}, "
+                                    f"got {value!r}")
+            out[f.name] = value
+    return out
 
 
 @dataclass
@@ -35,10 +56,16 @@ class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
+    kind = "adam"
+    phase = ADAM_PHASE
+
 
 @dataclass
 class SgdState:
     lr: float
+
+    kind = "sgd"
+    phase = SGD_PHASE
 
 
 @dataclass
@@ -48,6 +75,8 @@ class SwatsState:
     phase: str = ADAM_PHASE
     lam: float = 0.0
     sgd_lr: float | None = None  # Lambda, fixed at the switch
+
+    kind = "swats"
 
     @property
     def k(self) -> int:
@@ -147,16 +176,50 @@ def make_state(kind: str, lr: float | None = None, *, beta1: float = 0.9,
                beta2: float = 0.999, eps: float = 1e-8,
                eps_switch: float = 1e-9):
     """Build a fresh optimizer state: 'adam', 'sgd', or 'swats'."""
-    if kind == "adam":
-        return AdamState(lr=1e-3 if lr is None else lr, beta1=beta1, beta2=beta2,
-                         eps=eps)
     if kind == "sgd":
         return SgdState(lr=0.01 if lr is None else lr)
+    adam = AdamState(lr=1e-3 if lr is None else lr, beta1=beta1, beta2=beta2, eps=eps)
+    if kind == "adam":
+        return adam
     if kind == "swats":
-        adam = AdamState(lr=1e-3 if lr is None else lr, beta1=beta1, beta2=beta2,
-                         eps=eps)
         return SwatsState(adam=adam, eps_switch=eps_switch)
     raise ContractError(f"unknown optimizer {kind!r}, expected adam, sgd, or swats")
+
+
+def state_meta(state) -> dict | None:
+    """The checkpoint record of ``state``: its kind, then its scalar fields
+    in declaration order, a SWATS state's Adam fields first."""
+    if state is None:
+        return None
+    if isinstance(state, SwatsState):
+        return {**state_meta(state.adam), "kind": state.kind, **_scalars(state)}
+    return {"kind": state.kind, **_scalars(state)}
+
+
+def state_moments(state) -> tuple[dict, dict]:
+    """Adam's moment buffers in ``state``; empty for SGD or no state."""
+    adam = state.adam if isinstance(state, SwatsState) else state
+    return (adam.m, adam.v) if isinstance(adam, AdamState) else ({}, {})
+
+
+def state_from_meta(meta: dict | None, m: dict, v: dict):
+    """Rebuild a state from its ``state_meta`` record and Adam moment
+    buffers. An unknown kind or a missing or mistyped scalar raises
+    ``ContractError``."""
+    if meta is None:
+        return None
+    kind = meta.get("kind") if isinstance(meta, dict) else None
+    if kind == "sgd":
+        return SgdState(**_read_scalars(SgdState, meta))
+    if kind not in ("adam", "swats"):
+        raise ContractError(f"unknown optimizer kind {kind!r}")
+    adam = AdamState(**_read_scalars(AdamState, meta), m=m, v=v)
+    if kind == "adam":
+        return adam
+    st = SwatsState(adam=adam, **_read_scalars(SwatsState, meta))
+    if st.phase != (ADAM_PHASE if st.sgd_lr is None else SGD_PHASE):
+        raise ContractError(f"swats phase {st.phase!r} does not fit sgd_lr {st.sgd_lr!r}")
+    return st
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -325,3 +326,77 @@ def test_inspect_unknown_id_is_data_error(trained, capsys):
                          "--example-id", "no-such-id"])
     assert code == 2
     capsys.readouterr()
+
+
+# ------------------------------------------------------- shared schema
+
+
+_BAD_INFERENCE_FLAGS = [("--top-k", "0"), ("--max-span-len", "0"),
+                        ("--batch-size", "0"), ("--batch-size", "-3")]
+
+
+@pytest.mark.parametrize("command, flag, value",
+                         [("eval", *f) for f in _BAD_INFERENCE_FLAGS]
+                         + [("eval", "--match-mode", "some")]
+                         + [("predict", *f) for f in _BAD_INFERENCE_FLAGS])
+def test_bad_inference_flag_is_usage_error(trained, capsys, command, flag, value):
+    code = console_main([command, "--checkpoint", str(trained["ckpt"]),
+                         "--data", str(trained["dev"]), flag, value])
+    assert code == 1
+    capsys.readouterr()
+
+
+def test_every_config_key_is_accepted(tmp_path):
+    """One INI naming every key in its section parses and validates."""
+    cfg = tmp_path / "all.ini"
+    cfg.write_text(
+        "[run]\nvariant = bert\nseed = 1\nepochs = 1\nbatch_size = 4\n"
+        "optimizer = swats\nlr = 0.01\neps_switch = 1e-6\ntop_k = 2\n"
+        "match_mode = all\nmax_span_len = 5\n"
+        "[model]\nd_model = 8\nn_layers = 1\nn_heads = 2\nd_ff = 16\n"
+        "dropout = 0.0\nactivation = gelu\ncell = lstm\nhidden = 4\nmax_len = 40\n"
+        "[data]\ntrain = t.jsonl\ndev = d.jsonl\ncheckpoint = m.sebn\nlog = l.jsonl\n"
+        "[synth]\nn_examples = 3\nmulti_entity_fraction = 0.5\n"
+        "min_distractors = 0\nmax_distractors = 1\n",
+        encoding="utf-8")
+    out = tmp_path / "s.jsonl"
+    assert console_main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(load_jsonl(out)) == 3
+
+
+def test_duplicate_ids_are_data_error(trained, capsys):
+    dup = trained["tmp"] / "dup.jsonl"
+    first = trained["dev"].read_text(encoding="utf-8").splitlines()[0]
+    dup.write_text(first + "\n" + first + "\n", encoding="utf-8")
+    for command in ("eval", "predict"):
+        assert console_main([command, "--checkpoint", str(trained["ckpt"]),
+                             "--data", str(dup)]) == 2
+    capsys.readouterr()
+
+
+def test_bad_checkpoint_metadata_is_data_error(trained, capsys, tmp_path):
+    blob = trained["ckpt"].read_bytes()
+    meta_len = struct.unpack("<I", blob[8:12])[0]
+    meta = json.loads(blob[12:12 + meta_len])
+    del meta["training"]["optimizer"]["kind"]
+    new_meta = json.dumps(meta, ensure_ascii=False).encode("utf-8")
+    bad = tmp_path / "bad.sebn"
+    bad.write_bytes(blob[:4] + struct.pack("<II", 1, len(new_meta))
+                    + new_meta + blob[12 + meta_len:])
+    assert console_main(["eval", "--checkpoint", str(bad),
+                         "--data", str(trained["dev"])]) == 2
+    assert "at byte 12" in capsys.readouterr().err
+
+
+def test_train_same_seed_identical_checkpoints(tmp_path):
+    train = tmp_path / "train.jsonl"
+    make_corpus(train, n=12, seed=0)
+    blobs = []
+    for name in ("one", "two"):
+        cfg = tmp_path / f"{name}.ini"
+        write_config(cfg, train, "", tmp_path / f"{name}.sebn",
+                     tmp_path / f"{name}.log.jsonl", extra_run="optimizer = swats")
+        assert console_main(["train", "--config", str(cfg),
+                             "--dropout", "0.1"]) == 0
+        blobs.append((tmp_path / f"{name}.sebn").read_bytes())
+    assert blobs[0] == blobs[1]

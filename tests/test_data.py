@@ -217,6 +217,15 @@ class TestJsonl:
                         encoding="utf-8")
         assert len(D.load_jsonl(path)) == 1
 
+    def test_duplicate_id_reports_second_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        rec = '{"id": "1", "text": "a", "event_type": "t"}\n'
+        path.write_text(rec + '{"id": "2", "text": "b", "event_type": "t"}\n' + rec,
+                        encoding="utf-8")
+        with pytest.raises(DataError, match="duplicate id") as e:
+            D.load_jsonl(path)
+        assert e.value.line == 3
+
     def test_empty_text_is_data_error(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "1", "text": "\\u200b", "event_type": "t"}\n',

@@ -28,6 +28,10 @@ class TestConfig:
         with pytest.raises(ContractError):
             small_cfg(d_model=6, n_heads=4)
 
+    def test_zero_heads_is_contract_error(self):
+        with pytest.raises(ContractError, match="n_heads"):
+            E.EncoderConfig(vocab_size=10, n_heads=0)
+
     def test_dropout_range(self):
         with pytest.raises(ContractError):
             small_cfg(dropout_rate=1.0)

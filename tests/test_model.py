@@ -396,3 +396,79 @@ def test_missing_metadata_section(tmp_path):
     with pytest.raises(CheckpointError, match="vocab") as exc:
         Model.load(out)
     assert exc.value.offset == 12
+
+
+def rewrite_meta(path, out, edit):
+    """Copy a checkpoint with its JSON metadata changed by ``edit``."""
+    blob = path.read_bytes()
+    meta_len = struct.unpack("<I", blob[8:12])[0]
+    meta = json.loads(blob[12:12 + meta_len])
+    edit(meta)
+    new_meta = json.dumps(meta, ensure_ascii=False).encode("utf-8")
+    out.write_bytes(blob[:4] + struct.pack("<II", 1, len(new_meta))
+                    + new_meta + blob[12 + meta_len:])
+
+
+@pytest.mark.parametrize("kind, keys", [
+    ("adam", ["kind", "lr", "beta1", "beta2", "eps", "k"]),
+    ("sgd", ["kind", "lr"]),
+    ("swats", ["kind", "lr", "beta1", "beta2", "eps", "k", "eps_switch", "phase",
+               "lam", "sgd_lr"]),
+])
+def test_optimizer_meta_keys_v1_order(tmp_path, kind, keys):
+    model, _, _, b = build_setup()
+    state = make_state(kind)
+    model.train_step(b, state, np.random.default_rng(0))
+    path = tmp_path / "m.sebn"
+    model.save(path, state)
+    meta = {}
+    rewrite_meta(path, tmp_path / "copy.sebn", meta.update)
+    assert list(meta["training"]["optimizer"]) == keys
+
+
+_DELETE = "<deleted>"
+
+
+def _set(section, key, value):
+    def edit(meta):
+        target = meta["training"]["optimizer"] if section == "optimizer" else meta[section]
+        if value is _DELETE:
+            del target[key]
+        else:
+            target[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("optimizer", "kind", _DELETE),
+    ("optimizer", "kind", "rmsprop"),
+    ("optimizer", "lr", "0.001"),
+    ("optimizer", "k", "3"),
+    ("optimizer", "k", 3.0),
+    ("optimizer", "beta2", _DELETE),
+    ("model", "cell", _DELETE),
+    ("model", "hidden_size", "4"),
+    ("model", "variant", _DELETE),
+])
+def test_bad_metadata_is_checkpoint_error(tmp_path, section, key, value):
+    model, _, _, b = build_setup()
+    state = make_state("adam")
+    model.train_step(b, state, np.random.default_rng(0))
+    path = tmp_path / "ok.sebn"
+    model.save(path, state)
+    bad = tmp_path / "bad.sebn"
+    rewrite_meta(path, bad, _set(section, key, value))
+    with pytest.raises(CheckpointError, match=key) as exc:
+        Model.load(bad)
+    assert exc.value.offset == 12
+
+
+def test_swats_meta_phase_must_fit_sgd_lr(tmp_path):
+    model, _, _, _ = build_setup()
+    path = tmp_path / "sw.sebn"
+    model.save(path, make_state("swats"))
+    bad = tmp_path / "bad.sebn"
+    rewrite_meta(path, bad, _set("optimizer", "phase", "sgd"))
+    with pytest.raises(CheckpointError, match="phase") as exc:
+        Model.load(bad)
+    assert exc.value.offset == 12
