@@ -1,9 +1,11 @@
 """How span decoding turns position scores into ranked entity candidates.
 
 Start/end logits are hand-crafted so the behavior is easy to follow: one
-dominant span plus a competitive runner-up that only the rank-paired
-channel surfaces. The k=1 result is always rank one of the merged list,
-and growing k only ever appends.
+dominant span plus a competitive runner-up. The joint channel ranks
+every valid pair, so it surfaces the runner-up on its own; the
+rank-paired channel only re-proposes joint pairs with the same scores,
+so adding it leaves the list unchanged. The k=1 result is always rank
+one of the merged list, and growing k only ever appends.
 """
 
 import numpy as np

@@ -31,6 +31,7 @@ from .data import (
     flatten_for_training,
     generate_synthetic,
     load_jsonl,
+    read_jsonl,
     write_jsonl,
 )
 from .encoder import EncoderConfig
@@ -320,29 +321,22 @@ def cmd_train(args) -> None:
     log.info("checkpoint written to %s, log to %s", cfg.checkpoint, cfg.log_path)
 
 
-def _read_prediction_file(path) -> dict[str, list[str]]:
-    preds: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"bad JSON in predictions: {exc}", line=lineno)
-            if not isinstance(obj, dict) or "id" not in obj or "entities" not in obj:
-                raise DataError("prediction record needs 'id' and 'entities'",
-                                line=lineno)
-            preds[str(obj["id"])] = [str(e["text"]) for e in obj["entities"]]
-    return preds
+def _prediction_texts(obj: dict, line: int) -> tuple[str, list[str]]:
+    """One ``predict`` output record: its id and candidate texts."""
+    entities = obj.get("entities")
+    if "id" not in obj or not isinstance(entities, list) or not all(
+            isinstance(e, dict) and "text" in e for e in entities):
+        raise DataError("prediction record needs an 'id' and an 'entities' "
+                        "list of objects with a 'text'", line=line)
+    return str(obj["id"]), [str(e["text"]) for e in entities]
 
 
 def cmd_eval(args) -> None:
     cfg = _build_config(args)
     examples = load_jsonl(_require_path(args.data, "data"))
     if args.predictions:
-        texts = _read_prediction_file(_require_path(args.predictions, "predictions"))
+        texts = read_jsonl(_require_path(args.predictions, "predictions"),
+                           _prediction_texts)
     else:
         model = _load_model(args, cfg)
         texts = _texts(_predictions(model, _encode_for_inference(examples, model), cfg))

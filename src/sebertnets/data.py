@@ -16,7 +16,7 @@ import json
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -249,7 +249,8 @@ def flatten_for_training(examples: Iterable[RawExample]) -> list[RawExample]:
     return out
 
 
-def _parse_record(obj: dict, line: int) -> RawExample:
+def _parse_record(obj: dict, line: int) -> tuple[str, RawExample]:
+    """One example record, keyed by its id."""
     for key in ("id", "text", "event_type"):
         if key not in obj:
             raise DataError(f"missing required field {key!r}", line)
@@ -278,16 +279,17 @@ def _parse_record(obj: dict, line: int) -> RawExample:
             entity = clean_text(obj["entity"])
         except EmptyTextError as e:
             raise DataError(f"entity: {e}", line) from e
-    return RawExample(id=obj["id"], text=text, event_type=event_type,
-                      entity=entity, entities=entities)
+    return obj["id"], RawExample(id=obj["id"], text=text, event_type=event_type,
+                                 entity=entity, entities=entities)
 
 
-def load_jsonl(path) -> list[RawExample]:
-    """Read one JSON object per line; blank lines are skipped. Raises
-    ``DataError`` with the 1-based line number on any malformed record
-    and on the second record that reuses an id."""
-    out = []
-    seen: set[str] = set()
+def read_jsonl(path, parse: Callable[[dict, int], tuple[str, object]]) -> dict:
+    """``parse(record, line_no)`` gives (id, value) for each JSON object
+    line of ``path``; the values are returned keyed by id, in file order.
+    Blank lines are skipped. Raises ``DataError`` with the 1-based line
+    number on invalid JSON, a line that is not an object, and the second
+    record that reuses an id."""
+    out: dict = {}
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
@@ -298,12 +300,16 @@ def load_jsonl(path) -> list[RawExample]:
                 raise DataError(f"invalid JSON: {e.msg}", line_no) from e
             if not isinstance(obj, dict):
                 raise DataError("record is not a JSON object", line_no)
-            ex = _parse_record(obj, line_no)
-            if ex.id in seen:
-                raise DataError(f"duplicate id {ex.id!r}", line_no)
-            seen.add(ex.id)
-            out.append(ex)
+            key, value = parse(obj, line_no)
+            if key in out:
+                raise DataError(f"duplicate id {key!r}", line_no)
+            out[key] = value
     return out
+
+
+def load_jsonl(path) -> list[RawExample]:
+    """The examples of a JSONL file, checked as ``read_jsonl`` describes."""
+    return list(read_jsonl(path, _parse_record).values())
 
 
 def write_jsonl(examples: Iterable[RawExample], path) -> None:

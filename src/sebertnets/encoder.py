@@ -34,14 +34,15 @@ class EncoderConfig:
 
     def __post_init__(self):
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be positive")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ContractError(f"{name} must be a positive int, got {value!r}")
         if self.d_model % self.n_heads != 0:
             raise ContractError(
                 f"d_model {self.d_model} is not divisible by n_heads {self.n_heads}")
-        if not 0.0 <= self.dropout_rate < 1.0:
+        if type(self.dropout_rate) not in (int, float) or not 0.0 <= self.dropout_rate < 1.0:
             raise ContractError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.activation not in _ACTIVATIONS:
+        if not isinstance(self.activation, str) or self.activation not in _ACTIVATIONS:
             raise ContractError(f"activation must be one of {sorted(_ACTIVATIONS)}, "
                                 f"got {self.activation!r}")
 

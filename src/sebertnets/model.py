@@ -25,8 +25,9 @@ Optimizer moment buffers ride along as directory entries named
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .errors import (
     CheckpointError,
     CompatibilityError,
     ContractError,
+    DataError,
     DivergenceError,
 )
 from .optim import apply_step, clip_global_norm, state_from_meta, state_meta, state_moments
@@ -50,6 +52,7 @@ from .span import (
     init_head_params,
     score,
     span_loss,
+    valid_mask,
 )
 from .tensor import Tape, Tensor, backward, zero_grads
 
@@ -62,6 +65,9 @@ _RECURRENT = (SEBERTNETS, HSEBERTNETS)
 MAGIC = b"SEBN"
 FORMAT_VERSION = 1
 CLIP_NORM = 5.0
+# checkpoint metadata sections and the JSON type each must have
+_SECTIONS = {"model": dict, "encoder": dict, "vocab": dict, "training": dict,
+             "params": list}
 
 
 @dataclass
@@ -137,14 +143,6 @@ class Model:
 
     # ------------------------------------------------------------ forward
 
-    def _valid_rows(self, batch: Batch) -> np.ndarray:
-        b, s = batch.token_ids.shape
-        valid = np.zeros((b, s), dtype=bool)
-        for i in range(b):
-            first, last = batch.text_spans[i]
-            valid[i, first:last + 1] = True
-        return valid
-
     def forward(self, batch: Batch, *, train: bool = False,
                 rng: np.random.Generator | None = None
                 ) -> tuple[SpanLogits, list[np.ndarray]]:
@@ -160,7 +158,8 @@ class Model:
         if self.cfg.recurrent:
             h = bidirectional_encode(h, batch.attention_mask,
                                      self.rnn_fwd, self.rnn_bwd, self.cfg.cell)
-        logits = score(h, self.head_params, self._valid_rows(batch))
+        valid = valid_mask(batch.token_ids.shape[1], batch.text_spans)
+        logits = score(h, self.head_params, valid)
         return logits, enc.attentions
 
     # ------------------------------------------------------------ decode
@@ -285,11 +284,24 @@ def _read_meta(blob: bytes) -> tuple[dict, int]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"metadata is not valid JSON ({exc})",
                               offset=12) from exc
-    for key in ("model", "encoder", "vocab", "training", "params"):
-        if key not in meta:
-            raise CheckpointError(f"metadata lacks the {key!r} section",
-                                  offset=12)
+    for key, kind in _SECTIONS.items():
+        if not isinstance(meta, dict) or not isinstance(meta.get(key), kind):
+            raise CheckpointError(f"metadata lacks the {key!r} section as a "
+                                  f"{kind.__name__}", offset=12)
     return meta, meta_len
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _check_entry(entry) -> None:
+    if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(map(_is_count, [*entry["shape"], entry.get("offset"),
+                                    entry.get("nbytes")]))):
+        raise CheckpointError(f"directory entry {entry!r} needs a 'name' string "
+                              f"and 'shape', 'offset' and 'nbytes' counts", offset=12)
 
 
 def _families_match(stored: str, requested: str) -> bool:
@@ -303,10 +315,18 @@ def _rebuild(meta: dict, arrays: dict[str, np.ndarray], variant: str
     checked metadata and payload arrays describe."""
     cfg = ModelConfig(variant=variant, cell=meta["model"].get("cell"),
                       hidden_size=meta["model"].get("hidden_size"))
+    keys = sorted(f.name for f in fields(EncoderConfig))
+    if sorted(meta["encoder"]) != keys:
+        raise ContractError(f"encoder section holds {sorted(meta['encoder'])}, "
+                            f"expected {keys}")
     enc_cfg = EncoderConfig(**meta["encoder"])
     vocab = Vocabulary.from_json(meta["vocab"])
     model = Model(cfg, enc_cfg, vocab, seed=0)
-    model.step = int(meta["training"]["step"])
+    training = meta["training"]
+    if not _is_count(training.get("step")) or "optimizer" not in training:
+        raise ContractError(f"training section needs a 'step' count and an "
+                            f"'optimizer' entry, got {training!r}")
+    model.step = training["step"]
 
     params = model.parameters()
     for name, p in params.items():
@@ -320,13 +340,11 @@ def _rebuild(meta: dict, arrays: dict[str, np.ndarray], variant: str
                 offset=12)
         p.data = got.astype(p.data.dtype, copy=False)
 
-    m = {}
-    v = {}
-    for name in params:
-        if f"optim.m.{name}" in arrays:
-            m[name] = arrays[f"optim.m.{name}"]
-            v[name] = arrays[f"optim.v.{name}"]
-    return model, state_from_meta(meta["training"]["optimizer"], m, v)
+    m, v = ({name: arrays[f"optim.{which}.{name}"] for name in params
+             if f"optim.{which}.{name}" in arrays} for which in "mv")
+    if m.keys() != v.keys():
+        raise ContractError("optimizer moments 'm' and 'v' cover different parameters")
+    return model, state_from_meta(training["optimizer"], m, v)
 
 
 def load_checkpoint(path, variant: str | None = None
@@ -345,10 +363,8 @@ def load_checkpoint(path, variant: str | None = None
     base = 12 + meta_len
     expect = 0
     for entry in directory:
-        nfloats = 1
-        for dim in entry["shape"]:
-            nfloats *= dim
-        if entry["nbytes"] != 4 * nfloats:
+        _check_entry(entry)
+        if entry["nbytes"] != 4 * math.prod(entry["shape"]):
             raise CheckpointError(
                 f"entry {entry['name']!r} declares {entry['nbytes']} bytes "
                 f"for shape {tuple(entry['shape'])}",
@@ -371,6 +387,8 @@ def load_checkpoint(path, variant: str | None = None
         raw = blob[start:start + entry["nbytes"]]
         arrays[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(
             entry["shape"]).copy()
+    if len(arrays) != len(directory):
+        raise CheckpointError("directory repeats a parameter name", offset=12)
 
     stored_variant = meta["model"].get("variant")
     target = variant if variant is not None else stored_variant
@@ -381,5 +399,5 @@ def load_checkpoint(path, variant: str | None = None
         )
     try:
         return _rebuild(meta, arrays, target)
-    except ContractError as exc:
+    except (ContractError, DataError) as exc:
         raise CheckpointError(str(exc), offset=12) from exc

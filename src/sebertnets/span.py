@@ -3,15 +3,17 @@ training loss, and decoding.
 
 Decoding is joint: a candidate (s, e) scores log p_start(s) + log
 p_end(e), maximized over valid pairs with s <= e and width below
-``max_span_len``. Top-1 serves the baseline variants; the multi-channel
-decoder adds a joint top-k channel and an independent n-best channel,
-merges, dedups by surface text, and returns a ranked list.
+``max_span_len``. Every decode reads one ranked stream of such pairs,
+ordered by (-score, start, end): top-1 is its head and serves the
+baseline variants; the multi-channel decoder ranks the joint top-k
+channel and the rank-paired (independent n-best) channel together,
+dedups by surface text, and returns the first k.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,14 +77,17 @@ class RecallConfig:
                                 f"known: {sorted(ALL_CHANNELS)}")
 
 
-def valid_mask(length: int, text_span: tuple[int, int]) -> np.ndarray:
-    """Boolean vector marking the inclusive text region of one layout."""
-    first, last = int(text_span[0]), int(text_span[1])
-    if not 0 <= first <= last < length:
-        raise ContractError(f"text span ({first}, {last}) does not fit length {length}")
-    out = np.zeros(length, dtype=bool)
-    out[first:last + 1] = True
-    return out
+def valid_mask(length: int, text_span) -> np.ndarray:
+    """Boolean mask of the inclusive text region: [length] for one
+    (first, last) pair, [B, length] for a [B, 2] array of them."""
+    span = np.asarray(text_span)
+    first, last = span[..., :1], span[..., 1:]
+    fits = (0 <= first) & (first <= last) & (last < length)
+    if not fits.all():
+        bad = span.reshape(-1, 2)[~fits.reshape(-1)][0]
+        raise ContractError(f"text span ({bad[0]}, {bad[1]}) does not fit length {length}")
+    pos = np.arange(length)
+    return (first <= pos) & (pos <= last)
 
 
 def init_head_params(width: int, rng: np.random.Generator,
@@ -116,25 +121,15 @@ def span_loss(logits: SpanLogits, gold) -> Tensor:
     batched form averages over the batch. ``gold`` is (start, end) for a
     single example or an integer array [B, 2]."""
     g = np.asarray(gold)
-    batched = logits.start_logits.ndim == 2
-    if batched:
-        if g.shape != (logits.start_logits.shape[0], 2):
-            raise ContractError(f"gold must be [B, 2] for batched logits, got {g.shape}")
-        rows = np.arange(g.shape[0])
-        if (g < 0).any() or not (logits.valid[rows, g[:, 0]].all()
-                                 and logits.valid[rows, g[:, 1]].all()):
-            raise ContractError("a gold position lies outside the valid text region")
-        starts, ends = g[:, 0], g[:, 1]
-    else:
-        if g.shape != (2,):
-            raise ContractError(f"gold must be (start, end), got shape {g.shape}")
-        s, e = int(g[0]), int(g[1])
-        if s < 0 or e < 0 or not (logits.valid[s] and logits.valid[e]):
-            raise ContractError(f"gold ({s}, {e}) lies outside the valid text region")
-        starts, ends = s, e
+    want = logits.start_logits.shape[:-1] + (2,)
+    if g.shape != want:
+        raise ContractError(f"gold must have shape {want} for logits of shape "
+                            f"{logits.start_logits.shape}, got {g.shape}")
+    if (g < 0).any() or not np.take_along_axis(logits.valid, g, axis=-1).all():
+        raise ContractError("a gold position lies outside the valid text region")
     p_start = T.masked_softmax(logits.start_logits, logits.valid)
     p_end = T.masked_softmax(logits.end_logits, logits.valid)
-    return T.add(T.cross_entropy(p_start, starts), T.cross_entropy(p_end, ends))
+    return T.add(T.cross_entropy(p_start, g[..., 0]), T.cross_entropy(p_end, g[..., 1]))
 
 
 def _log_probs(logits: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -145,104 +140,60 @@ def _log_probs(logits: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return x - lse
 
 
-def _require_single(logits: SpanLogits) -> None:
-    if logits.start_logits.ndim != 1:
-        raise ContractError("decoding works on single examples; "
-                            "slice a batch with .example(i)")
-
-
-def _span_text(text: str, text_span, s: int, e: int) -> str:
-    first = int(text_span[0])
-    return text[s - first:e - first + 1]
-
-
 def decode_top1(logits: SpanLogits, text: str, text_span,
                 cfg: RecallConfig) -> SpanCandidate:
     """Best valid (s, e) pair by joint log-probability; ties go to the
-    smaller start, then the smaller end."""
-    _require_single(logits)
-    if not logits.valid.any():
-        raise DecodeError("no valid position to decode")
-    lp_s = _log_probs(logits.start_logits.data, logits.valid)
-    lp_e = _log_probs(logits.end_logits.data, logits.valid)
-    n = lp_s.shape[0]
-    best = None
-    for s in range(n):
-        if not logits.valid[s]:
-            continue
-        top = min(s + cfg.max_span_len, n)
-        for e in range(s, top):
-            if not logits.valid[e]:
-                continue
-            sc = lp_s[s] + lp_e[e]
-            if best is None or sc > best[0]:
-                best = (sc, s, e)
-    if best is None:
-        raise DecodeError("no valid (start, end) pair to decode")
-    sc, s, e = best
-    return SpanCandidate(start=s, end=e, score=float(sc),
-                         entity_text=_span_text(text, text_span, s, e))
-
-
-def _joint_pairs(lp_s, lp_e, valid, cfg) -> list[tuple[float, int, int]]:
-    """Every valid (s, e) pair with its joint score. The channel stream is
-    enumerated in full regardless of k: candidate rank must not depend on
-    k, or growing k could remove previously returned candidates."""
-    n = lp_s.shape[0]
-    pairs = []
-    for s in range(n):
-        if not valid[s]:
-            continue
-        top = min(s + cfg.max_span_len, n)
-        for e in range(s, top):
-            if valid[e]:
-                pairs.append((lp_s[s] + lp_e[e], s, e))
-    return pairs
-
-
-def _independent_nbest(lp_s, lp_e, valid, cfg) -> list[tuple[float, int, int]]:
-    """Pair the i-th best start with the i-th best end for every rank i
-    (full stream, see _joint_pairs); swap-repair reversed pairs, drop
-    over-wide ones. Scores describe the emitted span, post-repair."""
-    idx = np.flatnonzero(valid)
-    starts = sorted(idx, key=lambda i: (-lp_s[i], i))
-    ends = sorted(idx, key=lambda i: (-lp_e[i], i))
-    out = []
-    for i in range(len(idx)):
-        s, e = int(starts[i]), int(ends[i])
-        if s > e:
-            s, e = e, s
-        if e - s >= cfg.max_span_len:
-            continue
-        out.append((lp_s[s] + lp_e[e], s, e))
-    return out
+    smaller start, then the smaller end: the head of the ranked stream."""
+    return decode_multichannel(logits, text, text_span,
+                               replace(cfg, k=1, channels=frozenset()))[0]
 
 
 def decode_multichannel(logits: SpanLogits, text: str, text_span,
                         cfg: RecallConfig) -> list[SpanCandidate]:
-    """Ranked candidate list (length <= k): enabled channels are merged
-    with decode_top1's result, deduplicated by entity text keeping the
-    best-scored span, and sorted by descending score."""
-    _require_single(logits)
-    top1 = decode_top1(logits, text, text_span, cfg)
-    lp_s = _log_probs(logits.start_logits.data, logits.valid)
-    lp_e = _log_probs(logits.end_logits.data, logits.valid)
+    """Ranked candidate list (length <= k) read off one stream: the joint
+    pairs (all of them with JOINT_TOPK, else only the top-1 head) plus,
+    with INDEPENDENT_NBEST, the rank-paired pairs, sorted by (-score,
+    start, end). The first span of each entity text is kept. The order
+    does not depend on k, so growing k only appends."""
+    if logits.start_logits.ndim != 1:
+        raise ContractError("decoding works on single examples; "
+                            "slice a batch with .example(i)")
+    valid = logits.valid
+    if not valid.any():
+        raise DecodeError("no valid position to decode")
+    lp_s = _log_probs(logits.start_logits.data, valid)
+    lp_e = _log_probs(logits.end_logits.data, valid)
 
-    pool: list[tuple[float, int, int]] = [(top1.score, top1.start, top1.end)]
-    if JOINT_TOPK in cfg.channels:
-        pool.extend(_joint_pairs(lp_s, lp_e, logits.valid, cfg))
+    # joint pairs: both ends valid and 0 <= e - s < max_span_len, in (s, e) order
+    idx = np.flatnonzero(valid)
+    width = min(cfg.max_span_len, valid.size)
+    band = idx[:, None] + np.arange(width)
+    keep = np.pad(valid, (0, width))[band]
+    s, e = np.broadcast_to(idx[:, None], band.shape)[keep], band[keep]
+    if JOINT_TOPK not in cfg.channels:
+        head = np.argmax(lp_s[s] + lp_e[e])
+        s, e = s[head:head + 1], e[head:head + 1]
     if INDEPENDENT_NBEST in cfg.channels:
-        pool.extend(_independent_nbest(lp_s, lp_e, logits.valid, cfg))
+        # the i-th best start with the i-th best end (ties to the smaller
+        # position), swapped when reversed, dropped when over-wide; every
+        # such pair is also a joint pair with the same score
+        starts = idx[np.argsort(-lp_s[idx], kind="stable")]
+        ends = idx[np.argsort(-lp_e[idx], kind="stable")]
+        lo, hi = np.minimum(starts, ends), np.maximum(starts, ends)
+        fits = hi - lo < cfg.max_span_len
+        s, e = np.concatenate((s, lo[fits])), np.concatenate((e, hi[fits]))
+    scores = lp_s[s] + lp_e[e]
+    order = np.lexsort((e, s, -scores))
 
-    best_by_text: dict[str, tuple[float, int, int]] = {}
-    for sc, s, e in pool:
-        txt = _span_text(text, text_span, s, e)
-        prev = best_by_text.get(txt)
-        # prefer higher score, then the lexicographically smaller span
-        if prev is None or (-sc, s, e) < (-prev[0], prev[1], prev[2]):
-            best_by_text[txt] = (sc, s, e)
-
-    ranked = sorted(((sc, s, e, txt) for txt, (sc, s, e) in best_by_text.items()),
-                    key=lambda r: (-r[0], r[1], r[2]))
-    return [SpanCandidate(start=s, end=e, score=float(sc), entity_text=txt)
-            for sc, s, e, txt in ranked[:cfg.k]]
+    first = int(text_span[0])
+    out: list[SpanCandidate] = []
+    seen: set[str] = set()
+    for sc, s_i, e_i in zip(scores[order].tolist(), s[order].tolist(),
+                            e[order].tolist()):
+        txt = text[s_i - first:e_i - first + 1]
+        if txt not in seen:
+            seen.add(txt)
+            out.append(SpanCandidate(start=s_i, end=e_i, score=sc, entity_text=txt))
+            if len(out) == cfg.k:
+                break
+    return out

@@ -400,3 +400,27 @@ def test_train_same_seed_identical_checkpoints(tmp_path):
                              "--dropout", "0.1"]) == 0
         blobs.append((tmp_path / f"{name}.sebn").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("reuse_id, entities, message", [
+    (False, ["x"], "entities"),
+    (False, 5, "entities"),
+    (False, [{"score": 1.0}], "entities"),
+    (False, None, "entities"),
+    (True, [{"text": "y"}], "duplicate id"),
+], ids=["entity-string", "entities-int", "entity-without-text", "entities-null",
+        "repeated-id"])
+def test_bad_prediction_file_is_data_error(trained, capsys, reuse_id, entities,
+                                           message):
+    """A malformed record or a repeated id on line 2 of the file that
+    ``eval --predictions`` reads exits 2 and names the line."""
+    ids = [ex.id for ex in load_jsonl(trained["dev"])]
+    records = [{"id": ids[0], "entities": [{"text": "x"}]},
+               {"id": ids[0] if reuse_id else ids[1], "entities": entities}]
+    preds = trained["tmp"] / "preds.jsonl"
+    preds.write_text("".join(json.dumps(r) + "\n" for r in records),
+                     encoding="utf-8")
+    assert console_main(["eval", "--predictions", str(preds),
+                         "--data", str(trained["dev"])]) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and message in err

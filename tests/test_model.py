@@ -463,6 +463,37 @@ def test_bad_metadata_is_checkpoint_error(tmp_path, section, key, value):
     assert exc.value.offset == 12
 
 
+@pytest.mark.parametrize("edit, match", [
+    (lambda meta: meta["params"][0].pop("shape"), "shape"),
+    (lambda meta: meta.update(params={"name": "x"}), "params"),
+    (lambda meta: meta["params"].__setitem__(0, "embed.tok"), "directory entry"),
+    (lambda meta: meta["training"].pop("step"), "step"),
+    (lambda meta: meta["encoder"].update(extra=1), "extra"),
+    (lambda meta: meta["encoder"].update(d_model="8"), "d_model"),
+    (lambda meta: meta.update(vocab="abc"), "vocab"),
+    (lambda meta: meta["training"].pop("optimizer"), "optimizer"),
+    (lambda meta: meta["params"][-1].update(name="stray"), "moments"),
+    (lambda meta: [e.update(name="head.b_start") for e in meta["params"]
+                   if e["name"] == "head.b_end"], "repeats"),
+], ids=["entry-without-shape", "params-not-list", "entry-is-string", "no-step",
+        "extra-encoder-key", "string-d-model", "string-vocab", "no-optimizer",
+        "m-without-v", "repeated-name"])
+def test_malformed_metadata_is_checkpoint_error(tmp_path, edit, match):
+    """Directory, training, encoder, vocabulary and optimizer-moment
+    metadata of the wrong shape or type raise CheckpointError, not
+    KeyError, TypeError or AttributeError."""
+    model, _, _, b = build_setup()
+    state = make_state("adam")
+    model.train_step(b, state, np.random.default_rng(0))
+    path = tmp_path / "ok.sebn"
+    model.save(path, state)
+    bad = tmp_path / "bad.sebn"
+    rewrite_meta(path, bad, edit)
+    with pytest.raises(CheckpointError, match=match) as exc:
+        Model.load(bad)
+    assert exc.value.offset == 12
+
+
 def test_swats_meta_phase_must_fit_sgd_lr(tmp_path):
     model, _, _, _ = build_setup()
     path = tmp_path / "sw.sebn"

@@ -48,6 +48,59 @@ def brute_force_top1(start, end, valid, max_span_len):
     return min(pairs, key=lambda p: (-p[0], p[1], p[2]))
 
 
+def reference_ranked(start, end, valid, text, first, cfg):
+    """Loop reference for the multichannel list as (start, end, text,
+    score). With JOINT_TOPK: every band pair. Without: the top-1 pair
+    plus, with INDEPENDENT_NBEST, the i-th best start paired with the
+    i-th best end (swapped when reversed, dropped when over-wide). Then
+    sort by (-score, start, end), keep the first span of each text, cut
+    at k."""
+    if S.JOINT_TOPK in cfg.channels:
+        pairs = brute_force_pairs(start, end, valid, cfg.max_span_len)
+    else:
+        pairs = [brute_force_top1(start, end, valid, cfg.max_span_len)]
+        if S.INDEPENDENT_NBEST in cfg.channels:
+            lp_s = ref_log_probs(start, valid)
+            lp_e = ref_log_probs(end, valid)
+            idx = [i for i in range(len(valid)) if valid[i]]
+            starts = sorted(idx, key=lambda i: (-lp_s[i], i))
+            ends = sorted(idx, key=lambda i: (-lp_e[i], i))
+            for a, b in zip(starts, ends):
+                s, e = min(a, b), max(a, b)
+                if e - s < cfg.max_span_len:
+                    pairs.append((lp_s[s] + lp_e[e], s, e))
+    out, seen = [], set()
+    for sc, s, e in sorted(pairs, key=lambda p: (-p[0], p[1], p[2])):
+        txt = text[s - first:e - first + 1]
+        if txt not in seen:
+            seen.add(txt)
+            out.append((s, e, txt, float(sc)))
+    return out[:cfg.k]
+
+
+def random_decode_case(rng, dtype):
+    """Random logits of ``dtype`` (a quarter of them all-tie rows), a
+    random valid region, and a text over a 2-letter alphabet half the time
+    so that distinct spans share texts."""
+    n = int(rng.integers(1, 24))
+    if rng.random() < 0.25:
+        start, end = np.zeros(n), np.zeros(n)
+    else:
+        start, end = rng.standard_normal(n) * 2, rng.standard_normal(n) * 2
+    valid = rng.random(n) < 0.8
+    if not valid.any():
+        valid[int(rng.integers(n))] = True
+    first, last = np.flatnonzero(valid)[[0, -1]]
+    alphabet = list("ab" if rng.random() < 0.5 else "abcdefghijklmnop")
+    text = "".join(rng.choice(alphabet, last - first + 1))
+    lg = S.SpanLogits(Tensor(start.astype(dtype)), Tensor(end.astype(dtype)), valid)
+    return lg, text, (int(first), int(last))
+
+
+CHANNEL_SETS = (frozenset(), frozenset({S.JOINT_TOPK}),
+                frozenset({S.INDEPENDENT_NBEST}), S.ALL_CHANNELS)
+
+
 class TestValidMask:
     def test_layout_arithmetic(self):
         # CLS + 5 text + SEP + 3 type + SEP: text occupies 1..5
@@ -57,6 +110,15 @@ class TestValidMask:
     def test_bad_span(self):
         with pytest.raises(ContractError):
             S.valid_mask(4, (1, 4))
+
+    def test_batched_rows_equal_single_masks(self):
+        spans = np.array([[1, 5], [1, 2], [3, 3]])
+        v = S.valid_mask(9, spans)
+        assert v.shape == (3, 9)
+        for row, span in zip(v, spans):
+            np.testing.assert_array_equal(row, S.valid_mask(9, tuple(span)))
+        with pytest.raises(ContractError, match=r"\(2, 9\)"):
+            S.valid_mask(9, np.array([[1, 5], [2, 9]]))
 
 
 class TestScore:
@@ -138,6 +200,15 @@ class TestSpanLoss:
         singles = [float(S.span_loss(lb.example(i), tuple(golds[i])).data)
                    for i in range(2)]
         np.testing.assert_allclose(batched, np.mean(singles), rtol=1e-12)
+
+    def test_batched_gold_outside_valid_raises(self):
+        valid = np.array([[False, True, True], [False, True, False]])
+        lb = S.SpanLogits(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), valid)
+        S.span_loss(lb, np.array([[1, 2], [1, 1]]))
+        with pytest.raises(ContractError):
+            S.span_loss(lb, np.array([[1, 2], [1, 2]]))
+        with pytest.raises(ContractError):
+            S.span_loss(lb, np.array([1, 2]))
 
     def test_gold_outside_valid_raises(self):
         valid = np.array([False, True, True, False])
@@ -293,6 +364,33 @@ class TestDecodeMultichannel:
                     if prev is not None:
                         assert out[:len(prev)] == prev
                     prev = out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels", CHANNEL_SETS,
+                             ids=["none", "joint", "nbest", "all"])
+    def test_matches_loop_reference_exactly(self, dtype, channels):
+        rng = np.random.default_rng(8)
+        for _ in range(150):
+            lg, text, span = random_decode_case(rng, dtype)
+            cfg = S.RecallConfig(k=int(rng.integers(1, 8)),
+                                 max_span_len=int(rng.integers(1, 7)),
+                                 channels=channels)
+            got = S.decode_multichannel(lg, text, span, cfg)
+            want = reference_ranked(lg.start_logits.data, lg.end_logits.data,
+                                    lg.valid, text, span[0], cfg)
+            assert [(c.start, c.end, c.entity_text, c.score) for c in got] == want
+
+    def test_rank_paired_channel_adds_nothing_to_joint_topk(self):
+        """Every rank-paired pair is also a joint pair with the same score,
+        so with JOINT_TOPK on, INDEPENDENT_NBEST cannot change the list."""
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            lg, text, span = random_decode_case(rng, np.float32)
+            k, msl = int(rng.integers(1, 8)), int(rng.integers(1, 7))
+            lists = [S.decode_multichannel(lg, text, span, S.RecallConfig(
+                k=k, max_span_len=msl, channels=channels))
+                for channels in (frozenset({S.JOINT_TOPK}), S.ALL_CHANNELS)]
+            assert lists[0] == lists[1]
 
     def test_unknown_channel_rejected(self):
         with pytest.raises(ContractError):
