@@ -16,7 +16,8 @@ Checkpoint file layout::
                   parameter directory (name, shape, offset, nbytes),
                   training step and optimizer state scalars
     payload       concatenated float32 little-endian row-major arrays,
-                  one per directory entry, in directory order
+                  one per directory entry, in directory order; every
+                  value finite
 
 Optimizer moment buffers ride along as directory entries named
 ``optim.m.<param>`` / ``optim.v.<param>`` so training resumes exactly.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -209,7 +211,11 @@ class Model:
             name: (p.grad if p.grad is not None else np.zeros_like(p.data))
             for name, p in params.items()
         }
-        clip_global_norm(grads, clip_norm)
+        norm = clip_global_norm(grads, clip_norm)
+        if not np.isfinite(norm):
+            raise DivergenceError(
+                f"gradient norm became {norm} at training step {self.step + 1}"
+            )
         apply_step(params, grads, state)
         self.step += 1
         return loss_val
@@ -257,10 +263,19 @@ def save_checkpoint(model: Model, path, optimizer_state=None) -> None:
     }
     meta_bytes = json.dumps(meta, ensure_ascii=False).encode("utf-8")
     header = MAGIC + struct.pack("<II", FORMAT_VERSION, len(meta_bytes))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(meta_bytes)
-        fh.write(bytes(payload))
+    # a temp file beside the target, then a rename: a failed write leaves
+    # any previous checkpoint at ``path`` as it was
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(meta_bytes)
+            fh.write(bytes(payload))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _read_meta(blob: bytes) -> tuple[dict, int]:
@@ -381,11 +396,18 @@ def load_checkpoint(path, variant: str | None = None
             f"{expect}",
             offset=base + min(expect, len(blob) - base))
 
+    payload = np.frombuffer(blob, dtype="<f4", offset=base)
+    bad = np.flatnonzero(~np.isfinite(payload))
+    if bad.size:
+        at = 4 * int(bad[0])
+        name = next(e["name"] for e in directory
+                    if e["offset"] <= at < e["offset"] + e["nbytes"])
+        raise CheckpointError(f"entry {name!r} holds the non-finite value "
+                              f"{payload[bad[0]]}", offset=base + at)
     arrays: dict[str, np.ndarray] = {}
     for entry in directory:
-        start = base + entry["offset"]
-        raw = blob[start:start + entry["nbytes"]]
-        arrays[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(
+        start = entry["offset"] // 4
+        arrays[entry["name"]] = payload[start:start + entry["nbytes"] // 4].reshape(
             entry["shape"]).copy()
     if len(arrays) != len(directory):
         raise CheckpointError("directory repeats a parameter name", offset=12)

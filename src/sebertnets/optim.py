@@ -14,6 +14,7 @@ lam are accumulated at float64 regardless of parameter dtype.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -224,14 +225,15 @@ def state_from_meta(meta: dict | None, m: dict, v: dict):
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most ``max_norm``;
-    returns the pre-clip norm (computed at float64)."""
+    returns the pre-clip norm (computed at float64). A non-finite norm
+    leaves the gradients as they are."""
     total = 0.0
     for g in grads.values():
         ga = np.asarray(g)
         total += float(np.dot(ga.ravel().astype(np.float64),
                               ga.ravel().astype(np.float64)))
     norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0.0:
+    if norm > max_norm and 0.0 < norm < math.inf:
         scale = max_norm / norm
         for g in grads.values():
             g *= scale

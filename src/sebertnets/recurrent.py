@@ -9,6 +9,12 @@ of the same equations agrees bit for bit.
 Masked steps freeze the carried state (copied unchanged) and emit a zero
 row, which makes running over a padded sequence provably equivalent to
 running over the truncated one.
+
+``_step`` holds the gate equations once. ``lstm_step`` and ``gru_step``
+record one step of it on the tape; ``bidirectional_encode`` records each
+direction as a single tape op whose backward is hand-written BPTT, with
+the weight gradients formed after the sweep as one GEMM over all
+timesteps (Appleyard et al., arXiv:1604.01946).
 """
 
 from __future__ import annotations
@@ -87,12 +93,131 @@ def _gates_for(cell: str) -> tuple[str, ...]:
     raise ContractError(f"unknown cell type {cell!r}, expected {LSTM!r} or {GRU!r}")
 
 
-def _gate(p: RecurrentParams, gate: str, l_t: Tensor, h: Tensor) -> Tensor:
-    w = p.weights[f"w_{gate}"]
-    u = p.weights[f"u_{gate}"]
-    b = p.weights[f"b_{gate}"]
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # the expression of tensor.sigmoid, so both agree bitwise
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _pre(w: dict[str, np.ndarray], gate: str, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     # (l@W + h@U) + b, left to right: references depend on this order
-    return T.add_bias(T.add(T.matmul(l_t, w), T.matmul(h, u)), b)
+    return (x @ w[f"w_{gate}"] + h @ w[f"u_{gate}"]) + w[f"b_{gate}"]
+
+
+def _step(cell: str, w: dict[str, np.ndarray], x: np.ndarray, h: np.ndarray,
+          c: np.ndarray | None):
+    """The gate equations of one step on arrays, the only copy of them.
+
+    Returns the new ``h``, the new ``c`` (None for GRU) and the
+    activations ``_step_back`` needs: ``h, z, r, r*h, cand`` for GRU and
+    ``h, c, f, i, o, g, tanh(c')`` for LSTM.
+    """
+    if cell == GRU:
+        z = _sigmoid(_pre(w, "update", x, h))
+        r = _sigmoid(_pre(w, "reset", x, h))
+        rh = r * h
+        cand = np.tanh(_pre(w, "candidate", x, rh))
+        return (1.0 - z) * h + z * cand, None, (h, z, r, rh, cand)
+    f = _sigmoid(_pre(w, "f", x, h))
+    i = _sigmoid(_pre(w, "i", x, h))
+    o = _sigmoid(_pre(w, "o", x, h))
+    g = np.tanh(_pre(w, "c", x, h))
+    c_new = f * c + i * g
+    tc = np.tanh(c_new)
+    return o * tc, c_new, (h, c, f, i, o, g, tc)
+
+
+def _cat(w: dict[str, np.ndarray], kind: str, cell: str) -> np.ndarray:
+    """``kind`` ("w" or "u") weights of every gate side by side: [in, G*H]."""
+    return np.concatenate([w[f"{kind}_{g}"] for g in _gates_for(cell)], axis=1)
+
+
+def _local(cell: str, acts) -> tuple[np.ndarray, ...]:
+    """The factors ``_step_back`` multiplies by, from ``_step``
+    activations. Elementwise, so a whole sequence's come from one call."""
+    if cell == GRU:
+        h, z, r, _, cand = acts
+        return (z * (1.0 - cand * cand), (cand - h) * (z * (1.0 - z)),
+                h * (r * (1.0 - r)), 1.0 - z, r)
+    _, c, f, i, o, g, tc = acts
+    return (o * (1.0 - tc * tc), c * (f * (1.0 - f)), g * (i * (1.0 - i)),
+            tc * (o * (1.0 - o)), i * (1.0 - g * g), f)
+
+
+def _step_back(cell: str, u_t: np.ndarray, local, dh: np.ndarray,
+               dc: np.ndarray | None, d_pre: np.ndarray):
+    """Backward of ``_step`` given the gradients of its new ``h`` and ``c``.
+
+    ``u_t`` is ``_cat(w, "u", cell).T`` (a C-contiguous copy multiplies
+    faster) and ``local`` comes from ``_local``. Writes the gate
+    pre-activation gradients into ``d_pre`` [..., G, H] in gate order and
+    returns the gradients of the previous ``h`` and ``c``.
+    """
+    flat = d_pre.shape[:-2] + (-1,)
+    if cell == GRU:
+        a_cand, a_z, a_r, keep_z, r = local
+        hid = dh.shape[-1]
+        d_cand = np.multiply(dh, a_cand, out=d_pre[..., 2, :])
+        d_rh = d_cand @ u_t[2 * hid:]
+        np.multiply(dh, a_z, out=d_pre[..., 0, :])
+        np.multiply(d_rh, a_r, out=d_pre[..., 1, :])
+        d_zr = d_pre[..., :2, :].reshape(flat)
+        return dh * keep_z + d_rh * r + d_zr @ u_t[:2 * hid], None
+    a_c, a_f, a_i, a_o, a_g, f = local
+    dc = dc + dh * a_c
+    for k, (grad, a) in enumerate(((dc, a_f), (dc, a_i), (dh, a_o), (dc, a_g))):
+        np.multiply(grad, a, out=d_pre[..., k, :])
+    return d_pre.reshape(flat) @ u_t, dc * f
+
+
+def _param_grads(cell: str, w: dict[str, np.ndarray], x: np.ndarray, acts,
+                 d_pre: np.ndarray):
+    """Input and weight gradients from the gate pre-activation gradients
+    of any number of steps, each one GEMM or sum over all leading rows.
+
+    ``x`` is [..., d], ``acts`` the matching ``_step`` activations and
+    ``d_pre`` [..., G, H]. Returns ``d x`` and a weight-name -> gradient
+    dict.
+    """
+    hid = d_pre.shape[-1]
+    a = d_pre.reshape(-1, d_pre.shape[-2] * hid)
+    h2 = acts[0].reshape(-1, hid)
+    if cell == GRU:  # the candidate's recurrent input is r*h
+        du = np.concatenate([h2.T @ a[:, :2 * hid],
+                             acts[3].reshape(-1, hid).T @ a[:, 2 * hid:]], axis=1)
+    else:
+        du = h2.T @ a
+    dw = x.reshape(-1, x.shape[-1]).T @ a
+    db = a.sum(axis=0)
+    grads = {}
+    for k, g in enumerate(_gates_for(cell)):
+        cols = slice(k * hid, (k + 1) * hid)
+        grads[f"w_{g}"], grads[f"u_{g}"], grads[f"b_{g}"] = dw[:, cols], du[:, cols], db[cols]
+    return (a @ _cat(w, "w", cell).T).reshape(x.shape), grads
+
+
+def _step_op(l_t: Tensor, h: Tensor, c: Tensor | None, p: RecurrentParams):
+    """One step as tape ops over ``_step``: the new ``h`` and, for LSTM,
+    the new ``c``, each recorded with the step's shared backward."""
+    w = {k: t.data for k, t in p.weights.items()}
+    h_new, c_new, acts = _step(p.cell, w, l_t.data, h.data,
+                               None if c is None else c.data)
+    states = (h,) if c is None else (h, c)
+    inputs = (l_t, *states, *p.weights.values())
+
+    def grads(dh, dc):
+        d_pre = np.empty(dh.shape[:-1] + (len(_gates_for(p.cell)), dh.shape[-1]),
+                         dtype=dh.dtype)
+        dh_prev, dc_prev = _step_back(p.cell, _cat(w, "u", p.cell).T,
+                                      _local(p.cell, acts), dh, dc, d_pre)
+        dx, gw = _param_grads(p.cell, w, l_t.data, acts, d_pre)
+        return (dx, dh_prev, dc_prev)[:1 + len(states)] + tuple(gw[k] for k in w)
+
+    if c is None:
+        return T._make(inputs, h_new, lambda g: grads(g, None)), None
+    zero = np.zeros_like(h_new)
+    return (T._make(inputs, h_new, lambda g: grads(g, zero)),
+            T._make(inputs, c_new, lambda g: grads(zero, g)))
 
 
 def lstm_step(l_t: Tensor, prev: CellState, p: RecurrentParams) -> CellState:
@@ -100,51 +225,72 @@ def lstm_step(l_t: Tensor, prev: CellState, p: RecurrentParams) -> CellState:
         raise ContractError(f"lstm_step called with {p.cell!r} params")
     if prev.c is None:
         raise ContractError("lstm_step needs a cell state c in prev")
-    f = T.sigmoid(_gate(p, "f", l_t, prev.h))
-    i = T.sigmoid(_gate(p, "i", l_t, prev.h))
-    o = T.sigmoid(_gate(p, "o", l_t, prev.h))
-    c_tilde = T.tanh(_gate(p, "c", l_t, prev.h))
-    c = T.add(T.mul(f, prev.c), T.mul(i, c_tilde))
-    h = T.mul(o, T.tanh(c))
+    h, c = _step_op(l_t, prev.h, prev.c, p)
     return CellState(h=h, c=c)
 
 
 def gru_step(l_t: Tensor, prev_h: Tensor, p: RecurrentParams) -> Tensor:
     if p.cell != GRU:
         raise ContractError(f"gru_step called with {p.cell!r} params")
-    z = T.sigmoid(_gate(p, "update", l_t, prev_h))
-    r = T.sigmoid(_gate(p, "reset", l_t, prev_h))
-    w = p.weights["w_candidate"]
-    u = p.weights["u_candidate"]
-    b = p.weights["b_candidate"]
-    h_cand = T.tanh(T.add_bias(T.add(T.matmul(l_t, w), T.matmul(T.mul(r, prev_h), u)), b))
-    return T.add(T.mul(1.0 - z, prev_h), T.mul(z, h_cand))
+    return _step_op(l_t, prev_h, None, p)[0]
 
 
 def _directional_pass(seq: Tensor, mask: np.ndarray, p: RecurrentParams,
-                      cell: str, reverse: bool) -> list[Tensor]:
-    b, s, _ = seq.shape
-    hid = p.hidden_size
-    dtype = seq.dtype
-    h = Tensor(np.zeros((b, hid), dtype=dtype))
-    c = Tensor(np.zeros((b, hid), dtype=dtype)) if cell == LSTM else None
+                      reverse: bool) -> Tensor:
+    """One direction over [B, S, d] as one tape op: [B, S, H] states,
+    zero at masked steps, where the carried state is frozen.
+
+    The forward sweep keeps each step's ``_step`` activations. The
+    backward sweep (BPTT) runs only the recurrent ``dh @ U.T`` products
+    per step and collects the gate pre-activation gradients, from which
+    ``_param_grads`` forms the input and weight gradients over all B*S
+    rows at once.
+    """
+    cell = p.cell
+    w = {k: t.data for k, t in p.weights.items()}
+    # time-major copies keep every per-step slice contiguous
+    x = np.ascontiguousarray(seq.data.transpose(1, 0, 2))
+    keep = mask.T[:, :, None]
+    keep_f = keep.astype(x.dtype)
+    s, b, _ = x.shape
+    h = np.zeros((b, p.hidden_size), dtype=x.dtype)
+    c = np.zeros_like(h) if cell == LSTM else None
     steps = range(s - 1, -1, -1) if reverse else range(s)
-    out: list[Tensor] = []
+    out = np.empty((s, b, p.hidden_size), dtype=x.dtype)
+    saved = None
     for t in steps:
-        x_t = T.index_step(seq, t)
-        if cell == LSTM:
-            new = lstm_step(x_t, CellState(h=h, c=c), p)
-            h_new, c_new = new.h, new.c
-        else:
-            h_new, c_new = gru_step(x_t, h, p), None
-        keep = np.broadcast_to(mask[:, t, None], (b, hid))
-        h = T.where(keep, h_new, h)
+        h_new, c_new, acts = _step(cell, w, x[t], h, c)
+        if saved is None:
+            saved = [np.empty_like(out) for _ in acts]
+        for buf, a in zip(saved, acts):
+            buf[t] = a
+        h = np.where(keep[t], h_new, h)
         if c is not None:
-            c = T.where(keep, c_new, c)
-        out.append(T.mul(h, Tensor(keep.astype(dtype))))
-    if reverse:
-        out.reverse()
-    return out
+            c = np.where(keep[t], c_new, c)
+        out[t] = h * keep_f[t]
+
+    def backward(dy):
+        dy = dy.transpose(1, 0, 2) * keep_f
+        local = _local(cell, saved)
+        u_t = np.ascontiguousarray(_cat(w, "u", cell).T)
+        dh = np.zeros_like(h)
+        dc = None if c is None else np.zeros_like(c)
+        d_pre = np.empty((s, b, len(_gates_for(cell)), p.hidden_size), dtype=x.dtype)
+        for t in reversed(steps):
+            k = keep[t]
+            dh = dh + dy[t]
+            dh_prev, dc_prev = _step_back(
+                cell, u_t, [a[t] for a in local], np.where(k, dh, 0.0),
+                None if dc is None else np.where(k, dc, 0.0), d_pre[t])
+            dh = np.where(k, dh_prev, dh)
+            if dc is not None:
+                dc = np.where(k, dc_prev, dc)
+        dx, grads = _param_grads(cell, w, x, saved, d_pre)
+        return (np.ascontiguousarray(dx.transpose(1, 0, 2)), *(grads[k] for k in w))
+
+    # batch-major and C-contiguous, as the layers after it expect
+    return T._make((seq, *p.weights.values()),
+                   np.ascontiguousarray(out.transpose(1, 0, 2)), backward)
 
 
 def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
@@ -172,9 +318,8 @@ def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
     if not m.any(axis=1).all():
         raise DegenerateMaskError("bidirectional_encode: a sequence is fully masked")
 
-    out_f = _directional_pass(seq, m, fwd, cell, reverse=False)
-    out_b = _directional_pass(seq, m, bwd, cell, reverse=True)
-    full = T.concat([T.stack_steps(out_f), T.stack_steps(out_b)], axis=-1)
+    full = T.concat([_directional_pass(seq, m, fwd, reverse=False),
+                     _directional_pass(seq, m, bwd, reverse=True)], axis=-1)
     if single:
         return T.reshape(full, full.shape[1:])
     return full

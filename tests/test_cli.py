@@ -424,3 +424,22 @@ def test_bad_prediction_file_is_data_error(trained, capsys, reuse_id, entities,
                          "--data", str(trained["dev"])]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err and message in err
+
+
+@pytest.mark.parametrize("name, value", [
+    ("head.w_start", float("nan")),
+    ("optim.v.head.w_end", float("inf")),
+])
+def test_nonfinite_checkpoint_payload_exits_2(trained, capsys, tmp_path, name, value):
+    blob = bytearray(trained["ckpt"].read_bytes())
+    meta_len = struct.unpack("<I", blob[8:12])[0]
+    entry = next(e for e in json.loads(blob[12:12 + meta_len])["params"]
+                 if e["name"] == name)
+    offset = 12 + meta_len + entry["offset"]
+    blob[offset:offset + 4] = struct.pack("<f", value)
+    bad = tmp_path / "bad.sebn"
+    bad.write_bytes(bytes(blob))
+    out = tmp_path / "preds.jsonl"
+    assert console_main(["predict", "--checkpoint", str(bad),
+                         "--data", str(trained["dev"]), "--out", str(out)]) == 2
+    assert f"at byte {offset}" in capsys.readouterr().err

@@ -503,3 +503,99 @@ def test_swats_meta_phase_must_fit_sgd_lr(tmp_path):
     with pytest.raises(CheckpointError, match="phase") as exc:
         Model.load(bad)
     assert exc.value.offset == 12
+
+
+def set_payload_float(path, out, name, index, value):
+    """Copy a checkpoint with element ``index`` of payload entry ``name``
+    set to ``value``; returns that float's byte offset in the file."""
+    blob = bytearray(path.read_bytes())
+    meta_len = struct.unpack("<I", blob[8:12])[0]
+    meta = json.loads(blob[12:12 + meta_len])
+    entry = next(e for e in meta["params"] if e["name"] == name)
+    offset = 12 + meta_len + entry["offset"] + 4 * index
+    blob[offset:offset + 4] = struct.pack("<f", value)
+    out.write_bytes(bytes(blob))
+    return offset
+
+
+@pytest.mark.parametrize("name, index, value", [
+    ("head.w_start", 3, float("nan")),
+    ("optim.v.head.b_end", 0, float("inf")),
+    ("rnn_fwd.u_update", 5, float("-inf")),
+])
+def test_nonfinite_payload_is_checkpoint_error(tmp_path, name, index, value):
+    model, _, _, b = build_setup()
+    state = make_state("adam")
+    model.train_step(b, state, np.random.default_rng(0))
+    path = tmp_path / "ok.sebn"
+    model.save(path, state)
+    bad = tmp_path / "bad.sebn"
+    offset = set_payload_float(path, bad, name, index, value)
+    with pytest.raises(CheckpointError, match="non-finite") as exc:
+        Model.load(bad)
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_nonfinite_gradient_changes_no_weight(monkeypatch, value):
+    """A non-finite gradient norm raises DivergenceError before the
+    optimizer runs, so no weight, moment or step count changes."""
+    import sebertnets.model as model_module
+
+    model, _, _, b = build_setup()
+    state = make_state("adam")
+    model.train_step(b, state, np.random.default_rng(0))
+    real_backward = model_module.backward
+
+    def poisoned(tape, loss):
+        real_backward(tape, loss)
+        model.head_params["w_start"].grad[0, 0] = value
+
+    monkeypatch.setattr(model_module, "backward", poisoned)
+    before = {n: p.data.copy() for n, p in model.parameters().items()}
+    moments = {n: m.copy() for n, m in state.m.items()}
+    with pytest.raises(DivergenceError, match="gradient norm"):
+        model.train_step(b, state, np.random.default_rng(1))
+    for n, p in model.parameters().items():
+        assert np.array_equal(p.data, before[n]), n
+    for n, m in state.m.items():
+        assert np.array_equal(m, moments[n]), n
+    assert model.step == 1 and state.k == 1
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    """A write that fails halfway leaves the previous file byte-identical
+    and no temp file behind."""
+    import builtins
+
+    import sebertnets.model as model_module
+
+    model, _, _, b = build_setup()
+    path = tmp_path / "model.sebn"
+    model.save(path)
+    before = path.read_bytes()
+    model.train_step(b, make_state("adam"), np.random.default_rng(0))
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = builtins.open(file, mode, *args, **kwargs)
+        return HalfWriter(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(model_module, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        model.save(path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.sebn"]

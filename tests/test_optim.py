@@ -319,6 +319,14 @@ def test_clip_global_norm_zero_is_noop():
     assert np.array_equal(grads["a"], np.zeros(4))
 
 
+def test_clip_global_norm_nonfinite_is_noop():
+    grads = {"a": np.array([np.inf, 1.0]), "b": np.array([2.0])}
+    with np.errstate(all="raise"):
+        assert clip_global_norm(grads, 1.0) == np.inf
+    assert np.array_equal(grads["a"], [np.inf, 1.0])
+    assert np.array_equal(grads["b"], [2.0])
+
+
 def test_clip_preserves_dtype_inplace():
     g = np.full((3,), 10.0, dtype=np.float32)
     grads = {"g": g}

@@ -242,3 +242,117 @@ class TestGradients:
             return T.mean_all(T.mul(out, out))
 
         check_grads(build, [seq, *fwd_arrays, *bwd_arrays])
+
+
+def reference_encode(seq, mask, fwd, bwd, cell):
+    """Per-step loop over ``gru_step``/``lstm_step`` with the mask-freeze
+    rule: a masked step keeps the carried state and emits a zero row."""
+    b, s, _ = seq.shape
+    outs = []
+    for p, steps in ((fwd, range(s)), (bwd, range(s - 1, -1, -1))):
+        h = np.zeros((b, p.hidden_size), dtype=seq.dtype)
+        c = np.zeros_like(h)
+        out = np.zeros((b, s, p.hidden_size), dtype=seq.dtype)
+        for t in steps:
+            x_t = Tensor(np.ascontiguousarray(seq[:, t]))
+            if cell == R.LSTM:
+                new = R.lstm_step(x_t, R.CellState(Tensor(h), Tensor(c)), p)
+                h_new, c_new = new.h.data, new.c.data
+            else:
+                h_new, c_new = R.gru_step(x_t, Tensor(h), p).data, c
+            keep = mask[:, t, None]
+            h = np.where(keep, h_new, h)
+            c = np.where(keep, c_new, c)
+            out[:, t] = h * keep.astype(seq.dtype)
+        outs.append(out)
+    return np.concatenate(outs, axis=-1)
+
+
+def ragged_batch(rng, d, dtype):
+    """Three rows of lengths 5, 3 and 1 padded to 6, with an interior
+    masked step in the first row."""
+    seq = rng.standard_normal((3, 6, d)).astype(dtype)
+    mask = np.zeros((3, 6), dtype=bool)
+    for row, n in enumerate((5, 3, 1)):
+        mask[row, :n] = True
+    mask[0, 2] = False
+    return seq, mask
+
+
+class TestFusedPass:
+    @pytest.mark.parametrize("cell", [R.LSTM, R.GRU])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_step_loop_bitwise(self, cell, dtype):
+        rng = np.random.default_rng(40)
+        fwd = make_params(cell, 4, 5, rng, dtype=dtype, scale=2.0)
+        bwd = make_params(cell, 4, 5, rng, dtype=dtype, scale=2.0)
+        seq, mask = ragged_batch(rng, 4, dtype)
+        got = R.bidirectional_encode(Tensor(seq), mask, fwd, bwd, cell).data
+        want = reference_encode(seq, mask, fwd, bwd, cell)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        # the head's matmul rounds differently on a strided layout
+        assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("cell", [R.LSTM, R.GRU])
+    def test_ragged_gradients(self, cell):
+        rng = np.random.default_rng(41)
+        d, hid = 3, 2
+        fwd = make_params(cell, d, hid, rng)
+        bwd = make_params(cell, d, hid, rng)
+        names = list(fwd.weights)
+        seq, mask = ragged_batch(rng, d, np.float64)
+        w_out = rng.standard_normal((3, 6, 2 * hid))
+
+        def build(seq_t, *weights):
+            k = len(names)
+            f = R.RecurrentParams(cell, d, hid, dict(zip(names, weights[:k])))
+            b = R.RecurrentParams(cell, d, hid, dict(zip(names, weights[k:])))
+            out = R.bidirectional_encode(seq_t, mask, f, b, cell)
+            return T.sum_all(T.mul(out, Tensor(w_out)))
+
+        check_grads(build, [seq, *(fwd.weights[n].data for n in names),
+                            *(bwd.weights[n].data for n in names)])
+
+    def test_gru_step_gradients(self):
+        rng = np.random.default_rng(42)
+        p = make_params(R.GRU, 3, 4, rng, scale=2.0)
+        names = list(p.weights)
+        w_h = rng.standard_normal((2, 4))
+
+        def build(x, h, *weights):
+            q = R.RecurrentParams(R.GRU, 3, 4, dict(zip(names, weights)))
+            return T.sum_all(T.mul(R.gru_step(x, h, q), Tensor(w_h)))
+
+        check_grads(build, [rng.standard_normal((2, 3)), rng.standard_normal((2, 4)),
+                            *(p.weights[n].data for n in names)])
+
+    def test_lstm_step_gradients(self):
+        rng = np.random.default_rng(43)
+        p = make_params(R.LSTM, 3, 4, rng, scale=2.0)
+        names = list(p.weights)
+        w_h, w_c = rng.standard_normal((2, 2, 4))
+
+        def build(x, h, c, *weights):
+            q = R.RecurrentParams(R.LSTM, 3, 4, dict(zip(names, weights)))
+            new = R.lstm_step(x, R.CellState(h, c), q)
+            return T.add(T.sum_all(T.mul(new.h, Tensor(w_h))),
+                         T.sum_all(T.mul(new.c, Tensor(w_c))))
+
+        check_grads(build, [rng.standard_normal((2, 3)), rng.standard_normal((2, 4)),
+                            rng.standard_normal((2, 4)),
+                            *(p.weights[n].data for n in names)])
+
+    @pytest.mark.parametrize("cell", [R.LSTM, R.GRU])
+    def test_tape_length_does_not_grow_with_sequence(self, cell):
+        rng = np.random.default_rng(44)
+        fwd = make_params(cell, 3, 2, rng, dtype=np.float32)
+        bwd = make_params(cell, 3, 2, rng, dtype=np.float32)
+        lengths = []
+        for s in (4, 64):
+            seq = Tensor(rng.standard_normal((2, s, 3)).astype(np.float32),
+                         requires_grad=True)
+            with T.Tape() as tape:
+                R.bidirectional_encode(seq, np.ones((2, s), dtype=bool), fwd, bwd, cell)
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1]
