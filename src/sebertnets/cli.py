@@ -51,8 +51,7 @@ from .model import (
     Model,
     ModelConfig,
 )
-from .optim import make_state
-from .recurrent import GRU
+from .optim import AdamState, SwatsState, make_state
 from .span import RecallConfig
 
 log = logging.getLogger("sebertnets")
@@ -79,35 +78,36 @@ class RunConfig:
     """Every tunable of a run, with paper-default hyper-parameters; the
     fields are the only config schema."""
 
-    variant: str = _key(SEBERTNETS, "run",
+    variant: str = _key(ModelConfig.variant, "run",
                         "model variant: bert, sebertnets, or hsebertnets")
     seed: int = _key(0, "run", "random seed")
     epochs: int = _key(5, "run", "training epochs")
     batch_size: int = _key(32, "run", "examples per step")
     optimizer: str = _key("adam", "run", "adam, sgd, or swats")
-    lr: float = _key(1e-3, "run", "learning rate")
-    eps_switch: float = _key(1e-9, "run", "swats switch threshold")
-    top_k: int = _key(5, "run", "candidates per example")
+    lr: float = _key(AdamState.lr, "run", "learning rate")
+    eps_switch: float = _key(SwatsState.eps_switch, "run", "swats switch threshold")
+    top_k: int = _key(RecallConfig.k, "run", "candidates per example")
     match_mode: str = _key("any", "run", "count a hit on any or all gold entities")
-    max_span_len: int = _key(30, "run", "longest decodable span")
-    d_model: int = _key(64, "model", "encoder width")
-    n_layers: int = _key(2, "model", "encoder layers")
-    n_heads: int = _key(4, "model", "attention heads")
-    d_ff: int = _key(256, "model", "feed-forward width")
-    dropout: float = _key(0.1, "model", "dropout rate")
-    activation: str = _key("relu", "model", "relu or gelu")
-    cell: str = _key(GRU, "model", "recurrent cell: lstm or gru")
+    max_span_len: int = _key(RecallConfig.max_span_len, "run", "longest decodable span")
+    d_model: int = _key(EncoderConfig.d_model, "model", "encoder width")
+    n_layers: int = _key(EncoderConfig.n_layers, "model", "encoder layers")
+    n_heads: int = _key(EncoderConfig.n_heads, "model", "attention heads")
+    d_ff: int = _key(EncoderConfig.d_ff, "model", "feed-forward width")
+    dropout: float = _key(EncoderConfig.dropout_rate, "model", "dropout rate")
+    activation: str = _key(EncoderConfig.activation, "model", "relu or gelu")
+    cell: str = _key(ModelConfig.cell, "model", "recurrent cell: lstm or gru")
     hidden: int = _key(200, "model", "recurrent hidden size")
-    max_len: int = _key(140, "model", "token budget per example")
+    max_len: int = _key(EncoderConfig.max_len, "model", "token budget per example")
     train: str | None = _key(None, "data", "training data JSONL")
     dev: str | None = _key(None, "data", "dev data JSONL")
     checkpoint: str = _key("model.sebn", "data", "checkpoint output path")
     log_path: str = _key("train_log.jsonl", "data", "training log output path",
                          ini="log")
-    n_examples: int = _key(1000, "synth", "synthetic corpus size")
-    multi_entity_fraction: float = _key(0.0, "synth", "share of multi-entity examples")
-    min_distractors: int = _key(1, "synth", "fewest distractor cues")
-    max_distractors: int = _key(2, "synth", "most distractor cues")
+    n_examples: int = _key(SynthConfig.n_examples, "synth", "synthetic corpus size")
+    multi_entity_fraction: float = _key(SynthConfig.multi_entity_fraction, "synth",
+                                        "share of multi-entity examples")
+    min_distractors: int = _key(SynthConfig.min_distractors, "synth", "fewest distractor cues")
+    max_distractors: int = _key(SynthConfig.max_distractors, "synth", "most distractor cues")
 
     def encoder_config(self, vocab_size: int = 1) -> EncoderConfig:
         return EncoderConfig(

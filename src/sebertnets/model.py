@@ -166,7 +166,8 @@ class Model:
 
     # ------------------------------------------------------------ decode
 
-    def recall_config(self, k: int = 5, max_span_len: int = 30) -> RecallConfig:
+    def recall_config(self, k: int = RecallConfig.k,
+                      max_span_len: int = RecallConfig.max_span_len) -> RecallConfig:
         return RecallConfig(k=k, max_span_len=max_span_len,
                             channels=_default_channels(self.cfg.variant))
 
@@ -187,8 +188,7 @@ class Model:
 
     # ----------------------------------------------------------- training
 
-    def train_step(self, batch: Batch, state, rng: np.random.Generator,
-                   clip_norm: float = CLIP_NORM) -> float:
+    def train_step(self, batch: Batch, state, rng: np.random.Generator) -> float:
         """One optimization step; returns the (finite) batch loss."""
         golds = batch.golds
         if (golds < 0).any():
@@ -211,7 +211,7 @@ class Model:
             name: (p.grad if p.grad is not None else np.zeros_like(p.data))
             for name, p in params.items()
         }
-        norm = clip_global_norm(grads, clip_norm)
+        norm = clip_global_norm(grads, CLIP_NORM)
         if not np.isfinite(norm):
             raise DivergenceError(
                 f"gradient norm became {norm} at training step {self.step + 1}"
@@ -359,7 +359,14 @@ def _rebuild(meta: dict, arrays: dict[str, np.ndarray], variant: str
              if f"optim.{which}.{name}" in arrays} for which in "mv")
     if m.keys() != v.keys():
         raise ContractError("optimizer moments 'm' and 'v' cover different parameters")
-    return model, state_from_meta(training["optimizer"], m, v)
+    state = state_from_meta(training["optimizer"], m, v)
+    known = {*params, *(f"optim.{which}.{name}" for which, moments
+                        in zip("mv", state_moments(state)) for name in moments)}
+    stray = [name for name in arrays if name not in known]
+    if stray:
+        raise ContractError(f"directory holds {len(stray)} entries that are no parameter "
+                            f"or optimizer moment of this model, first {stray[0]!r}")
+    return model, state
 
 
 def load_checkpoint(path, variant: str | None = None

@@ -173,13 +173,12 @@ def apply_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state):
     raise ContractError(f"unknown optimizer state {type(state).__name__}")
 
 
-def make_state(kind: str, lr: float | None = None, *, beta1: float = 0.9,
-               beta2: float = 0.999, eps: float = 1e-8,
-               eps_switch: float = 1e-9):
+def make_state(kind: str, lr: float | None = None, *,
+               eps_switch: float = SwatsState.eps_switch):
     """Build a fresh optimizer state: 'adam', 'sgd', or 'swats'."""
     if kind == "sgd":
         return SgdState(lr=0.01 if lr is None else lr)
-    adam = AdamState(lr=1e-3 if lr is None else lr, beta1=beta1, beta2=beta2, eps=eps)
+    adam = AdamState(lr=AdamState.lr if lr is None else lr)
     if kind == "adam":
         return adam
     if kind == "swats":

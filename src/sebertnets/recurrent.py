@@ -70,20 +70,6 @@ class RecurrentParams:
         return cls(cell=cell, input_size=input_size, hidden_size=hidden_size,
                    weights=weights)
 
-    def validate(self) -> None:
-        for g in _gates_for(self.cell):
-            w = self.weights[f"w_{g}"]
-            u = self.weights[f"u_{g}"]
-            b = self.weights[f"b_{g}"]
-            if w.shape != (self.input_size, self.hidden_size):
-                raise ShapeError(f"w_{g} has shape {w.shape}, "
-                                 f"expected {(self.input_size, self.hidden_size)}")
-            if u.shape != (self.hidden_size, self.hidden_size):
-                raise ShapeError(f"u_{g} has shape {u.shape}, "
-                                 f"expected {(self.hidden_size, self.hidden_size)}")
-            if b.shape != (self.hidden_size,):
-                raise ShapeError(f"b_{g} has shape {b.shape}, expected {(self.hidden_size,)}")
-
 
 def _gates_for(cell: str) -> tuple[str, ...]:
     if cell == LSTM:
@@ -91,12 +77,6 @@ def _gates_for(cell: str) -> tuple[str, ...]:
     if cell == GRU:
         return GRU_GATES
     raise ContractError(f"unknown cell type {cell!r}, expected {LSTM!r} or {GRU!r}")
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # the expression of tensor.sigmoid, so both agree bitwise
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _pre(w: dict[str, np.ndarray], gate: str, x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -113,14 +93,14 @@ def _step(cell: str, w: dict[str, np.ndarray], x: np.ndarray, h: np.ndarray,
     ``h, c, f, i, o, g, tanh(c')`` for LSTM.
     """
     if cell == GRU:
-        z = _sigmoid(_pre(w, "update", x, h))
-        r = _sigmoid(_pre(w, "reset", x, h))
+        z = T._sigmoid(_pre(w, "update", x, h))
+        r = T._sigmoid(_pre(w, "reset", x, h))
         rh = r * h
         cand = np.tanh(_pre(w, "candidate", x, rh))
         return (1.0 - z) * h + z * cand, None, (h, z, r, rh, cand)
-    f = _sigmoid(_pre(w, "f", x, h))
-    i = _sigmoid(_pre(w, "i", x, h))
-    o = _sigmoid(_pre(w, "o", x, h))
+    f = T._sigmoid(_pre(w, "f", x, h))
+    i = T._sigmoid(_pre(w, "i", x, h))
+    o = T._sigmoid(_pre(w, "o", x, h))
     g = np.tanh(_pre(w, "c", x, h))
     c_new = f * c + i * g
     tc = np.tanh(c_new)

@@ -212,11 +212,6 @@ def zero_grads(params) -> None:
         t.zero_grad()
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not match")
-
-
 def _binary_shapes_ok(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape == b.shape or a.size == 1 or b.size == 1:
         return
@@ -296,11 +291,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make((a, b), out, bwd)
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1/(1+exp(-x)) verbatim so straight-line references agree bitwise;
     # overflow in exp saturates to the correct 0.0.
     with np.errstate(over="ignore"):
-        s = 1.0 / (1.0 + np.exp(-x.data))
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    s = _sigmoid(x.data)
     def bwd(g):
         return (g * (s * (1.0 - s)),)
     return _make((x,), s, bwd)
@@ -336,19 +335,6 @@ def gelu(x: Tensor) -> Tensor:
     return _make((x,), out, bwd)
 
 
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Select ``a`` where ``condition`` else ``b``. The condition is a
-    constant boolean array, not differentiated."""
-    cond = np.asarray(condition, dtype=bool)
-    _check_same_shape(a, b, "where")
-    if cond.shape != a.shape:
-        raise ShapeError(f"where: condition {cond.shape} does not match operands {a.shape}")
-    def bwd(g):
-        zero = np.zeros_like(g)
-        return np.where(cond, g, zero), np.where(cond, zero, g)
-    return _make((a, b), np.where(cond, a.data, b.data), bwd)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     if not tensors:
         raise ContractError("concat of an empty sequence")
@@ -365,32 +351,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         return tuple(np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=ax)
                      for i in range(len(parts)))
     return _make(tuple(tensors), np.concatenate(parts, axis=ax), bwd)
-
-
-def stack_steps(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack equal-shape tensors along a new axis 1 (time axis of a
-    batched sequence)."""
-    if not tensors:
-        raise ContractError("stack_steps of an empty sequence")
-    for t in tensors[1:]:
-        _check_same_shape(tensors[0], t, "stack_steps")
-    out = np.stack([t.data for t in tensors], axis=1)
-    def bwd(g):
-        return tuple(g[:, i] for i in range(len(tensors)))
-    return _make(tuple(tensors), out, bwd)
-
-
-def index_step(x: Tensor, t: int) -> Tensor:
-    """Slice ``x[:, t]`` from a batched sequence [B, S, ...]."""
-    if x.ndim < 2:
-        raise ShapeError(f"index_step needs a batched sequence, got shape {x.shape}")
-    if not 0 <= t < x.shape[1]:
-        raise IndexError(f"step {t} out of range for sequence length {x.shape[1]}")
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[:, t] = g
-        return (gx,)
-    return _make((x,), x.data[:, t].copy(), bwd)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -469,23 +429,14 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
 
 def cross_entropy(probs: Tensor, targets) -> Tensor:
     """Negative log-likelihood of integer targets under given
-    probabilities: 1-D probs with a scalar target, or 2-D [B, n] probs
-    with a length-B target vector averaged over the batch."""
+    probabilities: 2-D [B, n] probs with a length-B target vector averaged
+    over the batch, or 1-D probs with a scalar target as a batch of one."""
     t = np.asarray(targets)
     v = probs.data
     if v.ndim == 1:
         if t.shape not in ((), (1,)):
             raise ShapeError(f"cross_entropy: 1-D probs need a scalar target, got shape {t.shape}")
-        ti = int(t.reshape(()))
-        if not 0 <= ti < v.shape[0]:
-            raise IndexError(f"target {ti} out of range for {v.shape[0]} classes")
-        with np.errstate(divide="ignore"):
-            out = np.asarray(-np.log(v[ti]), dtype=v.dtype)
-        def bwd1(g):
-            gp = np.zeros_like(v)
-            gp[ti] = -g / v[ti]
-            return (gp,)
-        return _make((probs,), out, bwd1)
+        return cross_entropy(reshape(probs, (1, v.shape[0])), t.reshape(1))
     if v.ndim == 2:
         if t.shape != (v.shape[0],):
             raise ShapeError(f"cross_entropy: probs {v.shape} need targets of shape "
@@ -496,11 +447,11 @@ def cross_entropy(probs: Tensor, targets) -> Tensor:
         picked = v[rows, t]
         with np.errstate(divide="ignore"):
             out = np.asarray(np.mean(-np.log(picked)), dtype=v.dtype)
-        def bwd2(g):
+        def bwd(g):
             gp = np.zeros_like(v)
             gp[rows, t] = -g / (v.shape[0] * picked)
             return (gp,)
-        return _make((probs,), out, bwd2)
+        return _make((probs,), out, bwd)
     raise ShapeError(f"cross_entropy: probs must be 1-D or 2-D, got shape {v.shape}")
 
 

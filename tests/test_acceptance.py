@@ -109,7 +109,6 @@ def _primitive_trials(rng):
     n = rng.standard_normal
     w34, w23, w43 = n((3, 4)), n((2, 3)), n((4, 3))
 
-    cond = rng.random((3, 4)) > 0.5
     ids = rng.integers(0, 6, size=(2, 3))
     mask = rng.random((3, 6)) > 0.4
     mask[np.arange(3), rng.integers(0, 6, size=3)] = True
@@ -122,7 +121,7 @@ def _primitive_trials(rng):
 
     w_b = n((2, 3, 4))
     w_m1, w_m2, w_m3 = n(3), n((4, 2)), n((2, 3, 3))
-    w_cat, w_stk, w_idx = n((2, 5)), n((2, 3, 4)), n((2, 3))
+    w_cat = n((2, 5))
     w_rsh, w_tr = n((3, 4)), n((4, 2, 3))
     w_emb, w_ln, w_sm = n((2, 3, 4)), n((3, 5)), n((3, 6))
 
@@ -143,14 +142,8 @@ def _primitive_trials(rng):
         "relu": (lambda x: _weighted(T.relu(x), w34),
                  [_away_from_zero(n((3, 4)))]),
         "gelu": (lambda x: _weighted(T.gelu(x), w34), [n((3, 4))]),
-        "where": (lambda x, y: _weighted(T.where(cond, x, y), w34),
-                  [n((3, 4)), n((3, 4))]),
         "concat": (lambda a, b: _weighted(T.concat([a, b], axis=-1), w_cat),
                    [n((2, 3)), n((2, 2))]),
-        "stack_steps": (lambda a, b, c: _weighted(T.stack_steps([a, b, c]), w_stk),
-                        [n((2, 4)), n((2, 4)), n((2, 4))]),
-        "index_step": (lambda x: _weighted(T.index_step(x, 2), w_idx),
-                       [n((2, 5, 3))]),
         "reshape": (lambda x: _weighted(T.reshape(x, (3, 4)), w_rsh), [n((2, 6))]),
         "transpose": (lambda x: _weighted(T.transpose(x, (2, 0, 1)), w_tr),
                       [n((2, 3, 4))]),

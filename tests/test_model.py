@@ -475,13 +475,22 @@ def test_bad_metadata_is_checkpoint_error(tmp_path, section, key, value):
     (lambda meta: meta["params"][-1].update(name="stray"), "moments"),
     (lambda meta: [e.update(name="head.b_start") for e in meta["params"]
                    if e["name"] == "head.b_end"], "repeats"),
+    (lambda meta: meta["params"].append(
+        {"name": "head.w_extra", "shape": [0], "nbytes": 0,
+         "offset": meta["params"][-1]["offset"] + meta["params"][-1]["nbytes"]}),
+     "'head.w_extra'"),
+    (lambda meta: meta["training"].update(optimizer=None), "'optim.m.encoder"),
+    (lambda meta: meta["training"].update(optimizer={"kind": "sgd", "lr": 0.01}),
+     "'optim.m.encoder"),
 ], ids=["entry-without-shape", "params-not-list", "entry-is-string", "no-step",
         "extra-encoder-key", "string-d-model", "string-vocab", "no-optimizer",
-        "m-without-v", "repeated-name"])
+        "m-without-v", "repeated-name", "stray-entry", "moments-without-optimizer",
+        "moments-with-sgd"])
 def test_malformed_metadata_is_checkpoint_error(tmp_path, edit, match):
     """Directory, training, encoder, vocabulary and optimizer-moment
-    metadata of the wrong shape or type raise CheckpointError, not
-    KeyError, TypeError or AttributeError."""
+    metadata of the wrong shape or type, and directory entries the
+    rebuilt model and optimizer do not own, raise CheckpointError, not
+    KeyError, TypeError or AttributeError, and never load silently."""
     model, _, _, b = build_setup()
     state = make_state("adam")
     model.train_step(b, state, np.random.default_rng(0))

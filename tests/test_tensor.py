@@ -248,20 +248,9 @@ class TestGradientsAgainstFiniteDifferences:
         check_grads(lambda t: T.sum_all(T.relu(t)), [x])
         check_grads(lambda t: T.sum_all(T.gelu(t)), [x])
 
-    def test_where(self):
-        cond = randn(3, 4) > 0
-        check_grads(lambda a, b: T.sum_all(T.mul(T.where(cond, a, b), T.where(cond, a, b))),
-                    [randn(3, 4), randn(3, 4)])
-
     def test_concat(self):
         check_grads(lambda a, b: T.sum_all(T.tanh(T.concat([a, b], axis=-1))),
                     [randn(2, 3), randn(2, 2)])
-
-    def test_stack_and_index_step(self):
-        def build(a, b):
-            s = T.stack_steps([a, b])
-            return T.sum_all(T.mul(T.index_step(s, 0), T.index_step(s, 1)))
-        check_grads(build, [randn(2, 3), randn(2, 3)])
 
     def test_reshape_transpose(self):
         def build(x):
