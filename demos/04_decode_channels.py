@@ -1,17 +1,16 @@
 """How span decoding turns position scores into ranked entity candidates.
 
 Start/end logits are hand-crafted so the behavior is easy to follow: one
-dominant span plus a competitive runner-up. The joint channel ranks
-every valid pair, so it surfaces the runner-up on its own; the
-rank-paired channel only re-proposes joint pairs with the same scores,
-so adding it leaves the list unchanged. The k=1 result is always rank
-one of the merged list, and growing k only ever appends.
+dominant span plus a competitive runner-up. Decoding ranks every valid
+(start, end) pair by joint log-probability in one stream, so the
+runner-up surfaces as soon as k leaves room for it. Every variant
+decodes this way. The k=1 result is always rank one of the stream, and
+growing k only ever appends.
 """
 
 import numpy as np
 
 from sebertnets.span import (
-    ALL_CHANNELS,
     RecallConfig,
     SpanLogits,
     decode_multichannel,
@@ -36,13 +35,7 @@ print(f"top-1: {top1.entity_text!r} span=({top1.start},{top1.end}) "
       f"score={top1.score:.3f}")
 
 for k in (1, 3, 5):
-    cfg = RecallConfig(k=k, max_span_len=5, channels=ALL_CHANNELS)
+    cfg = RecallConfig(k=k, max_span_len=5)
     cands = decode_multichannel(logits, text, (first, last), cfg)
     row = ", ".join(f"{c.entity_text!r}@{c.score:.2f}" for c in cands)
     print(f"k={k}: {row}")
-
-# the single-channel configuration is what the non-hierarchical variants
-# use; it ranks joint pairs only
-joint_only = decode_multichannel(logits, text, (first, last),
-                                 RecallConfig(k=3, max_span_len=5))
-print(f"joint channel only, k=3: {[c.entity_text for c in joint_only]}")

@@ -174,7 +174,7 @@ def _parse_ini(path: str, cfg: RunConfig) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"config {path!r}: {exc}") from exc
     for section in parser.sections():
         keys = _keys_in(section)
@@ -255,11 +255,9 @@ def _texts(preds: dict[str, list]) -> dict[str, list[str]]:
     return {k: [c.entity_text for c in v] for k, v in preds.items()}
 
 
-def _load_model(args, cfg: RunConfig | None = None) -> Model:
-    """The ``--checkpoint`` model, decoded as ``--variant`` if one was given."""
-    _require_path(args.checkpoint, "checkpoint")
-    variant = cfg.variant if getattr(args, "variant", None) is not None else None
-    model, _ = Model.load(args.checkpoint, variant=variant)
+def _load_model(args) -> Model:
+    """The ``--checkpoint`` model, as its checkpoint stores it."""
+    model, _ = Model.load(_require_path(args.checkpoint, "checkpoint"))
     return model
 
 
@@ -338,7 +336,7 @@ def cmd_eval(args) -> None:
         texts = read_jsonl(_require_path(args.predictions, "predictions"),
                            _prediction_texts)
     else:
-        model = _load_model(args, cfg)
+        model = _load_model(args)
         texts = _texts(_predictions(model, _encode_for_inference(examples, model), cfg))
     rep = _score(texts, examples, cfg)
     if args.json:
@@ -353,7 +351,7 @@ def cmd_eval(args) -> None:
 def cmd_predict(args) -> None:
     cfg = _build_config(args)
     examples = load_jsonl(_require_path(args.data, "data"))
-    model = _load_model(args, cfg)
+    model = _load_model(args)
     preds = _predictions(model, _encode_for_inference(examples, model), cfg)
     with _output(args.out) as out:
         for ex in examples:
@@ -430,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--predictions", default=None,
                     help="score this prediction JSONL instead of a checkpoint")
     ev.add_argument("--data", required=True)
-    _add_flags(ev, ["top_k", "match_mode", "max_span_len", "batch_size", "variant"])
+    _add_flags(ev, ["top_k", "match_mode", "max_span_len", "batch_size"])
     ev.add_argument("--json", action="store_true",
                     help="print the report as JSON instead of a table")
     ev.add_argument("--json-out", default=None, dest="json_out",
@@ -440,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("predict", help="emit ranked entities as JSONL")
     pr.add_argument("--checkpoint", required=True)
     pr.add_argument("--data", required=True)
-    _add_flags(pr, ["top_k", "max_span_len", "batch_size", "variant"])
+    _add_flags(pr, ["top_k", "max_span_len", "batch_size"])
     pr.add_argument("--out", default=None, help="output path (default stdout)")
     pr.set_defaults(func=cmd_predict)
 
@@ -468,7 +466,7 @@ def console_main(argv=None) -> int:
         args = parser.parse_args(argv)
         args.func(args)
         return 0
-    except (UsageError, FileNotFoundError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except DivergenceError as exc:

@@ -12,6 +12,7 @@ covers the event type and the final [SEP].
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import unicodedata
@@ -287,23 +288,30 @@ def read_jsonl(path, parse: Callable[[dict, int], tuple[str, object]]) -> dict:
     """``parse(record, line_no)`` gives (id, value) for each JSON object
     line of ``path``; the values are returned keyed by id, in file order.
     Blank lines are skipped. Raises ``DataError`` with the 1-based line
-    number on invalid JSON, a line that is not an object, and the second
-    record that reuses an id."""
+    number on bytes that are not UTF-8, invalid JSON, a line that is not
+    an object, and the second record that reuses an id."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # lines split as a text-mode file splits them: \n, \r\n or \r
+        head = io.StringIO(blob[:e.start].decode("utf-8"), newline=None).read()
+        raise DataError(f"not UTF-8: {e.reason}", head.count("\n") + 1) from e
     out: dict = {}
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"invalid JSON: {e.msg}", line_no) from e
-            if not isinstance(obj, dict):
-                raise DataError("record is not a JSON object", line_no)
-            key, value = parse(obj, line_no)
-            if key in out:
-                raise DataError(f"duplicate id {key!r}", line_no)
-            out[key] = value
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"invalid JSON: {e.msg}", line_no) from e
+        if not isinstance(obj, dict):
+            raise DataError("record is not a JSON object", line_no)
+        key, value = parse(obj, line_no)
+        if key in out:
+            raise DataError(f"duplicate id {key!r}", line_no)
+        out[key] = value
     return out
 
 

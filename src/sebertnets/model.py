@@ -4,8 +4,8 @@ Variants share one wiring: a transformer encoder feeds either the span
 head directly (``bert_baseline``) or a masked bidirectional recurrent
 layer whose per-position states feed the head (``sebertnets`` and
 ``hsebertnets``). The latter two hold identical trainable parameters
-and differ only in how candidates are decoded, so their checkpoints are
-interchangeable.
+and decode identically (one ranked span stream); ``hsebertnets`` stays
+an accepted name so that checkpoints and configs that store it load.
 
 Checkpoint file layout::
 
@@ -45,8 +45,6 @@ from .errors import (
 from .optim import apply_step, clip_global_norm, state_from_meta, state_meta, state_moments
 from .recurrent import GRU, LSTM, RecurrentParams, bidirectional_encode
 from .span import (
-    ALL_CHANNELS,
-    JOINT_TOPK,
     RecallConfig,
     SpanCandidate,
     SpanLogits,
@@ -91,10 +89,6 @@ class ModelConfig:
     @property
     def recurrent(self) -> bool:
         return self.variant in _RECURRENT
-
-
-def _default_channels(variant: str) -> frozenset:
-    return ALL_CHANNELS if variant == HSEBERTNETS else frozenset((JOINT_TOPK,))
 
 
 class Model:
@@ -168,13 +162,12 @@ class Model:
 
     def recall_config(self, k: int = RecallConfig.k,
                       max_span_len: int = RecallConfig.max_span_len) -> RecallConfig:
-        return RecallConfig(k=k, max_span_len=max_span_len,
-                            channels=_default_channels(self.cfg.variant))
+        return RecallConfig(k=k, max_span_len=max_span_len)
 
     def predict(self, batch: Batch, recall: RecallConfig | None = None
                 ) -> list[list[SpanCandidate]]:
-        """Ranked candidate lists, one per example, using the variant's
-        default channels unless ``recall`` overrides them."""
+        """Ranked candidate lists, one per example, decoded with
+        ``recall`` or the default ``recall_config()``."""
         if len(batch.items) != len(batch):
             raise ContractError("batch lacks per-example items; build it with "
                                 "data.batch() to predict")
@@ -226,9 +219,8 @@ class Model:
         save_checkpoint(self, path, optimizer_state)
 
     @classmethod
-    def load(cls, path, variant: str | None = None
-             ) -> tuple["Model", object | None]:
-        return load_checkpoint(path, variant)
+    def load(cls, path) -> tuple["Model", object | None]:
+        return load_checkpoint(path)
 
 
 # ------------------------------------------------------------ checkpoints
@@ -319,17 +311,12 @@ def _check_entry(entry) -> None:
                               f"and 'shape', 'offset' and 'nbytes' counts", offset=12)
 
 
-def _families_match(stored: str, requested: str) -> bool:
-    stored_rec = stored in _RECURRENT
-    return stored_rec == (requested in _RECURRENT)
-
-
-def _rebuild(meta: dict, arrays: dict[str, np.ndarray], variant: str
-             ) -> tuple[Model, object | None]:
-    """The model, decoded as ``variant``, and optimizer state that the
-    checked metadata and payload arrays describe."""
-    cfg = ModelConfig(variant=variant, cell=meta["model"].get("cell"),
-                      hidden_size=meta["model"].get("hidden_size"))
+def _rebuild(meta: dict, arrays: dict[str, np.ndarray]) -> tuple[Model, object | None]:
+    """The model and optimizer state that the checked metadata and
+    payload arrays describe."""
+    stored = meta["model"]
+    cfg = ModelConfig(variant=stored.get("variant"), cell=stored.get("cell"),
+                      hidden_size=stored.get("hidden_size"))
     keys = sorted(f.name for f in fields(EncoderConfig))
     if sorted(meta["encoder"]) != keys:
         raise ContractError(f"encoder section holds {sorted(meta['encoder'])}, "
@@ -369,14 +356,8 @@ def _rebuild(meta: dict, arrays: dict[str, np.ndarray], variant: str
     return model, state
 
 
-def load_checkpoint(path, variant: str | None = None
-                    ) -> tuple[Model, object | None]:
-    """Rebuild a model (and optimizer state, if stored) from ``path``.
-
-    ``variant`` may override the stored one when both share a parameter
-    family: the two recurrent variants are interchangeable, the encoder
-    baseline is not interchangeable with either.
-    """
+def load_checkpoint(path) -> tuple[Model, object | None]:
+    """Rebuild the stored model (and optimizer state, if stored) from ``path``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     meta, meta_len = _read_meta(blob)
@@ -419,14 +400,7 @@ def load_checkpoint(path, variant: str | None = None
     if len(arrays) != len(directory):
         raise CheckpointError("directory repeats a parameter name", offset=12)
 
-    stored_variant = meta["model"].get("variant")
-    target = variant if variant is not None else stored_variant
-    if variant is not None and not _families_match(stored_variant, target):
-        raise CompatibilityError(
-            f"checkpoint built for {stored_variant!r} cannot be loaded as "
-            f"{target!r}: parameter sets differ"
-        )
     try:
-        return _rebuild(meta, arrays, target)
+        return _rebuild(meta, arrays)
     except (ContractError, DataError) as exc:
         raise CheckpointError(str(exc), offset=12) from exc

@@ -3,11 +3,11 @@ training loss, and decoding.
 
 Decoding is joint: a candidate (s, e) scores log p_start(s) + log
 p_end(e), maximized over valid pairs with s <= e and width below
-``max_span_len``. Every decode reads one ranked stream of such pairs,
-ordered by (-score, start, end): top-1 is its head and serves the
-baseline variants; the multi-channel decoder ranks the joint top-k
-channel and the rank-paired (independent n-best) channel together,
-dedups by surface text, and returns the first k.
+``max_span_len``. Every decode reads one ranked stream of all such
+pairs, ordered by (-score, start, end), keeps the first span of each
+surface text and returns the first k; top-1 is the stream cut at k=1.
+Every variant decodes this way, so the two recurrent variants decode
+identically.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, DecodeError, ShapeError
 from .tensor import Tensor
-
-JOINT_TOPK = "joint_topk"
-INDEPENDENT_NBEST = "independent_nbest"
-ALL_CHANNELS = frozenset((JOINT_TOPK, INDEPENDENT_NBEST))
 
 
 @dataclass
@@ -63,18 +59,12 @@ class SpanCandidate:
 class RecallConfig:
     k: int = 5
     max_span_len: int = 30
-    channels: frozenset = frozenset((JOINT_TOPK,))
 
     def __post_init__(self):
         if self.k < 1:
             raise ContractError(f"k must be >= 1, got {self.k}")
         if self.max_span_len < 1:
             raise ContractError(f"max_span_len must be >= 1, got {self.max_span_len}")
-        object.__setattr__(self, "channels", frozenset(self.channels))
-        bad = self.channels - ALL_CHANNELS
-        if bad:
-            raise ContractError(f"unknown channels {sorted(bad)}; "
-                                f"known: {sorted(ALL_CHANNELS)}")
 
 
 def valid_mask(length: int, text_span) -> np.ndarray:
@@ -144,17 +134,15 @@ def decode_top1(logits: SpanLogits, text: str, text_span,
                 cfg: RecallConfig) -> SpanCandidate:
     """Best valid (s, e) pair by joint log-probability; ties go to the
     smaller start, then the smaller end: the head of the ranked stream."""
-    return decode_multichannel(logits, text, text_span,
-                               replace(cfg, k=1, channels=frozenset()))[0]
+    return decode_multichannel(logits, text, text_span, replace(cfg, k=1))[0]
 
 
 def decode_multichannel(logits: SpanLogits, text: str, text_span,
                         cfg: RecallConfig) -> list[SpanCandidate]:
-    """Ranked candidate list (length <= k) read off one stream: the joint
-    pairs (all of them with JOINT_TOPK, else only the top-1 head) plus,
-    with INDEPENDENT_NBEST, the rank-paired pairs, sorted by (-score,
-    start, end). The first span of each entity text is kept. The order
-    does not depend on k, so growing k only appends."""
+    """Ranked candidate list (length <= k) read off one stream: every
+    valid pair, sorted by (-score, start, end). The first span of each
+    entity text is kept. The order does not depend on k, so growing k
+    only appends."""
     if logits.start_logits.ndim != 1:
         raise ContractError("decoding works on single examples; "
                             "slice a batch with .example(i)")
@@ -170,18 +158,6 @@ def decode_multichannel(logits: SpanLogits, text: str, text_span,
     band = idx[:, None] + np.arange(width)
     keep = np.pad(valid, (0, width))[band]
     s, e = np.broadcast_to(idx[:, None], band.shape)[keep], band[keep]
-    if JOINT_TOPK not in cfg.channels:
-        head = np.argmax(lp_s[s] + lp_e[e])
-        s, e = s[head:head + 1], e[head:head + 1]
-    if INDEPENDENT_NBEST in cfg.channels:
-        # the i-th best start with the i-th best end (ties to the smaller
-        # position), swapped when reversed, dropped when over-wide; every
-        # such pair is also a joint pair with the same score
-        starts = idx[np.argsort(-lp_s[idx], kind="stable")]
-        ends = idx[np.argsort(-lp_e[idx], kind="stable")]
-        lo, hi = np.minimum(starts, ends), np.maximum(starts, ends)
-        fits = hi - lo < cfg.max_span_len
-        s, e = np.concatenate((s, lo[fits])), np.concatenate((e, hi[fits]))
     scores = lp_s[s] + lp_e[e]
     order = np.lexsort((e, s, -scores))
 

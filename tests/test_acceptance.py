@@ -73,7 +73,6 @@ from sebertnets.recurrent import (
     lstm_step,
 )
 from sebertnets.span import (
-    ALL_CHANNELS,
     RecallConfig,
     SpanLogits,
     decode_multichannel,
@@ -407,7 +406,7 @@ def test_criterion_04_decode_oracle():
         msl = int(rng.integers(1, 8))
         text = "".join(chr(ord("一") + i) for i in range(last - first + 1))
         logits = SpanLogits(Tensor(start), Tensor(end), valid)
-        cfg1 = RecallConfig(k=1, max_span_len=msl, channels=ALL_CHANNELS)
+        cfg1 = RecallConfig(k=1, max_span_len=msl)
 
         got = decode_top1(logits, text, (first, last), cfg1)
         lp_s = _ref_log_softmax(start, valid)
@@ -418,7 +417,7 @@ def test_criterion_04_decode_oracle():
 
         lists = {}
         for k in (1, 3, 5, 7):
-            cfg = RecallConfig(k=k, max_span_len=msl, channels=ALL_CHANNELS)
+            cfg = RecallConfig(k=k, max_span_len=msl)
             cands = decode_multichannel(logits, text, (first, last), cfg)
             lists[k] = cands
             assert 1 <= len(cands) <= k

@@ -168,6 +168,8 @@ def test_bad_config_key_is_usage_error(tmp_path):
     assert console_main(["train", "--config", str(cfg)]) == 1
     cfg.write_text("[run]\nepochs = many\n", encoding="utf-8")
     assert console_main(["train", "--config", str(cfg)]) == 1
+    cfg.write_bytes(b"[run]\nepochs = \xff\n")
+    assert console_main(["train", "--config", str(cfg)]) == 1
 
 
 def test_bad_variant_is_usage_error(tmp_path):
@@ -227,18 +229,6 @@ def test_eval_table_and_json(trained, capsys):
     assert [row["k"] for row in printed["top_k"]] == [1, 2, 3]
     f1s = [row["f1"] for row in printed["top_k"]]
     assert f1s == sorted(f1s)
-
-
-def test_eval_variant_override(trained, capsys):
-    code = console_main(["eval", "--checkpoint", str(trained["ckpt"]),
-                         "--data", str(trained["dev"]),
-                         "--variant", "hsebertnets"])
-    assert code == 0
-    capsys.readouterr()
-    code = console_main(["eval", "--checkpoint", str(trained["ckpt"]),
-                         "--data", str(trained["dev"]), "--variant", "bert"])
-    assert code == 2
-    capsys.readouterr()
 
 
 def test_eval_corrupt_checkpoint(trained, capsys, tmp_path):
@@ -338,7 +328,8 @@ _BAD_INFERENCE_FLAGS = [("--top-k", "0"), ("--max-span-len", "0"),
 @pytest.mark.parametrize("command, flag, value",
                          [("eval", *f) for f in _BAD_INFERENCE_FLAGS]
                          + [("eval", "--match-mode", "some")]
-                         + [("predict", *f) for f in _BAD_INFERENCE_FLAGS])
+                         + [("predict", *f) for f in _BAD_INFERENCE_FLAGS]
+                         + [(c, "--variant", "hsebertnets") for c in ("eval", "predict")])
 def test_bad_inference_flag_is_usage_error(trained, capsys, command, flag, value):
     code = console_main([command, "--checkpoint", str(trained["ckpt"]),
                          "--data", str(trained["dev"]), flag, value])
@@ -443,3 +434,35 @@ def test_nonfinite_checkpoint_payload_exits_2(trained, capsys, tmp_path, name, v
     assert console_main(["predict", "--checkpoint", str(bad),
                          "--data", str(trained["dev"]), "--out", str(out)]) == 2
     assert f"at byte {offset}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "eval"])
+def test_non_utf8_data_is_data_error(trained, capsys, command):
+    """A byte that is not UTF-8 on line 2 of the JSONL a command reads
+    (training data, inference data, a prediction file) exits 2 and names
+    the line."""
+    bad = trained["tmp"] / "bad.jsonl"
+    first = trained["dev"].read_bytes().splitlines(keepends=True)[0]
+    bad.write_bytes(first + b'{"id": "\xff"}\n')
+    argv = {"train": ["train", "--config", str(trained["cfg"]), "--train", str(bad)],
+            "predict": ["predict", "--checkpoint", str(trained["ckpt"]),
+                        "--data", str(bad)],
+            "eval": ["eval", "--predictions", str(bad),
+                     "--data", str(trained["dev"])]}[command]
+    assert console_main(argv) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--train", "--checkpoint", "--predictions", "--out"])
+def test_directory_for_a_file_is_usage_error(trained, capsys, flag):
+    adir = trained["tmp"] / "adir"
+    adir.mkdir()
+    argv = {"--train": ["train", "--config", str(trained["cfg"]), "--train", str(adir)],
+            "--checkpoint": ["predict", "--checkpoint", str(adir),
+                             "--data", str(trained["dev"])],
+            "--predictions": ["eval", "--predictions", str(adir),
+                              "--data", str(trained["dev"])],
+            "--out": ["predict", "--checkpoint", str(trained["ckpt"]),
+                      "--data", str(trained["dev"]), "--out", str(adir)]}[flag]
+    assert console_main(argv) == 1
+    assert "usage error" in capsys.readouterr().err

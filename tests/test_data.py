@@ -204,6 +204,14 @@ class TestJsonl:
             D.load_jsonl(path)
         assert e.value.line == 2
 
+    def test_non_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b'{"id": "1", "text": "a", "event_type": "t"}\r\n'
+                         b'{"id": "2", "text": "\xff", "event_type": "t"}\n')
+        with pytest.raises(DataError, match="UTF-8") as e:
+            D.load_jsonl(path)
+        assert e.value.line == 2
+
     def test_missing_field_reports_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "1", "text": "a"}\n', encoding="utf-8")

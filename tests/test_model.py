@@ -32,7 +32,7 @@ from sebertnets.model import (
     save_checkpoint,
 )
 from sebertnets.optim import AdamState, SgdState, SwatsState, make_state
-from sebertnets.span import ALL_CHANNELS, JOINT_TOPK, RecallConfig, decode_top1
+from sebertnets.span import decode_top1
 
 MAX_LEN = 40
 
@@ -142,15 +142,6 @@ def test_forward_deterministic_in_eval_mode():
 
 
 # -------------------------------------------------------------- predict
-
-
-def test_default_channels_by_variant():
-    model, vocab, enc_cfg, _ = build_setup()
-    assert model.recall_config().channels == frozenset((JOINT_TOPK,))
-    hse = Model(ModelConfig(variant=HSEBERTNETS), enc_cfg, vocab)
-    assert hse.recall_config().channels == ALL_CHANNELS
-    base = Model(ModelConfig(variant=BERT_BASELINE), enc_cfg, vocab)
-    assert base.recall_config().channels == frozenset((JOINT_TOPK,))
 
 
 def test_predict_ranked_lists():
@@ -304,22 +295,6 @@ def test_swats_state_roundtrip(tmp_path):
     assert opt.sgd_lr == state.sgd_lr
     assert opt.adam.k == state.adam.k
     assert opt.eps_switch == state.eps_switch
-
-
-def test_variant_override_on_load(tmp_path):
-    model, _, _, _ = build_setup(variant=SEBERTNETS)
-    path = tmp_path / "se.sebn"
-    model.save(path)
-    as_hse, _ = Model.load(path, variant=HSEBERTNETS)
-    assert as_hse.cfg.variant == HSEBERTNETS
-    with pytest.raises(CompatibilityError):
-        Model.load(path, variant=BERT_BASELINE)
-
-    base, vocab, enc_cfg, _ = build_setup(variant=BERT_BASELINE)
-    bpath = tmp_path / "base.sebn"
-    base.save(bpath)
-    with pytest.raises(CompatibilityError):
-        Model.load(bpath, variant=SEBERTNETS)
 
 
 def test_checkpoint_without_optimizer(tmp_path):

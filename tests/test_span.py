@@ -49,26 +49,10 @@ def brute_force_top1(start, end, valid, max_span_len):
 
 
 def reference_ranked(start, end, valid, text, first, cfg):
-    """Loop reference for the multichannel list as (start, end, text,
-    score). With JOINT_TOPK: every band pair. Without: the top-1 pair
-    plus, with INDEPENDENT_NBEST, the i-th best start paired with the
-    i-th best end (swapped when reversed, dropped when over-wide). Then
-    sort by (-score, start, end), keep the first span of each text, cut
-    at k."""
-    if S.JOINT_TOPK in cfg.channels:
-        pairs = brute_force_pairs(start, end, valid, cfg.max_span_len)
-    else:
-        pairs = [brute_force_top1(start, end, valid, cfg.max_span_len)]
-        if S.INDEPENDENT_NBEST in cfg.channels:
-            lp_s = ref_log_probs(start, valid)
-            lp_e = ref_log_probs(end, valid)
-            idx = [i for i in range(len(valid)) if valid[i]]
-            starts = sorted(idx, key=lambda i: (-lp_s[i], i))
-            ends = sorted(idx, key=lambda i: (-lp_e[i], i))
-            for a, b in zip(starts, ends):
-                s, e = min(a, b), max(a, b)
-                if e - s < cfg.max_span_len:
-                    pairs.append((lp_s[s] + lp_e[e], s, e))
+    """Loop reference for the ranked list as (start, end, text, score):
+    every band pair, sorted by (-score, start, end), the first span of
+    each text kept, cut at k."""
+    pairs = brute_force_pairs(start, end, valid, cfg.max_span_len)
     out, seen = [], set()
     for sc, s, e in sorted(pairs, key=lambda p: (-p[0], p[1], p[2])):
         txt = text[s - first:e - first + 1]
@@ -95,10 +79,6 @@ def random_decode_case(rng, dtype):
     text = "".join(rng.choice(alphabet, last - first + 1))
     lg = S.SpanLogits(Tensor(start.astype(dtype)), Tensor(end.astype(dtype)), valid)
     return lg, text, (int(first), int(last))
-
-
-CHANNEL_SETS = (frozenset(), frozenset({S.JOINT_TOPK}),
-                frozenset({S.INDEPENDENT_NBEST}), S.ALL_CHANNELS)
 
 
 class TestValidMask:
@@ -291,13 +271,11 @@ class TestDecodeMultichannel:
 
     def test_k1_equals_top1(self):
         rng = np.random.default_rng(5)
-        for channels in (frozenset({S.JOINT_TOPK}),
-                         frozenset({S.INDEPENDENT_NBEST}),
-                         S.ALL_CHANNELS, frozenset()):
+        for _ in range(4):
             n = 8
             valid = np.ones(n, dtype=bool)
             lg = self.make(rng.standard_normal(n), rng.standard_normal(n), valid)
-            cfg = S.RecallConfig(k=1, channels=channels)
+            cfg = S.RecallConfig(k=1)
             out = S.decode_multichannel(lg, "y" * n, (0, n - 1), cfg)
             top1 = S.decode_top1(lg, "y" * n, (0, n - 1), cfg)
             assert out == [top1]
@@ -311,7 +289,7 @@ class TestDecodeMultichannel:
         valid = np.zeros(n, dtype=bool)
         valid[1:11] = True
         text = "abcdefghij"
-        cfg = S.RecallConfig(k=3, channels=S.ALL_CHANNELS)
+        cfg = S.RecallConfig(k=3)
         out = S.decode_multichannel(self.make(start, end, valid), text, (1, 10), cfg)
         spans = {(c.start, c.end) for c in out}
         assert (2, 3) in spans and (7, 8) in spans
@@ -322,7 +300,7 @@ class TestDecodeMultichannel:
         start = np.array([0.0, 5.0, 0.0, 4.0, 0.0])
         end = np.array([0.0, 5.0, 0.0, 4.0, 0.0])
         valid = np.array([False, True, True, True, False])
-        cfg = S.RecallConfig(k=5, channels=S.ALL_CHANNELS)
+        cfg = S.RecallConfig(k=5)
         out = S.decode_multichannel(self.make(start, end, valid), text, (1, 3), cfg)
         texts = [c.entity_text for c in out]
         assert len(texts) == len(set(texts))
@@ -339,7 +317,7 @@ class TestDecodeMultichannel:
             lg = self.make(rng.standard_normal(n) * 2, rng.standard_normal(n) * 2,
                            valid)
             k = int(rng.integers(1, 7))
-            cfg = S.RecallConfig(k=k, max_span_len=5, channels=S.ALL_CHANNELS)
+            cfg = S.RecallConfig(k=k, max_span_len=5)
             out = S.decode_multichannel(lg, "z" * n, (0, n - 1), cfg)
             assert 1 <= len(out) <= k
             scores = [c.score for c in out]
@@ -351,50 +329,30 @@ class TestDecodeMultichannel:
 
     def test_prefix_property_growing_k(self):
         rng = np.random.default_rng(7)
-        for channels in (frozenset({S.JOINT_TOPK}), S.ALL_CHANNELS):
-            for _ in range(30):
-                n = int(rng.integers(4, 14))
-                valid = np.ones(n, dtype=bool)
-                lg = self.make(rng.standard_normal(n) * 2,
-                               rng.standard_normal(n) * 2, valid)
-                prev = None
-                for k in range(1, 8):
-                    cfg = S.RecallConfig(k=k, max_span_len=6, channels=channels)
-                    out = S.decode_multichannel(lg, "w" * n, (0, n - 1), cfg)
-                    if prev is not None:
-                        assert out[:len(prev)] == prev
-                    prev = out
+        for _ in range(60):
+            n = int(rng.integers(4, 14))
+            valid = np.ones(n, dtype=bool)
+            lg = self.make(rng.standard_normal(n) * 2,
+                           rng.standard_normal(n) * 2, valid)
+            prev = None
+            for k in range(1, 8):
+                cfg = S.RecallConfig(k=k, max_span_len=6)
+                out = S.decode_multichannel(lg, "w" * n, (0, n - 1), cfg)
+                if prev is not None:
+                    assert out[:len(prev)] == prev
+                prev = out
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("channels", CHANNEL_SETS,
-                             ids=["none", "joint", "nbest", "all"])
-    def test_matches_loop_reference_exactly(self, dtype, channels):
+    def test_matches_loop_reference_exactly(self, dtype):
         rng = np.random.default_rng(8)
         for _ in range(150):
             lg, text, span = random_decode_case(rng, dtype)
             cfg = S.RecallConfig(k=int(rng.integers(1, 8)),
-                                 max_span_len=int(rng.integers(1, 7)),
-                                 channels=channels)
+                                 max_span_len=int(rng.integers(1, 7)))
             got = S.decode_multichannel(lg, text, span, cfg)
             want = reference_ranked(lg.start_logits.data, lg.end_logits.data,
                                     lg.valid, text, span[0], cfg)
             assert [(c.start, c.end, c.entity_text, c.score) for c in got] == want
-
-    def test_rank_paired_channel_adds_nothing_to_joint_topk(self):
-        """Every rank-paired pair is also a joint pair with the same score,
-        so with JOINT_TOPK on, INDEPENDENT_NBEST cannot change the list."""
-        rng = np.random.default_rng(9)
-        for _ in range(300):
-            lg, text, span = random_decode_case(rng, np.float32)
-            k, msl = int(rng.integers(1, 8)), int(rng.integers(1, 7))
-            lists = [S.decode_multichannel(lg, text, span, S.RecallConfig(
-                k=k, max_span_len=msl, channels=channels))
-                for channels in (frozenset({S.JOINT_TOPK}), S.ALL_CHANNELS)]
-            assert lists[0] == lists[1]
-
-    def test_unknown_channel_rejected(self):
-        with pytest.raises(ContractError):
-            S.RecallConfig(channels=frozenset({"magic"}))
 
     def test_config_validation(self):
         with pytest.raises(ContractError):
