@@ -5,7 +5,8 @@ dominant span plus a competitive runner-up. Decoding ranks every valid
 (start, end) pair by joint log-probability in one stream, so the
 runner-up surfaces as soon as k leaves room for it. Every variant
 decodes this way. The k=1 result is always rank one of the stream, and
-growing k only ever appends.
+growing k only ever appends. One call also decodes a whole batch, row by
+row exactly as one-example calls would.
 """
 
 import numpy as np
@@ -39,3 +40,17 @@ for k in (1, 3, 5):
     cands = decode_multichannel(logits, text, (first, last), cfg)
     row = ", ".join(f"{c.entity_text!r}@{c.score:.2f}" for c in cands)
     print(f"k={k}: {row}")
+
+# a batch in one call: this example, and the same text with the
+# runner-up made dominant; each row equals its one-example call
+start2, end2 = start.copy(), end.copy()
+start2[5], end2[6] = 4.0, 4.0
+batched = SpanLogits(Tensor(np.stack([start, start2])), Tensor(np.stack([end, end2])),
+                     np.stack([valid, valid]))
+texts, spans = [text, text], np.array([(first, last)] * 2)
+cfg = RecallConfig(k=3, max_span_len=5)
+rows = decode_multichannel(batched, texts, spans, cfg)
+for i, cands in enumerate(rows):
+    assert cands == decode_multichannel(batched.example(i), texts[i], (first, last), cfg)
+    print(f"batch row {i}: " + ", ".join(f"{c.entity_text!r}@{c.score:.2f}"
+                                          for c in cands))

@@ -169,6 +169,17 @@ def _require_path(path, what: str) -> str:
     return path
 
 
+def _require_target(path, what: str) -> str:
+    """``path`` as a file to be written: not a directory, in one that exists."""
+    if not path:
+        raise UsageError(f"{what} path is required")
+    if os.path.isdir(path):
+        raise UsageError(f"{what} path {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError(f"{what} path {path!r} is in a directory that does not exist")
+    return path
+
+
 def _parse_ini(path: str, cfg: RunConfig) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -276,6 +287,8 @@ def _output(path):
 
 def cmd_train(args) -> None:
     cfg = _build_config(args)
+    # checked now, not when it is written after the last epoch
+    _require_target(cfg.checkpoint, "checkpoint")
     raw = load_jsonl(_require_path(cfg.train, "training data"))
     flat = flatten_for_training(raw)
     if not flat:

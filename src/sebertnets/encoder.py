@@ -3,7 +3,8 @@ embeddings, multi-head self-attention with padding-key masking, and a
 position-wise feed-forward block, each followed by residual + layer norm.
 
 Trained from scratch on the span objective; there is no pretraining.
-Attention weights of every layer and head are captured for inspection.
+Attention weights of every layer and head are returned for inspection,
+uncopied and read-only.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ class EncoderConfig:
 @dataclass
 class EncoderOutput:
     """``hidden``: contextual representation per position. ``attentions``:
-    one [B, n_heads, S, S] array per layer (detached weights)."""
+    one [B, n_heads, S, S] array of attention weights per layer. These are
+    the arrays the encoder computed, not copies, and are read-only: a
+    recorded pass's backward reads them, so copy one before changing it."""
     hidden: Tensor
     attentions: list[np.ndarray] = field(default_factory=list)
 
@@ -135,11 +138,12 @@ def _attention(x: Tensor, mask: np.ndarray, params, pre: str, cfg: EncoderConfig
 
     q, k, v = heads("q"), heads("k"), heads("v")
     scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-    key_mask = np.broadcast_to(mask[:, None, None, :], (b, nh, s, s))
-    probs = T.masked_softmax(scores, key_mask)
+    probs = T.masked_softmax(scores, mask[:, None, None, :])
     ctx = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), (b, s, d))
     out = T.add_bias(T.matmul(ctx, params[pre + "attn.wo"]), params[pre + "attn.bo"])
-    return out, probs.data.copy()
+    # the weights the backward reads, handed out uncopied: keep them unwritten
+    probs.data.flags.writeable = False
+    return out, probs.data
 
 
 def encode(token_ids, segment_ids, attention_mask, params: dict[str, Tensor],

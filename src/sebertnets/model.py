@@ -173,11 +173,8 @@ class Model:
                                 "data.batch() to predict")
         cfg = recall if recall is not None else self.recall_config()
         logits, _ = self.forward(batch, train=False)
-        out = []
-        for i, item in enumerate(batch.items):
-            out.append(decode_multichannel(
-                logits.example(i), item.text, item.text_span, cfg))
-        return out
+        return decode_multichannel(logits, [item.text for item in batch.items],
+                                   batch.text_spans, cfg)
 
     # ----------------------------------------------------------- training
 

@@ -220,9 +220,10 @@ def _directional_pass(seq: Tensor, mask: np.ndarray, p: RecurrentParams,
     """One direction over [B, S, d] as one tape op: [B, S, H] states,
     zero at masked steps, where the carried state is frozen.
 
-    The forward sweep keeps each step's ``_step`` activations. The
-    backward sweep (BPTT) runs only the recurrent ``dh @ U.T`` products
-    per step and collects the gate pre-activation gradients, from which
+    When a tape records the op, the forward sweep keeps each step's
+    ``_step`` activations; outside a tape it keeps none. The backward
+    sweep (BPTT) runs only the recurrent ``dh @ U.T`` products per step
+    and collects the gate pre-activation gradients, from which
     ``_param_grads`` forms the input and weight gradients over all B*S
     rows at once.
     """
@@ -237,13 +238,16 @@ def _directional_pass(seq: Tensor, mask: np.ndarray, p: RecurrentParams,
     c = np.zeros_like(h) if cell == LSTM else None
     steps = range(s - 1, -1, -1) if reverse else range(s)
     out = np.empty((s, b, p.hidden_size), dtype=x.dtype)
+    inputs = (seq, *p.weights.values())
+    record = T._recording(inputs)
     saved = None
     for t in steps:
         h_new, c_new, acts = _step(cell, w, x[t], h, c)
-        if saved is None:
-            saved = [np.empty_like(out) for _ in acts]
-        for buf, a in zip(saved, acts):
-            buf[t] = a
+        if record:
+            if saved is None:
+                saved = [np.empty_like(out) for _ in acts]
+            for buf, a in zip(saved, acts):
+                buf[t] = a
         h = np.where(keep[t], h_new, h)
         if c is not None:
             c = np.where(keep[t], c_new, c)
@@ -269,8 +273,7 @@ def _directional_pass(seq: Tensor, mask: np.ndarray, p: RecurrentParams,
         return (np.ascontiguousarray(dx.transpose(1, 0, 2)), *(grads[k] for k in w))
 
     # batch-major and C-contiguous, as the layers after it expect
-    return T._make((seq, *p.weights.values()),
-                   np.ascontiguousarray(out.transpose(1, 0, 2)), backward)
+    return T._make(inputs, np.ascontiguousarray(out.transpose(1, 0, 2)), backward)
 
 
 def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,

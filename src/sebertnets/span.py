@@ -7,7 +7,7 @@ p_end(e), maximized over valid pairs with s <= e and width below
 pairs, ordered by (-score, start, end), keeps the first span of each
 surface text and returns the first k; top-1 is the stream cut at k=1.
 Every variant decodes this way, so the two recurrent variants decode
-identically.
+identically. One call decodes one example or a whole batch.
 """
 
 from __future__ import annotations
@@ -16,10 +16,16 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import tensor as T
 from .errors import ContractError, DecodeError, ShapeError
 from .tensor import Tensor
+
+
+# a decode sorts each row's best _PREFIX * k pairs, and all of its pairs
+# only when those hold fewer than k distinct texts
+_PREFIX = 4
 
 
 @dataclass
@@ -123,53 +129,106 @@ def span_loss(logits: SpanLogits, gold) -> Tensor:
 
 
 def _log_probs(logits: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """fp64 masked log-softmax; masked positions are -inf."""
+    """fp64 masked log-softmax over the trailing axis; masked positions
+    are -inf."""
     x = np.where(valid, logits.astype(np.float64), -np.inf)
-    m = x.max()
-    lse = m + np.log(np.exp(x - m).sum())
+    m = x.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
     return x - lse
 
 
-def decode_top1(logits: SpanLogits, text: str, text_span,
-                cfg: RecallConfig) -> SpanCandidate:
+def decode_top1(logits: SpanLogits, text, text_span, cfg: RecallConfig):
     """Best valid (s, e) pair by joint log-probability; ties go to the
-    smaller start, then the smaller end: the head of the ranked stream."""
-    return decode_multichannel(logits, text, text_span, replace(cfg, k=1))[0]
+    smaller start, then the smaller end: the head of the ranked stream.
+    One candidate for one example, a list of them for a batch."""
+    out = decode_multichannel(logits, text, text_span, replace(cfg, k=1))
+    return out[0] if logits.start_logits.ndim == 1 else [c[0] for c in out]
 
 
-def decode_multichannel(logits: SpanLogits, text: str, text_span,
-                        cfg: RecallConfig) -> list[SpanCandidate]:
+def decode_multichannel(logits: SpanLogits, text, text_span, cfg: RecallConfig):
     """Ranked candidate list (length <= k) read off one stream: every
     valid pair, sorted by (-score, start, end). The first span of each
     entity text is kept. The order does not depend on k, so growing k
-    only appends."""
-    if logits.start_logits.ndim != 1:
-        raise ContractError("decoding works on single examples; "
-                            "slice a batch with .example(i)")
-    valid = logits.valid
-    if not valid.any():
+    only appends.
+
+    Takes one example ([S] logits, a str, a (first, last) pair) and
+    returns its list, or a batch ([B, S] logits, B strs, a [B, 2] array)
+    and returns one list per row. The batch is scored at once, as a
+    [B, S, W] band of pair scores with W = min(max_span_len, S). Each row
+    sorts only its pairs at or above its ``_PREFIX * k``-th largest score,
+    ties included, and is sorted in full only when those hold fewer than
+    k distinct texts.
+    """
+    single = logits.start_logits.ndim == 1
+    valid = logits.valid.reshape(1, -1) if single else logits.valid
+    texts = [text] if isinstance(text, str) else list(text)
+    firsts = np.asarray(text_span).reshape(-1, 2)[:, 0].tolist()
+    if valid.ndim != 2 or not len(texts) == len(firsts) == valid.shape[0]:
+        raise ContractError(f"logits of shape {logits.start_logits.shape} need one "
+                            f"text and one text span per row")
+    if not valid.any(axis=1).all():
         raise DecodeError("no valid position to decode")
-    lp_s = _log_probs(logits.start_logits.data, valid)
-    lp_e = _log_probs(logits.end_logits.data, valid)
+    lp_s = _log_probs(logits.start_logits.data.reshape(valid.shape), valid)
+    lp_e = _log_probs(logits.end_logits.data.reshape(valid.shape), valid)
 
-    # joint pairs: both ends valid and 0 <= e - s < max_span_len, in (s, e) order
-    idx = np.flatnonzero(valid)
-    width = min(cfg.max_span_len, valid.size)
-    band = idx[:, None] + np.arange(width)
-    keep = np.pad(valid, (0, width))[band]
-    s, e = np.broadcast_to(idx[:, None], band.shape)[keep], band[keep]
-    scores = lp_s[s] + lp_e[e]
-    order = np.lexsort((e, s, -scores))
+    # band[b, s, w] scores the pair (s, s + w); ``live`` marks the pairs
+    # with both ends valid, which is every pair a decode may return
+    b, n = valid.shape
+    width = min(cfg.max_span_len, n)
+    tail = (b, width - 1)
+    band = lp_s[:, :, None] + _windows(
+        np.concatenate([lp_e, np.full(tail, -np.inf)], axis=1), n)
+    live = valid[:, :, None] & _windows(
+        np.concatenate([valid, np.zeros(tail, dtype=bool)], axis=1), n)
 
-    first = int(text_span[0])
-    out: list[SpanCandidate] = []
-    seen: set[str] = set()
-    for sc, s_i, e_i in zip(scores[order].tolist(), s[order].tolist(),
-                            e[order].tolist()):
-        txt = text[s_i - first:e_i - first + 1]
-        if txt not in seen:
-            seen.add(txt)
-            out.append(SpanCandidate(start=s_i, end=e_i, score=sc, entity_text=txt))
-            if len(out) == cfg.k:
-                break
+    prefix = _PREFIX * cfg.k
+    floor = np.full(b, -np.inf)
+    if n * width > prefix:
+        neg = -band.reshape(b, -1)
+        neg.partition(prefix - 1, axis=1)
+        floor = -neg[:, prefix - 1]
+    out = _ranked_lists(band, live, floor, texts, firsts, cfg.k)
+    for i, cands in enumerate(out):
+        if cands is None:
+            out[i], = _ranked_lists(band[i:i + 1], live[i:i + 1], np.full(1, -np.inf),
+                                    texts[i:i + 1], firsts[i:i + 1], cfg.k)
+    return out[0] if single else out
+
+
+def _windows(x: np.ndarray, n: int) -> np.ndarray:
+    """Read-only [B, n, W] view of a C-contiguous [B, n + W - 1] array whose
+    window [b, s] is x[b, s:s + W]."""
+    rows, cols = x.shape
+    return as_strided(x, (rows, n, cols - n + 1), x.strides + x.strides[-1:],
+                      writeable=False)
+
+
+def _ranked_lists(band, live, floor, texts, firsts, k):
+    """Each row's first k candidates of distinct text, read from its live
+    pairs scoring at or above ``floor[row]`` in (-score, start, end) order.
+    None for a row that runs out of them before k while it still has live
+    pairs below its floor."""
+    keep = live & (band >= floor[:, None, None])
+    rows, s, w = np.nonzero(keep)
+    scores = band[rows, s, w]
+    e = s + w
+    order = np.lexsort((e, s, -scores, rows))
+    kept = keep.sum(axis=(1, 2))
+    bounds = np.cumsum(kept).tolist()
+    cut = (kept < live.sum(axis=(1, 2))).tolist()
+    scores, s, e = scores[order].tolist(), s[order].tolist(), e[order].tolist()
+    out, lo = [], 0
+    for text, first, hi, partial in zip(texts, firsts, bounds, cut):
+        cands: list[SpanCandidate] = []
+        seen: set[str] = set()
+        for j in range(lo, hi):
+            txt = text[s[j] - first:e[j] - first + 1]
+            if txt not in seen:
+                seen.add(txt)
+                cands.append(SpanCandidate(start=s[j], end=e[j], score=scores[j],
+                                           entity_text=txt))
+                if len(cands) == k:
+                    break
+        out.append(None if partial and len(cands) < k else cands)
+        lo = hi
     return out

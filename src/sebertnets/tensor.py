@@ -10,7 +10,8 @@ owned by the call. Gradients accumulate across calls until ``zero_grad``.
 
 There is no implicit broadcasting: binary ops take equal shapes or a
 scalar operand, and ``add_bias`` is the one explicit trailing-axis
-broadcast, so every backward rule stays auditable.
+broadcast, so every backward rule stays auditable. (The boolean mask of
+``masked_softmax`` may broadcast; it carries no gradient.)
 """
 
 from __future__ import annotations
@@ -166,13 +167,16 @@ def _active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
+def _recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op over ``inputs`` made now goes on a tape."""
+    return _active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def _make(inputs: tuple[Tensor, ...], out_data: np.ndarray,
           backward: Callable[[np.ndarray], tuple]) -> Tensor:
-    requires = any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=requires)
-    tape = _active_tape()
-    if tape is not None and requires:
-        tape._record(_Record(inputs, out, backward))
+    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
+    if _recording(inputs):
+        _active_tape()._record(_Record(inputs, out, backward))
     return out
 
 
@@ -252,7 +256,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes_ok(a, b, "mul")
     va, vb = a.data, b.data
     def bwd(g):
-        return _reduce_to(g * vb, a.shape), _reduce_to(g * va, b.shape)
+        # a constant operand, such as a scale, costs no product or sum
+        return (_reduce_to(g * vb, a.shape) if a.requires_grad else None,
+                _reduce_to(g * va, b.shape) if b.requires_grad else None)
     return _make((a, b), va * vb, bwd)
 
 
@@ -410,17 +416,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def masked_softmax(logits: Tensor, mask) -> Tensor:
-    """Softmax over the trailing axis restricted to ``mask`` (boolean,
-    same shape). Masked positions get probability exactly 0 and receive
-    zero gradient. A row with no live position is an error."""
+    """Softmax over the trailing axis restricted to ``mask``, a boolean
+    array of the same rank that broadcasts to the logits with the same
+    trailing size (a [B, 1, 1, S] key mask serves [B, nh, S, S] scores).
+    The mask enters as an additive 0/-inf term, so masked positions of
+    finite logits get probability exactly 0 and receive zero gradient. A
+    row of the mask with no live position is an error."""
     m = np.asarray(mask, dtype=bool)
-    if m.shape != logits.shape:
-        raise ShapeError(f"masked_softmax: mask {m.shape} does not match logits {logits.shape}")
+    if m.ndim != logits.ndim or m.shape[-1:] != logits.shape[-1:] or any(
+            a not in (1, n) for a, n in zip(m.shape, logits.shape)):
+        raise ShapeError(f"masked_softmax: mask {m.shape} does not broadcast to "
+                         f"logits {logits.shape}")
     if not m.any(axis=-1).all():
         raise DegenerateMaskError("masked_softmax: a row has no unmasked position")
-    v = np.where(m, logits.data, -np.inf)
-    vmax = v.max(axis=-1, keepdims=True)
-    e = np.exp(v - vmax)
+    zero, neg_inf = logits.dtype.type(0), logits.dtype.type(-np.inf)
+    v = logits.data + np.where(m, zero, neg_inf)
+    # out of place: computing in place frees fewer large temporaries, and
+    # glibc then maps each big training array afresh (2x the page faults)
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
     def bwd(g):
         return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)

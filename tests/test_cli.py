@@ -466,3 +466,17 @@ def test_directory_for_a_file_is_usage_error(trained, capsys, flag):
                       "--data", str(trained["dev"]), "--out", str(adir)]}[flag]
     assert console_main(argv) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unusable_checkpoint_target_fails_before_training(trained, capsys, target):
+    """A checkpoint path that cannot be written exits 1 before the log is
+    opened or any epoch runs."""
+    adir = trained["tmp"] / "adir"
+    adir.mkdir()
+    ckpt = {"directory": adir, "missing-parent": adir / "absent" / "m.sebn"}[target]
+    log = trained["tmp"] / "fresh_log.jsonl"
+    assert console_main(["train", "--config", str(trained["cfg"]),
+                         "--checkpoint", str(ckpt), "--log", str(log)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not log.exists()

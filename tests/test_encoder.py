@@ -144,6 +144,7 @@ class TestEncodeOracle:
             assert a.shape == (1, 2, 5, 5)
             np.testing.assert_allclose(a.sum(axis=-1), 1.0, atol=1e-5)
             assert (a[..., 3:] == 0.0).all()
+            assert not a.flags.writeable
 
 
 class TestPaddingInvariance:

@@ -32,7 +32,7 @@ from sebertnets.model import (
     save_checkpoint,
 )
 from sebertnets.optim import AdamState, SgdState, SwatsState, make_state
-from sebertnets.span import decode_top1
+from sebertnets.span import decode_multichannel, decode_top1
 
 MAX_LEN = 40
 
@@ -145,20 +145,25 @@ def test_forward_deterministic_in_eval_mode():
 
 
 def test_predict_ranked_lists():
-    model, _, _, b = build_setup(variant=HSEBERTNETS)
-    recall = model.recall_config(k=3)
-    preds = model.predict(b, recall)
-    logits, _ = model.forward(b)
-    assert len(preds) == len(b)
-    for i, cands in enumerate(preds):
-        assert 1 <= len(cands) <= 3
-        top1 = decode_top1(logits.example(i), b.items[i].text,
-                           b.items[i].text_span, recall)
-        assert (cands[0].start, cands[0].end) == (top1.start, top1.end)
-        scores = [c.score for c in cands]
-        assert scores == sorted(scores, reverse=True)
-        texts = [c.entity_text for c in cands]
-        assert len(set(texts)) == len(texts)
+    """The batched decode in ``predict`` returns, for each row, what the
+    one-example decode of the same forward pass returns."""
+    for variant in (BERT_BASELINE, HSEBERTNETS):
+        model, _, _, b = build_setup(variant=variant)
+        recall = model.recall_config(k=3, max_span_len=4)
+        preds = model.predict(b, recall)
+        logits, _ = model.forward(b)
+        assert len(preds) == len(b)
+        for i, cands in enumerate(preds):
+            assert 1 <= len(cands) <= 3
+            item = b.items[i]
+            assert cands == decode_multichannel(logits.example(i), item.text,
+                                                item.text_span, recall)
+            assert cands[0] == decode_top1(logits.example(i), item.text,
+                                           item.text_span, recall)
+            scores = [c.score for c in cands]
+            assert scores == sorted(scores, reverse=True)
+            texts = [c.entity_text for c in cands]
+            assert len(set(texts)) == len(texts)
 
 
 def test_predict_requires_items():

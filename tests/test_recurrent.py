@@ -1,6 +1,9 @@
 """Recurrent cells vs straight-line fp64 references (bit-level), masked
 bidirectional encoding vs a truncation oracle, and gradient checks."""
 
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -293,6 +296,28 @@ class TestFusedPass:
         assert np.array_equal(got, want)
         # the head's matmul rounds differently on a strided layout
         assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("cell", [R.LSTM, R.GRU])
+    def test_untaped_pass_equals_taped_and_keeps_no_activations(self, cell):
+        rng = np.random.default_rng(45)
+        fwd = make_params(cell, 4, 16, rng, dtype=np.float32)
+        bwd = make_params(cell, 4, 16, rng, dtype=np.float32)
+        seq, mask = ragged_batch(rng, 4, np.float32)
+        seq, mask = np.tile(seq, (1, 8, 1)), np.tile(mask, (1, 8))
+        outs, peaks = [], []
+        for taped in (False, True):
+            tape = T.Tape()
+            tracemalloc.start()
+            with tape if taped else contextlib.nullcontext():
+                outs.append(R.bidirectional_encode(Tensor(seq), mask, fwd, bwd, cell).data)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert bool(len(tape)) == taped
+        assert np.array_equal(outs[0], outs[1])
+        # the taped pass keeps 5 (GRU) or 7 (LSTM) [S, B, H] arrays per
+        # direction, each half the size of the output; the untaped one none
+        acts = (5 if cell == R.GRU else 7) * outs[0].nbytes
+        assert peaks[1] - peaks[0] > 3 * acts // 4
 
     @pytest.mark.parametrize("cell", [R.LSTM, R.GRU])
     def test_ragged_gradients(self, cell):

@@ -81,6 +81,28 @@ def random_decode_case(rng, dtype):
     return lg, text, (int(first), int(last))
 
 
+def random_decode_batch(rng, dtype):
+    """Up to 8 ``random_decode_case`` rows, a fifth of them rounded to
+    partial ties, padded with invalid positions to the longest row."""
+    cases = [random_decode_case(rng, dtype) for _ in range(int(rng.integers(1, 9)))]
+    n = max(lg.valid.size for lg, _, _ in cases)
+
+    def stacked(get, fill):
+        return np.stack([np.concatenate([get(lg), np.full(n - lg.valid.size, fill)])
+                         for lg, _, _ in cases]).astype(get(cases[0][0]).dtype)
+
+    start = stacked(lambda lg: lg.start_logits.data, 50.0)
+    end = stacked(lambda lg: lg.end_logits.data, 50.0)
+    rounded = rng.random(len(cases)) < 0.2
+    start[rounded], end[rounded] = np.round(start[rounded]), np.round(end[rounded])
+    lg = S.SpanLogits(Tensor(start), Tensor(end), stacked(lambda lg: lg.valid, False))
+    return lg, [text for _, text, _ in cases], np.array([span for _, _, span in cases])
+
+
+def as_tuples(cands):
+    return [(c.start, c.end, c.entity_text, c.score.hex()) for c in cands]
+
+
 class TestValidMask:
     def test_layout_arithmetic(self):
         # CLS + 5 text + SEP + 3 type + SEP: text occupies 1..5
@@ -353,6 +375,77 @@ class TestDecodeMultichannel:
             want = reference_ranked(lg.start_logits.data, lg.end_logits.data,
                                     lg.valid, text, span[0], cfg)
             assert [(c.start, c.end, c.entity_text, c.score) for c in got] == want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_matches_loop_reference_exactly(self, dtype, monkeypatch):
+        """Each row of a batched decode is the loop reference's list, score
+        bits included, across ties, widths past the row length, k past the
+        number of distinct texts, and rows whose best pairs repeat texts."""
+        calls = []
+        ranked = S._ranked_lists
+        monkeypatch.setattr(S, "_ranked_lists", lambda *a: calls.append(a) or ranked(*a))
+        rng = np.random.default_rng(9)
+        short = wide = 0
+        for trial in range(120):
+            lg, texts, spans = random_decode_batch(rng, dtype)
+            n = lg.valid.shape[1]
+            cfg = S.RecallConfig(k=int(rng.integers(1, 13)),
+                                 max_span_len=n + 5 if trial % 4 == 0
+                                 else int(rng.integers(1, 9)))
+            got = S.decode_multichannel(lg, texts, spans, cfg)
+            assert len(got) == len(texts)
+            for i, cands in enumerate(got):
+                want = reference_ranked(lg.start_logits.data[i], lg.end_logits.data[i],
+                                        lg.valid[i], texts[i], spans[i][0], cfg)
+                assert as_tuples(cands) == [(s, e, t, sc.hex()) for s, e, t, sc in want]
+                short += len(want) < cfg.k
+            wide += cfg.max_span_len >= n
+        assert len(calls) > 120, "no row needed the full re-sort"
+        assert short and wide
+
+    def test_one_example_and_top1_are_the_batched_rows(self):
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            lg, texts, spans = random_decode_batch(rng, np.float32)
+            cfg = S.RecallConfig(k=4, max_span_len=6)
+            rows = S.decode_multichannel(lg, texts, spans, cfg)
+            tops = S.decode_top1(lg, texts, spans, cfg)
+            for i, text in enumerate(texts):
+                one = S.decode_multichannel(lg.example(i), text, tuple(spans[i]), cfg)
+                assert as_tuples(one) == as_tuples(rows[i])
+                top = S.decode_top1(lg.example(i), text, tuple(spans[i]), cfg)
+                assert as_tuples([top]) == as_tuples([tops[i]]) == as_tuples(one[:1])
+
+    def test_full_resort_finds_texts_below_the_prefix(self, monkeypatch):
+        """Every pair but the two that end on "b" ties, so the tied prefix
+        holds only the texts "a" and "aa"; the full sort finds the rest."""
+        calls = []
+        ranked = S._ranked_lists
+        monkeypatch.setattr(S, "_ranked_lists", lambda *a: calls.append(a) or ranked(*a))
+        n = 30
+        logits = np.zeros(n)
+        logits[-1] = -10.0
+        lg = logits_1d(np.zeros(n), logits, np.ones(n, dtype=bool))
+        text, cfg = "a" * (n - 1) + "b", S.RecallConfig(k=4, max_span_len=2)
+        got = S.decode_multichannel(lg, text, (0, n - 1), cfg)
+        assert [c.entity_text for c in got] == ["a", "aa", "ab", "b"]
+        assert len(calls) == 2
+        want = reference_ranked(np.zeros(n), logits, lg.valid, text, 0, cfg)
+        assert as_tuples(got) == [(s, e, t, sc.hex()) for s, e, t, sc in want]
+
+    def test_batch_needs_one_text_and_span_per_row(self):
+        lg = S.SpanLogits(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))),
+                          np.ones((2, 4), dtype=bool))
+        cfg = S.RecallConfig()
+        with pytest.raises(ContractError):
+            S.decode_multichannel(lg, ["abcd"], np.array([[0, 3], [0, 3]]), cfg)
+        with pytest.raises(ContractError):
+            S.decode_multichannel(lg, "ab", np.array([[0, 1], [0, 1]]), cfg)
+        with pytest.raises(ContractError):
+            S.decode_multichannel(lg, ["abcd", "abcd"], (0, 3), cfg)
+        lg.valid[1] = False
+        with pytest.raises(DecodeError):
+            S.decode_multichannel(lg, ["abcd", "abcd"], np.array([[0, 3], [0, 3]]), cfg)
 
     def test_config_validation(self):
         with pytest.raises(ContractError):

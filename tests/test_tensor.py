@@ -113,6 +113,35 @@ class TestMaskedSoftmax:
         T.backward(tape, loss)
         assert x.grad[0, 1] == 0.0 and x.grad[1, 2] == 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_broadcast_key_mask_equals_full_mask(self, dtype):
+        keys = np.array([[True, False, True, True, False],
+                         [False, False, False, True, True]])
+        x0, w = randn(2, 3, 4, 5).astype(dtype), randn(2, 3, 4, 5).astype(dtype)
+        outs = []
+        for mask in (keys[:, None, None, :], np.broadcast_to(keys[:, None, None, :],
+                                                             (2, 3, 4, 5)).copy()):
+            x = T.Tensor(x0.copy(), requires_grad=True)
+            with T.Tape() as tape:
+                p = T.masked_softmax(x, mask)
+                loss = T.sum_all(T.mul(p, T.Tensor(w)))
+            T.backward(tape, loss)
+            outs.append((p.data, x.grad))
+        (p1, g1), (p2, g2) = outs
+        assert p1.dtype == g1.dtype == dtype
+        assert np.array_equal(p1, p2) and np.array_equal(g1, g2)
+        assert (p1[0, ..., 1] == 0.0).all() and (g1[1, ..., :3] == 0.0).all()
+
+    def test_degenerate_broadcast_row_raises(self):
+        mask = np.array([True, False, True, False, False, False]).reshape(2, 1, 3)
+        with pytest.raises(DegenerateMaskError):
+            T.masked_softmax(T.Tensor(np.zeros((2, 4, 3))), mask)
+
+    @pytest.mark.parametrize("shape", [(2, 1, 4), (2, 3), (3, 1, 3), (1, 2, 1, 3)])
+    def test_mask_that_does_not_broadcast_raises(self, shape):
+        with pytest.raises(ShapeError):
+            T.masked_softmax(T.Tensor(np.zeros((2, 4, 3))), np.ones(shape, dtype=bool))
+
 
 class TestCrossEntropy:
     def test_uniform_gives_log_v(self):
