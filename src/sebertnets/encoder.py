@@ -3,8 +3,10 @@ embeddings, multi-head self-attention with padding-key masking, and a
 position-wise feed-forward block, each followed by residual + layer norm.
 
 Trained from scratch on the span objective; there is no pretraining.
-Attention weights of every layer and head are returned for inspection,
-uncopied and read-only.
+A pass given an ``rng`` is a training pass: dropout follows the
+embedding and each attention and feed-forward block. Attention weights
+of every layer and head are returned for inspection, uncopied and
+read-only.
 """
 
 from __future__ import annotations
@@ -99,16 +101,10 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator,
     return p
 
 
-def _check_train_args(cfg, train, rng):
-    if train and cfg.dropout_rate > 0.0 and rng is None:
-        raise ContractError("training with dropout needs an rng")
-
-
 def embed(token_ids, segment_ids, params: dict[str, Tensor], cfg: EncoderConfig,
-          *, train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+          *, rng: np.random.Generator | None = None) -> Tensor:
     """Token + learned position + segment embedding, layer-normed.
-    Inputs are [B, S] integer arrays."""
-    _check_train_args(cfg, train, rng)
+    Inputs are [B, S] integer arrays. With an ``rng``, dropout follows."""
     ids = np.asarray(token_ids)
     segs = np.asarray(segment_ids)
     if ids.ndim != 2 or segs.shape != ids.shape:
@@ -122,7 +118,7 @@ def embed(token_ids, segment_ids, params: dict[str, Tensor], cfg: EncoderConfig,
                     T.embedding_lookup(params["pos_emb"], positions)),
               T.embedding_lookup(params["seg_emb"], segs))
     x = T.layer_norm(x, params["emb_ln.gain"], params["emb_ln.bias"])
-    if train and cfg.dropout_rate > 0.0:
+    if rng is not None:
         x = T.dropout(x, cfg.dropout_rate, rng)
     return x
 
@@ -147,14 +143,14 @@ def _attention(x: Tensor, mask: np.ndarray, params, pre: str, cfg: EncoderConfig
 
 
 def encode(token_ids, segment_ids, attention_mask, params: dict[str, Tensor],
-           cfg: EncoderConfig, *, train: bool = False,
+           cfg: EncoderConfig, *,
            rng: np.random.Generator | None = None) -> EncoderOutput:
     """Full encoder pass over a batch. ``attention_mask`` is [B, S] bool;
     padded positions are excluded as attention keys, so real positions
-    are unaffected by padding."""
-    _check_train_args(cfg, train, rng)
+    are unaffected by padding. Dropout runs exactly when an ``rng`` is
+    given: that is a training pass."""
     mask = np.asarray(attention_mask, dtype=bool)
-    x = embed(token_ids, segment_ids, params, cfg, train=train, rng=rng)
+    x = embed(token_ids, segment_ids, params, cfg, rng=rng)
     if mask.shape != x.shape[:2]:
         raise ShapeError(f"attention mask {mask.shape} does not match ids {x.shape[:2]}")
     act = _ACTIVATIONS[cfg.activation]
@@ -164,7 +160,7 @@ def encode(token_ids, segment_ids, attention_mask, params: dict[str, Tensor],
         pre = f"layer{i}."
         attn_out, weights = _attention(x, mask, params, pre, cfg)
         attentions.append(weights)
-        if train and drop > 0.0:
+        if rng is not None:
             attn_out = T.dropout(attn_out, drop, rng)
         x = T.layer_norm(T.add(x, attn_out),
                          params[pre + "attn_ln.gain"], params[pre + "attn_ln.bias"])
@@ -172,7 +168,7 @@ def encode(token_ids, segment_ids, attention_mask, params: dict[str, Tensor],
                                                 params[pre + "ffn.b1"])),
                                  params[pre + "ffn.w2"]),
                         params[pre + "ffn.b2"])
-        if train and drop > 0.0:
+        if rng is not None:
             ff = T.dropout(ff, drop, rng)
         x = T.layer_norm(T.add(x, ff),
                          params[pre + "ffn_ln.gain"], params[pre + "ffn_ln.bias"])

@@ -139,17 +139,17 @@ class Model:
 
     # ------------------------------------------------------------ forward
 
-    def forward(self, batch: Batch, *, train: bool = False,
-                rng: np.random.Generator | None = None
+    def forward(self, batch: Batch, *, rng: np.random.Generator | None = None
                 ) -> tuple[SpanLogits, list[np.ndarray]]:
-        """Span logits for a batch plus per-layer attention weights."""
+        """Span logits for a batch plus per-layer attention weights. With
+        an ``rng`` the pass is a training pass: dropout runs."""
         if int(batch.token_ids.max(initial=0)) >= self.enc_cfg.vocab_size:
             raise CompatibilityError(
                 f"batch holds token id {int(batch.token_ids.max())} but the "
                 f"model vocabulary has {self.enc_cfg.vocab_size} entries"
             )
         enc = encode(batch.token_ids, batch.segment_ids, batch.attention_mask,
-                     self.encoder_params, self.enc_cfg, train=train, rng=rng)
+                     self.encoder_params, self.enc_cfg, rng=rng)
         h = enc.hidden
         if self.cfg.recurrent:
             h = bidirectional_encode(h, batch.attention_mask,
@@ -172,7 +172,7 @@ class Model:
             raise ContractError("batch lacks per-example items; build it with "
                                 "data.batch() to predict")
         cfg = recall if recall is not None else self.recall_config()
-        logits, _ = self.forward(batch, train=False)
+        logits, _ = self.forward(batch)
         return decode_multichannel(logits, [item.text for item in batch.items],
                                    batch.text_spans, cfg)
 
@@ -189,7 +189,7 @@ class Model:
         params = self.parameters()
         zero_grads(params.values())
         with Tape() as tape:
-            logits, _ = self.forward(batch, train=True, rng=rng)
+            logits, _ = self.forward(batch, rng=rng)
             loss = span_loss(logits, golds)
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):

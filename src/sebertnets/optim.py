@@ -84,24 +84,28 @@ class SwatsState:
         return self.adam.k
 
 
-def _check_finite(name: str, g: np.ndarray) -> None:
-    if not np.isfinite(g).all():
-        raise DivergenceError(f"gradient of {name!r} is not finite")
+def _checked(params: dict[str, Tensor], grads: dict[str, np.ndarray]):
+    """``(name, param, gradient)`` for every param, once every gradient
+    is known to be finite: a rejected step changes no state."""
+    steps = [(name, p, np.asarray(grads[name])) for name, p in params.items()]
+    for name, _, g in steps:
+        if not np.isfinite(g).all():
+            raise DivergenceError(f"gradient of {name!r} is not finite")
+    return steps
 
 
 def _adam_apply(params: dict[str, Tensor], grads: dict[str, np.ndarray],
                 st: AdamState) -> dict[str, np.ndarray]:
     """One Adam update on every param, in place; returns the applied
     deltas. Moment buffers are created as zeros on first touch."""
+    steps = _checked(params, grads)
     st.k += 1
     k = st.k
     b1, b2 = st.beta1, st.beta2
     bc1 = 1.0 - b1 ** k
     bc2 = 1.0 - b2 ** k
     deltas: dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        g = np.asarray(grads[name])
-        _check_finite(name, g)
+    for name, p, g in steps:
         m = st.m.get(name)
         v = st.v.get(name)
         if m is None:
@@ -119,9 +123,7 @@ def _adam_apply(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 
 def _sgd_apply(params: dict[str, Tensor], grads: dict[str, np.ndarray],
                lr: float) -> None:
-    for name, p in params.items():
-        g = np.asarray(grads[name])
-        _check_finite(name, g)
+    for _, p, g in _checked(params, grads):
         p.data = p.data - lr * g
 
 
@@ -228,9 +230,8 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     leaves the gradients as they are."""
     total = 0.0
     for g in grads.values():
-        ga = np.asarray(g)
-        total += float(np.dot(ga.ravel().astype(np.float64),
-                              ga.ravel().astype(np.float64)))
+        g64 = np.asarray(g).ravel().astype(np.float64)
+        total += float(np.dot(g64, g64))
     norm = float(np.sqrt(total))
     if norm > max_norm and 0.0 < norm < math.inf:
         scale = max_norm / norm

@@ -11,10 +11,11 @@ row, which makes running over a padded sequence provably equivalent to
 running over the truncated one.
 
 ``_step`` holds the gate equations once. ``lstm_step`` and ``gru_step``
-record one step of it on the tape; ``bidirectional_encode`` records each
-direction as a single tape op whose backward is hand-written BPTT, with
-the weight gradients formed after the sweep as one GEMM over all
-timesteps (Appleyard et al., arXiv:1604.01946).
+record one step of it on the tape; ``bidirectional_encode`` records the
+whole layer, both directions, as a single tape op whose backward is
+hand-written BPTT per direction, with the weight gradients formed after
+the sweep as one GEMM over all timesteps (Appleyard et al.,
+arXiv:1604.01946).
 """
 
 from __future__ import annotations
@@ -215,37 +216,32 @@ def gru_step(l_t: Tensor, prev_h: Tensor, p: RecurrentParams) -> Tensor:
     return _step_op(l_t, prev_h, None, p)[0]
 
 
-def _directional_pass(seq: Tensor, mask: np.ndarray, p: RecurrentParams,
-                      reverse: bool) -> Tensor:
-    """One direction over [B, S, d] as one tape op: [B, S, H] states,
-    zero at masked steps, where the carried state is frozen.
+def _sweep(p: RecurrentParams, x: np.ndarray, keep: np.ndarray,
+           keep_f: np.ndarray, reverse: bool, out: np.ndarray, record: bool):
+    """One direction's forward sweep over time-major ``x`` [S, B, d]:
+    writes the [S, B, H] states into ``out``, zero at masked steps, where
+    the carried state is frozen. Returns the direction's BPTT, a function
+    from the [S, B, H] output gradient to ``d x`` and the weight
+    gradients.
 
-    When a tape records the op, the forward sweep keeps each step's
-    ``_step`` activations; outside a tape it keeps none. The backward
-    sweep (BPTT) runs only the recurrent ``dh @ U.T`` products per step
-    and collects the gate pre-activation gradients, from which
-    ``_param_grads`` forms the input and weight gradients over all B*S
-    rows at once.
+    When ``record`` is set the sweep keeps each step's ``_step``
+    activations; otherwise it keeps none. The BPTT runs only the
+    recurrent ``dh @ U.T`` products per step and collects the gate
+    pre-activation gradients, from which ``_param_grads`` forms the input
+    and weight gradients over all B*S rows at once.
     """
     cell = p.cell
     w = {k: t.data for k, t in p.weights.items()}
-    # time-major copies keep every per-step slice contiguous
-    x = np.ascontiguousarray(seq.data.transpose(1, 0, 2))
-    keep = mask.T[:, :, None]
-    keep_f = keep.astype(x.dtype)
     s, b, _ = x.shape
     h = np.zeros((b, p.hidden_size), dtype=x.dtype)
     c = np.zeros_like(h) if cell == LSTM else None
     steps = range(s - 1, -1, -1) if reverse else range(s)
-    out = np.empty((s, b, p.hidden_size), dtype=x.dtype)
-    inputs = (seq, *p.weights.values())
-    record = T._recording(inputs)
     saved = None
     for t in steps:
         h_new, c_new, acts = _step(cell, w, x[t], h, c)
         if record:
             if saved is None:
-                saved = [np.empty_like(out) for _ in acts]
+                saved = [np.empty(out.shape, dtype=x.dtype) for _ in acts]
             for buf, a in zip(saved, acts):
                 buf[t] = a
         h = np.where(keep[t], h_new, h)
@@ -253,8 +249,7 @@ def _directional_pass(seq: Tensor, mask: np.ndarray, p: RecurrentParams,
             c = np.where(keep[t], c_new, c)
         out[t] = h * keep_f[t]
 
-    def backward(dy):
-        dy = dy.transpose(1, 0, 2) * keep_f
+    def bptt(dy):
         local = _local(cell, saved)
         u_t = np.ascontiguousarray(_cat(w, "u", cell).T)
         dh = np.zeros_like(h)
@@ -270,10 +265,9 @@ def _directional_pass(seq: Tensor, mask: np.ndarray, p: RecurrentParams,
             if dc is not None:
                 dc = np.where(k, dc_prev, dc)
         dx, grads = _param_grads(cell, w, x, saved, d_pre)
-        return (np.ascontiguousarray(dx.transpose(1, 0, 2)), *(grads[k] for k in w))
+        return dx, [grads[k] for k in w]
 
-    # batch-major and C-contiguous, as the layers after it expect
-    return T._make(inputs, np.ascontiguousarray(out.transpose(1, 0, 2)), backward)
+    return bptt
 
 
 def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
@@ -283,26 +277,46 @@ def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
 
     ``seq`` is [seq_len, d] or batched [B, seq_len, d]; ``mask`` is a
     boolean array of matching leading shape. Output rows at masked
-    positions are zero.
+    positions are zero. The whole layer is one tape op: both sweeps read
+    one time-major copy of ``seq`` and write the two halves of one
+    output, and the backward returns the sum of the two directions'
+    input gradients.
     """
     _gates_for(cell)
     if fwd.cell != cell or bwd.cell != cell:
         raise ContractError(f"cell {cell!r} does not match params "
                             f"({fwd.cell!r}, {bwd.cell!r})")
     m = np.asarray(mask, dtype=bool)
-    single = seq.ndim == 2
-    if single:
-        seq = T.reshape(seq, (1,) + seq.shape)
+    data = seq.data
+    if seq.ndim == 2:
+        data = data.reshape((1,) + seq.shape)
         m = m.reshape(1, -1)
-    if seq.ndim != 3:
+    if data.ndim != 3:
         raise ShapeError(f"seq must be 2-D or 3-D, got shape {seq.shape}")
-    if m.shape != seq.shape[:2]:
-        raise ShapeError(f"mask shape {m.shape} does not match sequence {seq.shape[:2]}")
+    if m.shape != data.shape[:2]:
+        raise ShapeError(f"mask shape {m.shape} does not match sequence {data.shape[:2]}")
     if not m.any(axis=1).all():
         raise DegenerateMaskError("bidirectional_encode: a sequence is fully masked")
 
-    full = T.concat([_directional_pass(seq, m, fwd, reverse=False),
-                     _directional_pass(seq, m, bwd, reverse=True)], axis=-1)
-    if single:
-        return T.reshape(full, full.shape[1:])
-    return full
+    # time-major: every per-step slice is contiguous
+    x = np.ascontiguousarray(data.transpose(1, 0, 2))
+    keep = m.T[:, :, None]
+    keep_f = keep.astype(x.dtype)
+    s, b, _ = x.shape
+    hf = fwd.hidden_size
+    out = np.empty((s, b, hf + bwd.hidden_size), dtype=x.dtype)
+    inputs = (seq, *fwd.weights.values(), *bwd.weights.values())
+    record = T._recording(inputs)
+    sweeps = (_sweep(fwd, x, keep, keep_f, False, out[..., :hf], record),
+              _sweep(bwd, x, keep, keep_f, True, out[..., hf:], record))
+
+    def backward(dy):
+        dy = dy.reshape(b, s, -1).transpose(1, 0, 2) * keep_f
+        dx_f, g_f = sweeps[0](dy[..., :hf])
+        dx_b, g_b = sweeps[1](dy[..., hf:])
+        dx = np.ascontiguousarray((dx_b + dx_f).transpose(1, 0, 2))
+        return (dx.reshape(seq.shape), *g_f, *g_b)
+
+    # batch-major and C-contiguous, as the layers after it expect
+    y = np.ascontiguousarray(out.transpose(1, 0, 2))
+    return T._make(inputs, y.reshape(seq.shape[:-1] + (-1,)), backward)

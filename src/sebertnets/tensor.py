@@ -341,24 +341,6 @@ def gelu(x: Tensor) -> Tensor:
     return _make((x,), out, bwd)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    if not tensors:
-        raise ContractError("concat of an empty sequence")
-    parts = [t.data for t in tensors]
-    ref = parts[0].shape
-    ax = axis % parts[0].ndim
-    for p in parts[1:]:
-        if p.ndim != parts[0].ndim or any(
-                i != ax and p.shape[i] != ref[i] for i in range(p.ndim)):
-            raise ShapeError(f"concat: shapes {[q.shape for q in parts]} differ off axis {axis}")
-    sizes = [p.shape[ax] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-    def bwd(g):
-        return tuple(np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=ax)
-                     for i in range(len(parts)))
-    return _make(tuple(tensors), np.concatenate(parts, axis=ax), bwd)
-
-
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     old = x.shape
     out = np.reshape(x.data, shape)

@@ -120,7 +120,6 @@ def _primitive_trials(rng):
 
     w_b = n((2, 3, 4))
     w_m1, w_m2, w_m3 = n(3), n((4, 2)), n((2, 3, 3))
-    w_cat = n((2, 5))
     w_rsh, w_tr = n((3, 4)), n((4, 2, 3))
     w_emb, w_ln, w_sm = n((2, 3, 4)), n((3, 5)), n((3, 6))
 
@@ -141,8 +140,6 @@ def _primitive_trials(rng):
         "relu": (lambda x: _weighted(T.relu(x), w34),
                  [_away_from_zero(n((3, 4)))]),
         "gelu": (lambda x: _weighted(T.gelu(x), w34), [n((3, 4))]),
-        "concat": (lambda a, b: _weighted(T.concat([a, b], axis=-1), w_cat),
-                   [n((2, 3)), n((2, 2))]),
         "reshape": (lambda x: _weighted(T.reshape(x, (3, 4)), w_rsh), [n((2, 6))]),
         "transpose": (lambda x: _weighted(T.transpose(x, (2, 0, 1)), w_tr),
                       [n((2, 3, 4))]),

@@ -189,25 +189,17 @@ class TestDropoutModes:
         b = E.encode(ids, np.zeros_like(ids), mask, p, cfg).hidden.data
         np.testing.assert_array_equal(a, b)
 
-    def test_train_needs_rng(self):
-        cfg = small_cfg(dropout_rate=0.3)
-        p = fp64_params(cfg)
-        ids = np.array([[1, 2]])
-        with pytest.raises(ContractError):
-            E.encode(ids, np.zeros_like(ids), np.ones((1, 2), dtype=bool),
-                     p, cfg, train=True)
-
     def test_train_dropout_seeded(self):
         cfg = small_cfg(dropout_rate=0.3)
         p = fp64_params(cfg)
         ids = np.array([[1, 2, 3]])
         mask = np.ones((1, 3), dtype=bool)
         segs = np.zeros_like(ids)
-        a = E.encode(ids, segs, mask, p, cfg, train=True,
+        a = E.encode(ids, segs, mask, p, cfg,
                      rng=np.random.default_rng(5)).hidden.data
-        b = E.encode(ids, segs, mask, p, cfg, train=True,
+        b = E.encode(ids, segs, mask, p, cfg,
                      rng=np.random.default_rng(5)).hidden.data
-        c = E.encode(ids, segs, mask, p, cfg, train=True,
+        c = E.encode(ids, segs, mask, p, cfg,
                      rng=np.random.default_rng(6)).hidden.data
         np.testing.assert_array_equal(a, b)
         assert np.abs(a - c).max() > 0

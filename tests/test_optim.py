@@ -6,6 +6,8 @@ frozen as constants so a regression in either the kernel arithmetic or
 the switch rule shows up as a changed step index or rate.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,27 @@ def test_adam_rejects_nonfinite_gradient():
         adam_step({"p": p}, {"p": np.array([1.0, np.nan])}, st)
     with pytest.raises(DivergenceError):
         adam_step({"p": p}, {"p": np.array([np.inf, 0.0])}, st)
+
+
+@pytest.mark.parametrize("make", [
+    AdamState,
+    lambda: SgdState(lr=0.1),
+    SwatsState,
+    lambda: SwatsState(phase="sgd", sgd_lr=0.1),
+], ids=["adam", "sgd", "swats-adam-phase", "swats-sgd-phase"])
+def test_rejected_step_changes_no_state(make):
+    # the bad gradient is the second one: the first param must not move
+    # and no step count, moment or SWATS estimate may change either
+    rng = np.random.default_rng(8)
+    params = make_params(rng, [(3,), (2, 2)])
+    st = make()
+    apply_step(params, {n: rng.standard_normal(p.shape) for n, p in params.items()}, st)
+    grads = {n: rng.standard_normal(p.shape) for n, p in params.items()}
+    grads["p1"][1, 0] = np.nan
+    before = pickle.dumps((params, st))
+    with pytest.raises(DivergenceError, match="p1"):
+        apply_step(params, grads, st)
+    assert pickle.dumps((params, st)) == before
 
 
 # ----------------------------------------------------------------- SGD

@@ -381,3 +381,16 @@ class TestFusedPass:
                 R.bidirectional_encode(seq, np.ones((2, s), dtype=bool), fwd, bwd, cell)
             lengths.append(len(tape))
         assert lengths[0] == lengths[1]
+
+    @pytest.mark.parametrize("cell", [R.LSTM, R.GRU])
+    @pytest.mark.parametrize("shape", [(2, 5, 3), (5, 3)], ids=["3d", "2d"])
+    def test_whole_layer_is_one_tape_op(self, cell, shape):
+        rng = np.random.default_rng(47)
+        fwd = make_params(cell, 3, 2, rng)
+        bwd = make_params(cell, 3, 2, rng)
+        seq = Tensor(rng.standard_normal(shape), requires_grad=True)
+        with T.Tape() as tape:
+            out = R.bidirectional_encode(seq, np.ones(shape[:-1], dtype=bool),
+                                         fwd, bwd, cell)
+        assert len(tape) == 1
+        assert out.shape == shape[:-1] + (4,)

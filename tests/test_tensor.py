@@ -72,12 +72,6 @@ class TestForwardValues:
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-12)
         np.testing.assert_allclose((out ** 2).mean(axis=-1), 1.0, atol=1e-4)
 
-    def test_concat_and_split_back(self):
-        a, b = T.Tensor(randn(2, 3)), T.Tensor(randn(2, 5))
-        out = T.concat([a, b], axis=-1)
-        assert out.shape == (2, 8)
-        np.testing.assert_array_equal(out.data[:, :3], a.data)
-
     def test_item_requires_scalar(self):
         with pytest.raises(ContractError):
             T.Tensor([1.0, 2.0]).item()
@@ -276,10 +270,6 @@ class TestGradientsAgainstFiniteDifferences:
         check_grads(lambda t: T.sum_all(T.tanh(t)), [x])
         check_grads(lambda t: T.sum_all(T.relu(t)), [x])
         check_grads(lambda t: T.sum_all(T.gelu(t)), [x])
-
-    def test_concat(self):
-        check_grads(lambda a, b: T.sum_all(T.tanh(T.concat([a, b], axis=-1))),
-                    [randn(2, 3), randn(2, 2)])
 
     def test_reshape_transpose(self):
         def build(x):
