@@ -141,8 +141,8 @@ class RunConfig:
             raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise UsageError(f"epochs must be >= 0, got {self.epochs}")
-        if self.lr < 0.0:
-            raise UsageError(f"lr must be >= 0, got {self.lr}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         try:
             self.encoder_config()
             self.model_config()

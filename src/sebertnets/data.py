@@ -345,17 +345,25 @@ EVENT_CUES: dict[str, str] = {
 }
 _NAME_CHARS = "安邦晨达恒鸿嘉金凯隆茂宁鹏荣盛泰腾威鑫雅永源"
 _FILLER_CHARS = "今日公告称将于近期完成相关事项并持续推进中已据悉"
+_NAME_LEN = (2, 3)
+# An example draws names until it holds its golds (at most 3) and its
+# distractors, none a substring of another. Each accepted name rules out at
+# most 37 of the 20*19*18 = 6,840 three-char names, and half the draws are
+# three chars. With at most 98 names accepted, a draw succeeds with chance
+# above 0.5 * (6840 - 37*98) / 6840 > 0.2.
+MAX_DISTRACTORS = 96
 
 
 @dataclass
 class SynthConfig:
     """Knobs for the generator. ``multi_entity_fraction`` of examples get
-    2-3 gold entities (the cue repeats); the rest get exactly one."""
+    2-3 gold entities (the cue repeats); the rest get exactly one.
+    ``max_distractors`` is at most ``MAX_DISTRACTORS`` (96), a bound at
+    which every example surely finds its distinct names."""
     n_examples: int = 1000
     multi_entity_fraction: float = 0.0
     min_distractors: int = 1
     max_distractors: int = 2
-    name_len: tuple[int, int] = (2, 3)
     filler_len: tuple[int, int] = (2, 4)
 
     def __post_init__(self):
@@ -364,8 +372,9 @@ class SynthConfig:
         if not 0.0 <= self.multi_entity_fraction <= 1.0:
             raise ContractError(
                 f"multi_entity_fraction must be in [0, 1], got {self.multi_entity_fraction}")
-        if not 0 <= self.min_distractors <= self.max_distractors:
-            raise ContractError("distractor bounds must satisfy 0 <= min <= max")
+        if not 0 <= self.min_distractors <= self.max_distractors <= MAX_DISTRACTORS:
+            raise ContractError(f"distractor bounds must satisfy 0 <= min <= max <= "
+                                f"{MAX_DISTRACTORS}")
 
 
 def _sample_name(rng: np.random.Generator, lo: int, hi: int) -> str:
@@ -397,7 +406,7 @@ def generate_synthetic(cfg: SynthConfig, seed: int) -> list[RawExample]:
         # first occurrence of a gold is always its own slot
         names: list[str] = []
         while len(names) < n_gold + n_distract:
-            cand = _sample_name(rng, *cfg.name_len)
+            cand = _sample_name(rng, *_NAME_LEN)
             if all(cand not in n and n not in cand for n in names):
                 names.append(cand)
 

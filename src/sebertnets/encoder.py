@@ -75,7 +75,8 @@ def _linear_init(rng, fan_in, fan_out, dtype):
 def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator,
                         dtype=np.float32) -> dict[str, Tensor]:
     """Fresh parameter dict: embeddings uniform in [-0.05, 0.05], linear
-    maps fan-in scaled uniform, biases zero, layer-norm gain one."""
+    maps fan-in scaled uniform, biases zero, layer-norm gain one. The key
+    projection has no bias: the softmax over keys would cancel it."""
     d = cfg.d_model
     p: dict[str, Tensor] = {
         "tok_emb": _uniform(rng, (cfg.vocab_size, d), 0.05, dtype),
@@ -86,10 +87,11 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator,
     }
     for i in range(cfg.n_layers):
         pre = f"layer{i}."
-        for name in ("wq", "wk", "wv", "wo"):
-            p[pre + "attn." + name] = _linear_init(rng, d, d, dtype)
-            p[pre + "attn.b" + name[1]] = Tensor(np.zeros(d, dtype=dtype),
-                                                 requires_grad=True)
+        for name in ("q", "k", "v", "o"):
+            p[pre + "attn.w" + name] = _linear_init(rng, d, d, dtype)
+            if name != "k":
+                p[pre + "attn.b" + name] = Tensor(np.zeros(d, dtype=dtype),
+                                                  requires_grad=True)
         p[pre + "attn_ln.gain"] = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
         p[pre + "attn_ln.bias"] = Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
         p[pre + "ffn.w1"] = _linear_init(rng, d, cfg.d_ff, dtype)
@@ -128,8 +130,9 @@ def _attention(x: Tensor, mask: np.ndarray, params, pre: str, cfg: EncoderConfig
     nh, dh = cfg.n_heads, cfg.d_head
 
     def heads(name):
-        proj = T.add_bias(T.matmul(x, params[pre + "attn.w" + name]),
-                          params[pre + "attn.b" + name])
+        proj = T.matmul(x, params[pre + "attn.w" + name])
+        if name != "k":
+            proj = T.add_bias(proj, params[pre + "attn.b" + name])
         return T.transpose(T.reshape(proj, (b, s, nh, dh)), (0, 2, 1, 3))
 
     q, k, v = heads("q"), heads("k"), heads("v")

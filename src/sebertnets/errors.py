@@ -46,7 +46,8 @@ class GoldNotFoundError(SebertNetsError):
 
 
 class DecodeError(SebertNetsError):
-    """No valid span candidate exists for an example."""
+    """No valid span candidate exists for an example, or its scores are
+    not finite."""
 
 
 class DivergenceError(SebertNetsError):

@@ -10,7 +10,7 @@ an accepted name so that checkpoints and configs that store it load.
 Checkpoint file layout::
 
     bytes 0..3    magic b"SEBN"
-    bytes 4..7    format version, u32 little-endian (currently 1)
+    bytes 4..7    format version, u32 little-endian (currently 2)
     bytes 8..11   metadata byte length, u32 little-endian
     metadata      UTF-8 JSON: model/encoder configs, vocabulary,
                   parameter directory (name, shape, offset, nbytes),
@@ -21,6 +21,12 @@ Checkpoint file layout::
 
 Optimizer moment buffers ride along as directory entries named
 ``optim.m.<param>`` / ``optim.v.<param>`` so training resumes exactly.
+
+Version 1 also stored ``head.b_start``, ``head.b_end`` and every
+``encoder.layer<i>.attn.bk``, with their moments. A softmax cancels these
+biases, so their gradient is zero and version 2 has no such parameter. A
+version-1 file loads with those entries dropped; in a version-2 file they
+are stray entries.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -63,7 +70,9 @@ VARIANTS = (BERT_BASELINE, SEBERTNETS, HSEBERTNETS)
 _RECURRENT = (SEBERTNETS, HSEBERTNETS)
 
 MAGIC = b"SEBN"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# the version-1 entries of parameters that version 2 dropped
+_V1_ONLY = re.compile(r"(optim\.[mv]\.)?(head\.b_(start|end)|encoder\.layer\d+\.attn\.bk)")
 CLIP_NORM = 5.0
 # checkpoint metadata sections and the JSON type each must have
 _SECTIONS = {"model": dict, "encoder": dict, "vocab": dict, "training": dict,
@@ -267,7 +276,7 @@ def save_checkpoint(model: Model, path, optimizer_state=None) -> None:
         raise
 
 
-def _read_meta(blob: bytes) -> tuple[dict, int]:
+def _read_meta(blob: bytes) -> tuple[dict, int, int]:
     if len(blob) < 12:
         raise CheckpointError("file shorter than the 12-byte header",
                               offset=len(blob))
@@ -275,9 +284,9 @@ def _read_meta(blob: bytes) -> tuple[dict, int]:
         raise CheckpointError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}",
                               offset=0)
     version, meta_len = struct.unpack("<II", blob[4:12])
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise CheckpointError(
-            f"unsupported format version {version}, expected {FORMAT_VERSION}",
+            f"unsupported format version {version}, expected 1 or {FORMAT_VERSION}",
             offset=4)
     if 12 + meta_len > len(blob):
         raise CheckpointError(
@@ -292,7 +301,7 @@ def _read_meta(blob: bytes) -> tuple[dict, int]:
         if not isinstance(meta, dict) or not isinstance(meta.get(key), kind):
             raise CheckpointError(f"metadata lacks the {key!r} section as a "
                                   f"{kind.__name__}", offset=12)
-    return meta, meta_len
+    return meta, meta_len, version
 
 
 def _is_count(value) -> bool:
@@ -357,7 +366,7 @@ def load_checkpoint(path) -> tuple[Model, object | None]:
     """Rebuild the stored model (and optimizer state, if stored) from ``path``."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    meta, meta_len = _read_meta(blob)
+    meta, meta_len, version = _read_meta(blob)
 
     directory = meta["params"]
     base = 12 + meta_len
@@ -396,6 +405,8 @@ def load_checkpoint(path) -> tuple[Model, object | None]:
             entry["shape"]).copy()
     if len(arrays) != len(directory):
         raise CheckpointError("directory repeats a parameter name", offset=12)
+    if version == 1:
+        arrays = {name: a for name, a in arrays.items() if not _V1_ONLY.fullmatch(name)}
 
     try:
         return _rebuild(meta, arrays)

@@ -47,6 +47,11 @@ def _read_scalars(cls, meta: dict) -> dict:
     return out
 
 
+def _check_rate(name: str, value: float) -> None:
+    if not 0.0 <= value < math.inf:
+        raise ContractError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 @dataclass
 class AdamState:
     lr: float = 1e-3
@@ -60,6 +65,9 @@ class AdamState:
     kind = "adam"
     phase = ADAM_PHASE
 
+    def __post_init__(self):
+        _check_rate("lr", self.lr)
+
 
 @dataclass
 class SgdState:
@@ -67,6 +75,9 @@ class SgdState:
 
     kind = "sgd"
     phase = SGD_PHASE
+
+    def __post_init__(self):
+        _check_rate("lr", self.lr)
 
 
 @dataclass
@@ -78,6 +89,9 @@ class SwatsState:
     sgd_lr: float | None = None  # Lambda, fixed at the switch
 
     kind = "swats"
+
+    def __post_init__(self):
+        _check_rate("eps_switch", self.eps_switch)
 
     @property
     def k(self) -> int:

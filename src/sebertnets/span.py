@@ -88,17 +88,17 @@ def valid_mask(length: int, text_span) -> np.ndarray:
 
 def init_head_params(width: int, rng: np.random.Generator,
                      dtype=np.float32) -> dict[str, Tensor]:
+    """Start and end scoring vectors, fan-in scaled uniform, with no bias:
+    the softmax over positions would cancel it."""
     bound = 1.0 / math.sqrt(width)
     def w():
         return Tensor(rng.uniform(-bound, bound, (width, 1)).astype(dtype),
                       requires_grad=True)
-    def b():
-        return Tensor(np.zeros(1, dtype=dtype), requires_grad=True)
-    return {"w_start": w(), "b_start": b(), "w_end": w(), "b_end": b()}
+    return {"w_start": w(), "w_end": w()}
 
 
 def score(h: Tensor, params: dict[str, Tensor], valid: np.ndarray) -> SpanLogits:
-    """Apply the two affine position scorers to [.., S, width] states."""
+    """Apply the two linear position scorers to [.., S, width] states."""
     if h.ndim not in (2, 3):
         raise ShapeError(f"span head input must be [S, width] or [B, S, width], "
                          f"got shape {h.shape}")
@@ -106,10 +106,9 @@ def score(h: Tensor, params: dict[str, Tensor], valid: np.ndarray) -> SpanLogits
     if h.shape[-1] != width:
         raise ShapeError(f"span head width {width} does not match input {h.shape}")
     lead = h.shape[:-1]
-    def affine(which):
-        out = T.add_bias(T.matmul(h, params[f"w_{which}"]), params[f"b_{which}"])
-        return T.reshape(out, lead)
-    return SpanLogits(affine("start"), affine("end"), np.asarray(valid, dtype=bool))
+    def linear(which):
+        return T.reshape(T.matmul(h, params[f"w_{which}"]), lead)
+    return SpanLogits(linear("start"), linear("end"), np.asarray(valid, dtype=bool))
 
 
 def span_loss(logits: SpanLogits, gold) -> Tensor:
@@ -157,7 +156,8 @@ def decode_multichannel(logits: SpanLogits, text, text_span, cfg: RecallConfig):
     [B, S, W] band of pair scores with W = min(max_span_len, S). Each row
     sorts only its pairs at or above its ``_PREFIX * k``-th largest score,
     ties included, and is sorted in full only when those hold fewer than
-    k distinct texts.
+    k distinct texts. A non-finite logit at a valid position raises
+    ``DecodeError`` naming its row.
     """
     single = logits.start_logits.ndim == 1
     valid = logits.valid.reshape(1, -1) if single else logits.valid
@@ -168,8 +168,14 @@ def decode_multichannel(logits: SpanLogits, text, text_span, cfg: RecallConfig):
                             f"text and one text span per row")
     if not valid.any(axis=1).all():
         raise DecodeError("no valid position to decode")
-    lp_s = _log_probs(logits.start_logits.data.reshape(valid.shape), valid)
-    lp_e = _log_probs(logits.end_logits.data.reshape(valid.shape), valid)
+    start = logits.start_logits.data.reshape(valid.shape)
+    end = logits.end_logits.data.reshape(valid.shape)
+    finite = (np.isfinite(start) & np.isfinite(end)) | ~valid
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise DecodeError(f"row {row} holds a non-finite start or end logit")
+    lp_s = _log_probs(start, valid)
+    lp_e = _log_probs(end, valid)
 
     # band[b, s, w] scores the pair (s, s + w); ``live`` marks the pairs
     # with both ends valid, which is every pair a decode may return

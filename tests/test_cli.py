@@ -179,6 +179,27 @@ def test_bad_variant_is_usage_error(tmp_path):
                          "--variant", "roberta"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--lr", "nan"], ["train", "--lr", "inf"], ["train", "--lr", "-0.1"],
+    ["train", "--optimizer", "swats", "--eps-switch", "nan"],
+    ["train", "--seed", "-1"], ["synth", "--seed", "-1"],
+    ["synth", "--max-distractors", "97"],
+], ids=["lr-nan", "lr-inf", "lr-negative", "eps-switch-nan", "train-seed-negative",
+        "synth-seed-negative", "too-many-distractors"])
+def test_bad_run_value_is_usage_error(tmp_path, capsys, argv):
+    """A rate that is negative or not finite, a negative seed, or more
+    distractors than the name alphabet holds exits 1 before any work."""
+    train = tmp_path / "train.jsonl"
+    make_corpus(train, n=8)
+    out = tmp_path / "out.jsonl"
+    paths = (["--train", str(train), "--dev", str(train),
+              "--checkpoint", str(tmp_path / "m.sebn"), "--log", str(out)]
+             if argv[0] == "train" else ["--out", str(out)])
+    assert console_main(argv + paths) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_data_is_data_error(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "a"}\n', encoding="utf-8")
@@ -372,7 +393,7 @@ def test_bad_checkpoint_metadata_is_data_error(trained, capsys, tmp_path):
     del meta["training"]["optimizer"]["kind"]
     new_meta = json.dumps(meta, ensure_ascii=False).encode("utf-8")
     bad = tmp_path / "bad.sebn"
-    bad.write_bytes(blob[:4] + struct.pack("<II", 1, len(new_meta))
+    bad.write_bytes(blob[:8] + struct.pack("<I", len(new_meta))
                     + new_meta + blob[12 + meta_len:])
     assert console_main(["eval", "--checkpoint", str(bad),
                          "--data", str(trained["dev"])]) == 2
@@ -434,6 +455,24 @@ def test_nonfinite_checkpoint_payload_exits_2(trained, capsys, tmp_path, name, v
     assert console_main(["predict", "--checkpoint", str(bad),
                          "--data", str(trained["dev"]), "--out", str(out)]) == 2
     assert f"at byte {offset}" in capsys.readouterr().err
+
+
+def test_nonfinite_logits_exit_2(trained, capsys, monkeypatch):
+    """A forward pass that yields a non-finite score ends in a DecodeError
+    naming the row (exit 2), not a traceback."""
+    import sebertnets.model as model_module
+
+    real_score = model_module.score
+
+    def poisoned(h, params, valid):
+        logits = real_score(h, params, valid)
+        logits.start_logits.data[1, valid[1].argmax()] = np.nan
+        return logits
+
+    monkeypatch.setattr(model_module, "score", poisoned)
+    assert console_main(["predict", "--checkpoint", str(trained["ckpt"]),
+                         "--data", str(trained["dev"])]) == 2
+    assert "row 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "predict", "eval"])

@@ -289,3 +289,15 @@ class TestSynthetic:
             D.SynthConfig(n_examples=0)
         with pytest.raises(ContractError):
             D.SynthConfig(multi_entity_fraction=1.5)
+
+    def test_distractor_bound(self):
+        """Up to ``MAX_DISTRACTORS`` distractors beside three golds finish at
+        once; one more is rejected rather than left to search for names."""
+        cfg = D.SynthConfig(n_examples=20, multi_entity_fraction=1.0,
+                            min_distractors=D.MAX_DISTRACTORS,
+                            max_distractors=D.MAX_DISTRACTORS)
+        for ex in D.generate_synthetic(cfg, seed=0):
+            assert len(ex.gold_entities) + D.MAX_DISTRACTORS == sum(
+                ex.text.count(c) for c in D.EVENT_CUES.values())
+        with pytest.raises(ContractError, match="96"):
+            D.SynthConfig(max_distractors=D.MAX_DISTRACTORS + 1)

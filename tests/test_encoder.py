@@ -121,7 +121,7 @@ class TestEncodeOracle:
         x = (w["tok_emb"][ids[0]] + w["pos_emb"][:2] + w["seg_emb"][segs[0]])
         x = ref_layer_norm(x, w["emb_ln.gain"], w["emb_ln.bias"])
         q = x @ w["layer0.attn.wq"] + w["layer0.attn.bq"]
-        k = x @ w["layer0.attn.wk"] + w["layer0.attn.bk"]
+        k = x @ w["layer0.attn.wk"]
         v = x @ w["layer0.attn.wv"] + w["layer0.attn.bv"]
         probs = ref_softmax_rows(q @ k.T / math.sqrt(2), np.array([[True, True]]))
         ctx = probs @ v

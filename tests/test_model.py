@@ -32,7 +32,9 @@ from sebertnets.model import (
     save_checkpoint,
 )
 from sebertnets.optim import AdamState, SgdState, SwatsState, make_state
-from sebertnets.span import decode_multichannel, decode_top1
+from sebertnets.recurrent import GRU, LSTM
+from sebertnets.span import decode_multichannel, decode_top1, span_loss
+from sebertnets.tensor import Tape, backward
 
 MAX_LEN = 40
 
@@ -43,13 +45,13 @@ def tiny_corpus(n=16, seed=0, multi=0.0):
 
 
 def build_setup(variant=SEBERTNETS, n=16, seed=0, d_model=8, hidden=4,
-                n_layers=1, n_heads=2, d_ff=16, dropout=0.0, corpus=None):
+                n_layers=1, n_heads=2, d_ff=16, dropout=0.0, corpus=None, cell=GRU):
     examples = corpus if corpus is not None else tiny_corpus(n=n, seed=seed)
     vocab = Vocabulary.from_corpus(examples)
     enc_cfg = EncoderConfig(vocab_size=vocab.size, d_model=d_model,
                             n_layers=n_layers, n_heads=n_heads, d_ff=d_ff,
                             max_len=MAX_LEN, dropout_rate=dropout)
-    cfg = ModelConfig(variant=variant, hidden_size=hidden)
+    cfg = ModelConfig(variant=variant, cell=cell, hidden_size=hidden)
     model = Model(cfg, enc_cfg, vocab, seed=seed)
     flat = flatten_for_training(examples)
     encoded = [encode_example(ex, vocab, MAX_LEN) for ex in flat]
@@ -94,7 +96,9 @@ def test_parameter_names_by_variant():
     assert any(n.startswith("rnn_fwd.") for n in rec_names)
     assert any(n.startswith("rnn_bwd.") for n in rec_names)
     assert not any(n.startswith("rnn_") for n in base_names)
-    assert {"head.w_start", "head.b_end"} <= rec_names
+    assert {n for n in rec_names if n.startswith("head.")} == {"head.w_start",
+                                                                "head.w_end"}
+    assert not any(n.endswith("attn.bk") for n in rec_names)
     hse = Model(ModelConfig(variant=HSEBERTNETS), enc_cfg, vocab)
     assert set(hse.parameters()) == rec_names
 
@@ -139,6 +143,26 @@ def test_forward_deterministic_in_eval_mode():
     a, _ = model.forward(b)
     c, _ = model.forward(b)
     assert np.array_equal(a.start_logits.data, c.start_logits.data)
+
+
+@pytest.mark.parametrize("variant, cell", [(BERT_BASELINE, GRU), (SEBERTNETS, GRU),
+                                           (SEBERTNETS, LSTM)])
+def test_every_parameter_gets_a_gradient(variant, cell):
+    """Every parameter's fp64 gradient is above rounding noise: none is a
+    bias that a softmax cancels, whose gradient is zero. One such bias is
+    left: in ``bert_baseline`` the last layer norm's bias feeds the span
+    head directly, so it only shifts every position's score alike."""
+    model, _, _, b = build_setup(variant=variant, cell=cell)
+    params = model.parameters()
+    for p in params.values():
+        p.data = p.data.astype(np.float64)
+    with Tape() as tape:
+        logits, _ = model.forward(b)
+        loss = span_loss(logits, b.golds)
+    backward(tape, loss)
+    dead = [name for name, p in params.items()
+            if p.grad is None or np.abs(p.grad).max() <= 1e-8]
+    assert dead == (["encoder.layer0.ffn_ln.bias"] if variant == BERT_BASELINE else [])
 
 
 # -------------------------------------------------------------- predict
@@ -371,7 +395,7 @@ def test_missing_metadata_section(tmp_path):
     del meta["vocab"]
     new_meta = json.dumps(meta, ensure_ascii=False).encode("utf-8")
     out = tmp_path / "novocab.sebn"
-    out.write_bytes(blob[:4] + struct.pack("<II", 1, len(new_meta))
+    out.write_bytes(blob[:8] + struct.pack("<I", len(new_meta))
                     + new_meta + blob[12 + meta_len:])
     with pytest.raises(CheckpointError, match="vocab") as exc:
         Model.load(out)
@@ -385,7 +409,7 @@ def rewrite_meta(path, out, edit):
     meta = json.loads(blob[12:12 + meta_len])
     edit(meta)
     new_meta = json.dumps(meta, ensure_ascii=False).encode("utf-8")
-    out.write_bytes(blob[:4] + struct.pack("<II", 1, len(new_meta))
+    out.write_bytes(blob[:8] + struct.pack("<I", len(new_meta))
                     + new_meta + blob[12 + meta_len:])
 
 
@@ -426,6 +450,9 @@ def _set(section, key, value):
     ("optimizer", "k", "3"),
     ("optimizer", "k", 3.0),
     ("optimizer", "beta2", _DELETE),
+    ("optimizer", "lr", -0.001),
+    ("optimizer", "lr", float("nan")),
+    ("optimizer", "lr", float("inf")),
     ("model", "cell", _DELETE),
     ("model", "hidden_size", "4"),
     ("model", "variant", _DELETE),
@@ -453,8 +480,8 @@ def test_bad_metadata_is_checkpoint_error(tmp_path, section, key, value):
     (lambda meta: meta.update(vocab="abc"), "vocab"),
     (lambda meta: meta["training"].pop("optimizer"), "optimizer"),
     (lambda meta: meta["params"][-1].update(name="stray"), "moments"),
-    (lambda meta: [e.update(name="head.b_start") for e in meta["params"]
-                   if e["name"] == "head.b_end"], "repeats"),
+    (lambda meta: [e.update(name="head.w_start") for e in meta["params"]
+                   if e["name"] == "head.w_end"], "repeats"),
     (lambda meta: meta["params"].append(
         {"name": "head.w_extra", "shape": [0], "nbytes": 0,
          "offset": meta["params"][-1]["offset"] + meta["params"][-1]["nbytes"]}),
@@ -479,6 +506,57 @@ def test_malformed_metadata_is_checkpoint_error(tmp_path, edit, match):
     bad = tmp_path / "bad.sebn"
     rewrite_meta(path, bad, edit)
     with pytest.raises(CheckpointError, match=match) as exc:
+        Model.load(bad)
+    assert exc.value.offset == 12
+
+
+def add_entries(path, out, version, names):
+    """Copy a checkpoint as format ``version`` with a zero-filled entry of
+    shape [2] appended per name."""
+    blob = path.read_bytes()
+    meta_len = struct.unpack("<I", blob[8:12])[0]
+    meta = json.loads(blob[12:12 + meta_len])
+    end = len(blob) - 12 - meta_len
+    for i, name in enumerate(names):
+        meta["params"].append({"name": name, "shape": [2], "offset": end + 8 * i,
+                               "nbytes": 8})
+    new_meta = json.dumps(meta, ensure_ascii=False).encode("utf-8")
+    out.write_bytes(blob[:4] + struct.pack("<II", version, len(new_meta)) + new_meta
+                    + blob[12 + meta_len:] + bytes(8 * len(names)))
+
+
+_V1_ONLY = ["head.b_start", "head.b_end", "encoder.layer0.attn.bk",
+            "optim.m.head.b_start", "optim.v.head.b_start",
+            "optim.m.encoder.layer0.attn.bk", "optim.v.encoder.layer0.attn.bk"]
+
+
+def test_version_1_file_loads_without_dropped_biases(tmp_path):
+    """A version-1 file's key and span-head biases and their moments are
+    dropped on load; every other entry loads as stored."""
+    model, _, _, b = build_setup()
+    state = make_state("adam")
+    model.train_step(b, state, np.random.default_rng(0))
+    path = tmp_path / "v2.sebn"
+    model.save(path, state)
+    old = tmp_path / "v1.sebn"
+    add_entries(path, old, 1, _V1_ONLY)
+    loaded, opt = Model.load(old)
+    assert loaded.parameters().keys() == model.parameters().keys()
+    for n, p in loaded.parameters().items():
+        assert np.array_equal(p.data, model.parameters()[n].data), n
+    assert opt.m.keys() == opt.v.keys() == state.m.keys()
+
+
+@pytest.mark.parametrize("name", _V1_ONLY)
+def test_version_2_file_with_a_dropped_bias_is_checkpoint_error(tmp_path, name):
+    model, _, _, b = build_setup()
+    state = make_state("adam")
+    model.train_step(b, state, np.random.default_rng(0))
+    path = tmp_path / "v2.sebn"
+    model.save(path, state)
+    bad = tmp_path / "bad.sebn"
+    add_entries(path, bad, 2, [name])
+    with pytest.raises(CheckpointError, match=f"'{name}'") as exc:
         Model.load(bad)
     assert exc.value.offset == 12
 
@@ -509,7 +587,7 @@ def set_payload_float(path, out, name, index, value):
 
 @pytest.mark.parametrize("name, index, value", [
     ("head.w_start", 3, float("nan")),
-    ("optim.v.head.b_end", 0, float("inf")),
+    ("optim.v.head.w_end", 0, float("inf")),
     ("rnn_fwd.u_update", 5, float("-inf")),
 ])
 def test_nonfinite_payload_is_checkpoint_error(tmp_path, name, index, value):

@@ -317,6 +317,16 @@ def test_make_state():
         make_state("rmsprop")
 
 
+@pytest.mark.parametrize("value", [-0.001, float("nan"), float("inf")])
+@pytest.mark.parametrize("build", [
+    lambda v: AdamState(lr=v), lambda v: SgdState(lr=v),
+    lambda v: SwatsState(eps_switch=v), lambda v: make_state("swats", lr=v),
+], ids=["adam-lr", "sgd-lr", "swats-eps-switch", "swats-lr"])
+def test_state_rejects_negative_or_nonfinite_rate(build, value):
+    with pytest.raises(ContractError, match="finite and >= 0"):
+        build(value)
+
+
 def test_clip_global_norm_scales_down():
     grads = {"a": np.array([3.0, 0.0]), "b": np.array([[0.0, 4.0]])}
     norm = clip_global_norm(grads, 1.0)

@@ -14,7 +14,11 @@ from sebertnets.tensor import Tensor
 
 from gradcheck import check_grads
 
-RNG = np.random.default_rng(2024)
+@pytest.fixture
+def rng():
+    """A generator of the test's own, so its inputs do not depend on which
+    tests ran before it."""
+    return np.random.default_rng(2024)
 
 
 def sig(x):
@@ -52,17 +56,17 @@ def raw_weights(p):
 
 
 class TestLstmStep:
-    def test_zero_params_zero_state(self):
-        p = make_params(R.LSTM, 3, 4, RNG, scale=0.0)
+    def test_zero_params_zero_state(self, rng):
+        p = make_params(R.LSTM, 3, 4, rng, scale=0.0)
         out = R.lstm_step(Tensor(np.zeros(3, dtype=np.float64)),
                           R.CellState(Tensor(np.zeros(4, dtype=np.float64)),
                                       Tensor(np.zeros(4, dtype=np.float64))), p)
         np.testing.assert_array_equal(out.c.data, 0.0)
         np.testing.assert_array_equal(out.h.data, 0.0)
 
-    def test_zero_params_unit_cell(self):
+    def test_zero_params_unit_cell(self, rng):
         # f=i=o=0.5, c~=0: c' = 0.5*1, h' = 0.5*tanh(0.5)
-        p = make_params(R.LSTM, 3, 4, RNG, scale=0.0)
+        p = make_params(R.LSTM, 3, 4, rng, scale=0.0)
         out = R.lstm_step(Tensor(np.zeros(3, dtype=np.float64)),
                           R.CellState(Tensor(np.zeros(4, dtype=np.float64)),
                                       Tensor(np.ones(4, dtype=np.float64))), p)
@@ -86,21 +90,21 @@ class TestLstmStep:
             assert ((f > 0) & (f < 1)).all() and ((i > 0) & (i < 1)).all()
             assert ((o > 0) & (o < 1)).all() and ((cc > -1) & (cc < 1)).all()
 
-    def test_wrong_cell_params(self):
-        p = make_params(R.GRU, 3, 4, RNG)
+    def test_wrong_cell_params(self, rng):
+        p = make_params(R.GRU, 3, 4, rng)
         with pytest.raises(ContractError):
             R.lstm_step(Tensor(np.zeros(3)), R.CellState(Tensor(np.zeros(4)),
                                                          Tensor(np.zeros(4))), p)
 
-    def test_missing_cell_state(self):
-        p = make_params(R.LSTM, 3, 4, RNG)
+    def test_missing_cell_state(self, rng):
+        p = make_params(R.LSTM, 3, 4, rng)
         with pytest.raises(ContractError):
             R.lstm_step(Tensor(np.zeros(3)), R.CellState(Tensor(np.zeros(4))), p)
 
 
 class TestGruStep:
-    def test_zero_params(self):
-        p = make_params(R.GRU, 3, 4, RNG, scale=0.0)
+    def test_zero_params(self, rng):
+        p = make_params(R.GRU, 3, 4, rng, scale=0.0)
         out = R.gru_step(Tensor(np.zeros(3, dtype=np.float64)),
                          Tensor(np.zeros(4, dtype=np.float64)), p)
         np.testing.assert_array_equal(out.data, 0.0)

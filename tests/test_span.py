@@ -13,8 +13,6 @@ from sebertnets.tensor import Tensor
 
 from gradcheck import check_grads
 
-RNG = np.random.default_rng(77)
-
 
 def logits_1d(start, end, valid):
     return S.SpanLogits(Tensor(np.asarray(start, dtype=np.float64)),
@@ -151,14 +149,13 @@ class TestScore:
         rng = np.random.default_rng(2)
         valid = np.array([False, True, True, True, False])
 
-        def build(h, ws, bs, we, be):
-            params = {"w_start": ws, "b_start": bs, "w_end": we, "b_end": be}
-            logits = S.score(h, params, valid)
+        def build(h, ws, we):
+            logits = S.score(h, {"w_start": ws, "w_end": we}, valid)
             return S.span_loss(logits, (1, 3))
 
         check_grads(build, [rng.standard_normal((5, 4)),
-                            rng.standard_normal((4, 1)), np.zeros(1),
-                            rng.standard_normal((4, 1)), np.zeros(1)])
+                            rng.standard_normal((4, 1)),
+                            rng.standard_normal((4, 1))])
 
 
 class TestSpanLoss:
@@ -446,6 +443,25 @@ class TestDecodeMultichannel:
         lg.valid[1] = False
         with pytest.raises(DecodeError):
             S.decode_multichannel(lg, ["abcd", "abcd"], np.array([[0, 3], [0, 3]]), cfg)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["start", "end"])
+    def test_nonfinite_logit_raises_naming_the_row(self, which, value):
+        """A non-finite score at a valid position of row 1 is a DecodeError
+        naming that row, not a list with a missing row; one at a masked
+        position does not matter."""
+        logits = {"start": np.zeros((3, 5)), "end": np.zeros((3, 5))}
+        valid = np.ones((3, 5), dtype=bool)
+        valid[0, 4] = False
+        logits[which][0, 4] = value
+        logits[which][1, 2] = value
+        lg = S.SpanLogits(Tensor(logits["start"]), Tensor(logits["end"]), valid)
+        spans = np.array([[0, 4]] * 3)
+        with pytest.raises(DecodeError, match="row 1"):
+            S.decode_multichannel(lg, ["abcde"] * 3, spans, S.RecallConfig(k=2))
+        logits[which][1, 2] = 0.0
+        got = S.decode_multichannel(lg, ["abcde"] * 3, spans, S.RecallConfig(k=2))
+        assert [len(c) for c in got] == [2, 2, 2]
 
     def test_config_validation(self):
         with pytest.raises(ContractError):

@@ -11,11 +11,12 @@ from sebertnets.errors import ContractError, DegenerateMaskError, ShapeError
 
 from gradcheck import check_grads, grad_close, numeric_grad
 
-RNG = np.random.default_rng(12345)
-
-
-def randn(*shape):
-    return RNG.standard_normal(shape)
+@pytest.fixture
+def randn():
+    """Standard normal draws from a generator of the test's own, so its
+    inputs do not depend on which tests ran before it."""
+    rng = np.random.default_rng(12345)
+    return lambda *shape: rng.standard_normal(shape)
 
 
 class TestForwardValues:
@@ -45,7 +46,7 @@ class TestForwardValues:
         with pytest.raises(ShapeError):
             T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))))
 
-    def test_dtype_preserved(self):
+    def test_dtype_preserved(self, randn):
         for dt in (np.float32, np.float64):
             x = T.Tensor(randn(3, 3).astype(dt))
             y = T.Tensor(randn(3, 3).astype(dt))
@@ -64,7 +65,7 @@ class TestForwardValues:
         np.testing.assert_array_equal(
             T.relu(T.Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
 
-    def test_layer_norm_standardizes(self):
+    def test_layer_norm_standardizes(self, randn):
         x = T.Tensor(randn(4, 8).astype(np.float64))
         g = T.Tensor(np.ones(8))
         b = T.Tensor(np.zeros(8))
@@ -98,7 +99,7 @@ class TestMaskedSoftmax:
         with pytest.raises(DegenerateMaskError):
             T.masked_softmax(x, mask)
 
-    def test_masked_grad_is_zero(self):
+    def test_masked_grad_is_zero(self, randn):
         x = T.Tensor(randn(2, 4).astype(np.float64), requires_grad=True)
         mask = np.array([[True, False, True, True], [True, True, False, True]])
         with T.Tape() as tape:
@@ -108,7 +109,7 @@ class TestMaskedSoftmax:
         assert x.grad[0, 1] == 0.0 and x.grad[1, 2] == 0.0
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_broadcast_key_mask_equals_full_mask(self, dtype):
+    def test_broadcast_key_mask_equals_full_mask(self, randn, dtype):
         keys = np.array([[True, False, True, True, False],
                          [False, False, False, True, True]])
         x0, w = randn(2, 3, 4, 5).astype(dtype), randn(2, 3, 4, 5).astype(dtype)
@@ -156,14 +157,14 @@ class TestCrossEntropy:
 
 
 class TestTapeMechanics:
-    def test_loss_must_be_scalar(self):
+    def test_loss_must_be_scalar(self, randn):
         x = T.Tensor(randn(3), requires_grad=True)
         with T.Tape() as tape:
             y = T.mul(x, x)
         with pytest.raises(ContractError):
             T.backward(tape, y)
 
-    def test_loss_must_be_on_tape(self):
+    def test_loss_must_be_on_tape(self, randn):
         x = T.Tensor(randn(3), requires_grad=True)
         with T.Tape() as tape:
             T.sum_all(x)
@@ -190,7 +191,7 @@ class TestTapeMechanics:
         x.zero_grad()
         assert x.grad is None
 
-    def test_no_grad_for_non_requiring_leaf(self):
+    def test_no_grad_for_non_requiring_leaf(self, randn):
         x = T.Tensor(randn(3), requires_grad=True)
         c = T.Tensor(randn(3))
         with T.Tape() as tape:
@@ -199,7 +200,7 @@ class TestTapeMechanics:
         assert c.grad is None
         np.testing.assert_array_equal(x.grad, c.data)
 
-    def test_no_tape_means_no_recording(self):
+    def test_no_tape_means_no_recording(self, randn):
         x = T.Tensor(randn(3), requires_grad=True)
         y = T.sum_all(x)
         assert y.requires_grad
@@ -236,48 +237,48 @@ class TestTapeMechanics:
 
 
 class TestGradientsAgainstFiniteDifferences:
-    def test_add_sub_mul(self):
+    def test_add_sub_mul(self, randn):
         a, b = randn(3, 4), randn(3, 4)
         check_grads(lambda x, y: T.sum_all(T.mul(T.add(x, y), T.sub(x, y))), [a, b])
 
-    def test_scalar_mul(self):
+    def test_scalar_mul(self, randn):
         check_grads(lambda x, s: T.sum_all(T.mul(x, s)), [randn(3, 3), randn(1)])
 
-    def test_add_bias(self):
+    def test_add_bias(self, randn):
         check_grads(lambda x, b: T.sum_all(T.tanh(T.add_bias(x, b))),
                     [randn(4, 5), randn(5)])
 
-    def test_add_bias_batched(self):
+    def test_add_bias_batched(self, randn):
         check_grads(lambda x, b: T.sum_all(T.tanh(T.add_bias(x, b))),
                     [randn(2, 3, 4), randn(4)])
 
-    def test_matmul_2d(self):
+    def test_matmul_2d(self, randn):
         check_grads(lambda a, b: T.sum_all(T.matmul(a, b)), [randn(3, 4), randn(4, 2)])
 
-    def test_matmul_vector(self):
+    def test_matmul_vector(self, randn):
         check_grads(lambda a, b: T.sum_all(T.matmul(a, b)), [randn(4), randn(4, 3)])
 
-    def test_matmul_batched(self):
+    def test_matmul_batched(self, randn):
         check_grads(lambda a, b: T.sum_all(T.matmul(a, b)),
                     [randn(2, 3, 4), randn(2, 4, 2)])
 
-    def test_matmul_shared_weight(self):
+    def test_matmul_shared_weight(self, randn):
         check_grads(lambda a, b: T.sum_all(T.matmul(a, b)), [randn(2, 3, 4), randn(4, 2)])
 
-    def test_sigmoid_tanh_relu_gelu(self):
+    def test_sigmoid_tanh_relu_gelu(self, randn):
         x = randn(3, 4) + np.sign(randn(3, 4)) * 0.05  # keep away from relu kink
         check_grads(lambda t: T.sum_all(T.sigmoid(t)), [x])
         check_grads(lambda t: T.sum_all(T.tanh(t)), [x])
         check_grads(lambda t: T.sum_all(T.relu(t)), [x])
         check_grads(lambda t: T.sum_all(T.gelu(t)), [x])
 
-    def test_reshape_transpose(self):
+    def test_reshape_transpose(self, randn):
         def build(x):
             y = T.transpose(T.reshape(x, (2, 3, 4)), (0, 2, 1))
             return T.sum_all(T.mul(y, y))
         check_grads(build, [randn(6, 4)])
 
-    def test_embedding_lookup_accumulates_repeats(self):
+    def test_embedding_lookup_accumulates_repeats(self, randn):
         ids = np.array([0, 2, 2, 1])
         check_grads(lambda tab: T.sum_all(T.tanh(T.embedding_lookup(tab, ids))),
                     [randn(4, 3)])
@@ -288,44 +289,44 @@ class TestGradientsAgainstFiniteDifferences:
         np.testing.assert_array_equal(table.grad[2], 2.0)
         np.testing.assert_array_equal(table.grad[3], 0.0)
 
-    def test_embedding_out_of_range(self):
+    def test_embedding_out_of_range(self, randn):
         with pytest.raises(IndexError):
             T.embedding_lookup(T.Tensor(randn(4, 3)), np.array([4]))
 
-    def test_layer_norm(self):
+    def test_layer_norm(self, randn):
         check_grads(lambda x, g, b: T.sum_all(T.sigmoid(T.layer_norm(x, g, b))),
                     [randn(3, 6), randn(6), randn(6)])
 
-    def test_masked_softmax(self):
+    def test_masked_softmax(self, randn):
         mask = np.array([[True, True, False, True], [True, True, True, False]])
         check_grads(lambda x: T.sum_all(T.mul(T.masked_softmax(x, mask),
                                               T.masked_softmax(x, mask))),
                     [randn(2, 4)])
 
-    def test_cross_entropy_1d(self):
+    def test_cross_entropy_1d(self, randn):
         logits = randn(5)
         mask = np.ones(5, dtype=bool)
         check_grads(lambda x: T.cross_entropy(T.masked_softmax(x, mask), 2), [logits])
 
-    def test_cross_entropy_batched(self):
+    def test_cross_entropy_batched(self, randn):
         mask = np.ones((3, 5), dtype=bool)
         targets = np.array([0, 4, 2])
         check_grads(lambda x: T.cross_entropy(T.masked_softmax(x, mask), targets),
                     [randn(3, 5)])
 
-    def test_dropout_fixed_mask(self):
+    def test_dropout_fixed_mask(self, randn):
         def build(x):
             return T.sum_all(T.dropout(x, 0.5, np.random.default_rng(99)))
         check_grads(build, [randn(6, 6)])
 
-    def test_dropout_rate_zero_is_identity(self):
+    def test_dropout_rate_zero_is_identity(self, randn):
         x = T.Tensor(randn(3, 3))
         assert T.dropout(x, 0.0, np.random.default_rng(0)) is x
 
-    def test_mean_all(self):
+    def test_mean_all(self, randn):
         check_grads(lambda x: T.mean_all(T.mul(x, x)), [randn(4, 5)])
 
-    def test_deep_chain(self):
+    def test_deep_chain(self, randn):
         def build(x, w1, b1, w2, b2):
             h = T.relu(T.add_bias(T.matmul(x, w1), b1))
             out = T.tanh(T.add_bias(T.matmul(h, w2), b2))
@@ -334,7 +335,7 @@ class TestGradientsAgainstFiniteDifferences:
 
 
 class TestNumericOracleHelpers:
-    def test_numeric_grad_on_quadratic(self):
+    def test_numeric_grad_on_quadratic(self, randn):
         x = randn(3)
         num = numeric_grad(lambda v: float((v ** 2).sum()), x)
         assert grad_close(2 * x, num)
