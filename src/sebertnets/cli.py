@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -242,10 +243,10 @@ def _encode_for_inference(examples, model: Model):
                            model.vocab, model.enc_cfg.max_len) for ex in examples]
 
 
-def _batches(encoded, batch_size, order=None):
+def _batches(encoded, batch_size, order=None, length=None):
     idx = order if order is not None else range(len(encoded))
     for i in range(0, len(idx), batch_size):
-        yield batch([encoded[j] for j in idx[i:i + batch_size]])
+        yield batch([encoded[j] for j in idx[i:i + batch_size]], length)
 
 
 def _predictions(model: Model, encoded, cfg: RunConfig) -> dict[str, list]:
@@ -312,13 +313,17 @@ def cmd_train(args) -> None:
 
     log.info("training %s on %d examples (%d chars), %d epoch(s)",
              cfg.variant, len(encoded), vocab.size, cfg.epochs)
+    # One padded length for every training batch, and an exact sum of the
+    # examples' fp64 losses: the epoch loss then depends on the shuffle
+    # only through the row count of the recurrent layer's products.
+    length = max(t.token_ids.shape[0] for t in encoded)
     with open(cfg.log_path, "w", encoding="utf-8") as lf:
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(len(encoded))
-            total = 0.0
-            for b in _batches(encoded, cfg.batch_size, order):
-                total += model.train_step(b, state, rng) * len(b)
-            mean_loss = total / len(encoded)  # per-example, partition-invariant
+            losses: list[float] = []
+            for b in _batches(encoded, cfg.batch_size, order, length):
+                model.train_step(b, state, rng, losses)
+            mean_loss = math.fsum(losses) / len(losses)
             record = {"epoch": epoch, "loss": mean_loss,
                       "dev_f1": None, "phase": state.phase}
             if dev_encoded is not None:

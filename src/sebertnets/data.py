@@ -211,11 +211,16 @@ class Batch:
         return self.token_ids.shape[0]
 
 
-def batch(inputs: Sequence[TokenizedInput]) -> Batch:
-    """Right-pad to the longest sequence in the batch and stack."""
+def batch(inputs: Sequence[TokenizedInput], length: int | None = None) -> Batch:
+    """Right-pad to ``length``, or to the longest sequence in the batch,
+    and stack."""
     if not inputs:
         raise ContractError("batch of zero examples")
-    length = max(t.token_ids.shape[0] for t in inputs)
+    longest = max(t.token_ids.shape[0] for t in inputs)
+    if length is None:
+        length = longest
+    elif length < longest:
+        raise ContractError(f"cannot pad a {longest}-token example to length {length}")
     b = len(inputs)
     token_ids = np.full((b, length), PAD_ID, dtype=np.int64)
     segment_ids = np.zeros((b, length), dtype=np.int64)

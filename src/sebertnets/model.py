@@ -56,6 +56,7 @@ from .span import (
     SpanCandidate,
     SpanLogits,
     decode_multichannel,
+    example_losses,
     init_head_params,
     score,
     span_loss,
@@ -187,8 +188,10 @@ class Model:
 
     # ----------------------------------------------------------- training
 
-    def train_step(self, batch: Batch, state, rng: np.random.Generator) -> float:
-        """One optimization step; returns the (finite) batch loss."""
+    def train_step(self, batch: Batch, state, rng: np.random.Generator,
+                   losses: list | None = None) -> float:
+        """One optimization step; returns the (finite) batch loss. Each
+        example's fp64 loss is appended to ``losses``, if given."""
         golds = batch.golds
         if (golds < 0).any():
             raise ContractError(
@@ -205,6 +208,8 @@ class Model:
             raise DivergenceError(
                 f"loss became {loss_val} at training step {self.step + 1}"
             )
+        if losses is not None:
+            losses.extend(example_losses(logits, golds).tolist())
         backward(tape, loss)
         grads = {
             name: (p.grad if p.grad is not None else np.zeros_like(p.data))

@@ -67,6 +67,12 @@ class AdamState:
 
     def __post_init__(self):
         _check_rate("lr", self.lr)
+        for name in ("beta1", "beta2"):
+            beta = getattr(self, name)
+            if not 0.0 <= beta < 1.0:
+                raise ContractError(f"{name} must be in [0, 1), got {beta!r}")
+        if not 0.0 < self.eps < math.inf:
+            raise ContractError(f"eps must be finite and > 0, got {self.eps!r}")
 
 
 @dataclass
@@ -92,6 +98,9 @@ class SwatsState:
 
     def __post_init__(self):
         _check_rate("eps_switch", self.eps_switch)
+        # no sign rule: a saved Lambda is whatever the switch estimated
+        if self.sgd_lr is not None and not math.isfinite(self.sgd_lr):
+            raise ContractError(f"sgd_lr must be finite, got {self.sgd_lr!r}")
 
     @property
     def k(self) -> int:

@@ -1,6 +1,12 @@
 """Span head: start/end position scoring over the text region, the
 training loss, and decoding.
 
+The loss and the decoder read one fp64 masked log-softmax
+(``_log_probs``). The loss is -(log p_start + log p_end) at the gold
+span, averaged over the batch, as a single tape op; it stays finite
+however far the gold logits sit below the best. ``example_losses``
+gives the per-example values it averages, in fp64.
+
 Decoding is joint: a candidate (s, e) scores log p_start(s) + log
 p_end(e), maximized over valid pairs with s <= e and width below
 ``max_span_len``. Every decode reads one ranked stream of all such
@@ -108,13 +114,13 @@ def score(h: Tensor, params: dict[str, Tensor], valid: np.ndarray) -> SpanLogits
     lead = h.shape[:-1]
     def linear(which):
         return T.reshape(T.matmul(h, params[f"w_{which}"]), lead)
-    return SpanLogits(linear("start"), linear("end"), np.asarray(valid, dtype=bool))
+    return SpanLogits(linear("start"), linear("end"), valid)
 
 
-def span_loss(logits: SpanLogits, gold) -> Tensor:
-    """Sum of start and end cross-entropies under masked softmax; the
-    batched form averages over the batch. ``gold`` is (start, end) for a
-    single example or an integer array [B, 2]."""
+def _gold_log_probs(logits: SpanLogits, gold):
+    """Each side's fp64 masked log-softmax, the gold index of each side
+    ([..., 1]) and the sum of the two gold log-probabilities ([..., 1]),
+    after checking ``gold`` against the logits."""
     g = np.asarray(gold)
     want = logits.start_logits.shape[:-1] + (2,)
     if g.shape != want:
@@ -122,9 +128,36 @@ def span_loss(logits: SpanLogits, gold) -> Tensor:
                             f"{logits.start_logits.shape}, got {g.shape}")
     if (g < 0).any() or not np.take_along_axis(logits.valid, g, axis=-1).all():
         raise ContractError("a gold position lies outside the valid text region")
-    p_start = T.masked_softmax(logits.start_logits, logits.valid)
-    p_end = T.masked_softmax(logits.end_logits, logits.valid)
-    return T.add(T.cross_entropy(p_start, g[..., 0]), T.cross_entropy(p_end, g[..., 1]))
+    lps = [_log_probs(t.data, logits.valid)
+           for t in (logits.start_logits, logits.end_logits)]
+    golds = [g[..., i:i + 1] for i in range(2)]
+    # gathered, not a one-hot product: masked entries are -inf and -inf * 0 is NaN
+    picked = sum(np.take_along_axis(lp, gi, axis=-1) for lp, gi in zip(lps, golds))
+    return lps, golds, picked
+
+
+def example_losses(logits: SpanLogits, gold) -> np.ndarray:
+    """fp64 -(log p_start(gold start) + log p_end(gold end)) of each
+    example, [B] for a batch or 0-d for one: the values ``span_loss``
+    averages, before its cast to the logits' dtype."""
+    return -_gold_log_probs(logits, gold)[2][..., 0]
+
+
+def span_loss(logits: SpanLogits, gold) -> Tensor:
+    """-(log p_start(gold start) + log p_end(gold end)), read off the
+    masked log-softmax that decoding ranks by; the batched form averages
+    over the batch. ``gold`` is (start, end) for a single example or an
+    integer array [B, 2]. One tape op, whose gradient per logit row is
+    (softmax - one_hot(gold)) / B."""
+    lps, golds, picked = _gold_log_probs(logits, gold)
+    sides = (logits.start_logits, logits.end_logits)
+    dtype = sides[0].dtype
+    def bwd(grad):
+        pos = np.arange(logits.valid.shape[-1])
+        scale = grad.astype(np.float64) / picked.size
+        return tuple(((np.exp(lp) - (pos == gi)) * scale).astype(dtype)
+                     for lp, gi in zip(lps, golds))
+    return T._make(sides, np.asarray(-picked.mean(), dtype=dtype), bwd)
 
 
 def _log_probs(logits: np.ndarray, valid: np.ndarray) -> np.ndarray:

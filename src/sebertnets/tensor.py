@@ -425,7 +425,9 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
 def cross_entropy(probs: Tensor, targets) -> Tensor:
     """Negative log-likelihood of integer targets under given
     probabilities: 2-D [B, n] probs with a length-B target vector averaged
-    over the batch, or 1-D probs with a scalar target as a batch of one."""
+    over the batch, or 1-D probs with a scalar target as a batch of one.
+    No model loss calls it (``span.span_loss`` reads log-probabilities);
+    it stays a primitive of the tape, gradchecked with the others."""
     t = np.asarray(targets)
     v = probs.data
     if v.ndim == 1:

@@ -152,6 +152,18 @@ class TestBatch:
         assert b.golds[1].tolist() == [2, 3]
         assert len(b) == 2
 
+    def test_pads_to_given_length(self):
+        vocab = D.Vocabulary(sorted("ABCT"))
+        rows = [D.encode_example(D.RawExample(i, t, "T"), vocab, 16)
+                for i, t in (("a", "A"), ("b", "ABC"))]
+        b = D.batch(rows, 9)
+        assert b.token_ids.shape == (2, 9)
+        assert b.token_ids[1, 7:].tolist() == [D.PAD_ID] * 2
+        assert b.attention_mask.sum(axis=1).tolist() == [5, 7]
+        assert D.batch(rows, 7).token_ids.tolist() == D.batch(rows).token_ids.tolist()
+        with pytest.raises(ContractError, match="7-token example to length 6"):
+            D.batch(rows, 6)
+
     def test_empty_batch_raises(self):
         with pytest.raises(ContractError):
             D.batch([])

@@ -212,6 +212,26 @@ def test_zero_lr_leaves_parameters():
     assert model.step == 1
 
 
+def test_example_losses_do_not_depend_on_the_batch_cut():
+    """At one padded length each example's fp64 loss is the same however
+    the examples are cut into batches (``bert_baseline`` has no recurrent
+    row count), so their exact sum is too."""
+    model, _, _, full = build_setup(variant=BERT_BASELINE, n=24)
+    items = full.items
+    pad = full.token_ids.shape[1]
+    state, rng = SgdState(lr=0.0), np.random.default_rng(0)
+    cuts = []
+    for size in (len(items), 5, 3):
+        order = rng.permutation(len(items))
+        losses = []
+        for i in range(0, len(order), size):
+            chunk = batch([items[j] for j in order[i:i + size]], pad)
+            model.train_step(chunk, state, rng, losses)
+        assert len(losses) == len(items)
+        cuts.append(dict(zip(order.tolist(), losses)))
+    assert cuts[0] == cuts[1] == cuts[2]
+
+
 def test_goldless_batch_rejected():
     model, vocab, _, b = build_setup()
     examples = tiny_corpus()
@@ -255,6 +275,25 @@ def test_nonfinite_loss_raises_divergence():
     model.head_params["w_start"].data[:] = np.nan
     with pytest.raises(DivergenceError, match="step"):
         model.train_step(b, AdamState(), np.random.default_rng(0))
+
+
+def test_far_gold_logit_trains_with_finite_loss():
+    """Gold start logits 110 and more below the best underflow a float32
+    probability; the loss, read off log-probabilities, stays exact."""
+    model, _, _, b = build_setup()
+    model.head_params["w_start"].data *= 2000
+    logits, _ = model.forward(b)
+    rows = np.arange(len(b))
+    want = 0.0
+    for t, gold in zip((logits.start_logits, logits.end_logits), b.golds.T):
+        x = np.where(logits.valid, t.data.astype(np.float64), -np.inf)
+        best = x.max(axis=1)
+        lse = best + np.log(np.exp(x - best[:, None]).sum(axis=1))
+        want -= np.mean(x[rows, gold] - lse)
+    start = np.where(logits.valid, logits.start_logits.data, -np.inf)
+    assert (start.max(axis=1) - start[rows, b.golds[:, 0]]).max() >= 110
+    loss = model.train_step(b, make_state("adam"), np.random.default_rng(0))
+    np.testing.assert_allclose(loss, want, rtol=1e-6)
 
 
 # ------------------------------------------------------------ checkpoint
@@ -453,21 +492,29 @@ def _set(section, key, value):
     ("optimizer", "lr", -0.001),
     ("optimizer", "lr", float("nan")),
     ("optimizer", "lr", float("inf")),
+    ("optimizer", "beta1", float("nan")),
+    ("optimizer", "beta2", 2.0),
+    ("optimizer", "eps", float("inf")),
+    ("optimizer", "sgd_lr", float("nan")),
     ("model", "cell", _DELETE),
     ("model", "hidden_size", "4"),
     ("model", "variant", _DELETE),
 ])
 def test_bad_metadata_is_checkpoint_error(tmp_path, section, key, value):
-    model, _, _, b = build_setup()
-    state = make_state("adam")
-    model.train_step(b, state, np.random.default_rng(0))
-    path = tmp_path / "ok.sebn"
-    model.save(path, state)
-    bad = tmp_path / "bad.sebn"
-    rewrite_meta(path, bad, _set(section, key, value))
-    with pytest.raises(CheckpointError, match=key) as exc:
-        Model.load(bad)
-    assert exc.value.offset == 12
+    # an Adam state, and a SWATS state past its switch, which adds sgd_lr
+    for kind in ("swats",) if key == "sgd_lr" else ("adam", "swats"):
+        model, _, _, b = build_setup()
+        state = make_state(kind, eps_switch=1e30)
+        for _ in range(2):
+            model.train_step(b, state, np.random.default_rng(0))
+        assert state.phase == ("sgd" if kind == "swats" else "adam")
+        path = tmp_path / f"{kind}.sebn"
+        model.save(path, state)
+        bad = tmp_path / f"bad-{kind}.sebn"
+        rewrite_meta(path, bad, _set(section, key, value))
+        with pytest.raises(CheckpointError, match=key) as exc:
+            Model.load(bad)
+        assert exc.value.offset == 12
 
 
 @pytest.mark.parametrize("edit, match", [

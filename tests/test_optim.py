@@ -317,13 +317,25 @@ def test_make_state():
         make_state("rmsprop")
 
 
-@pytest.mark.parametrize("value", [-0.001, float("nan"), float("inf")])
-@pytest.mark.parametrize("build", [
-    lambda v: AdamState(lr=v), lambda v: SgdState(lr=v),
-    lambda v: SwatsState(eps_switch=v), lambda v: make_state("swats", lr=v),
-], ids=["adam-lr", "sgd-lr", "swats-eps-switch", "swats-lr"])
-def test_state_rejects_negative_or_nonfinite_rate(build, value):
-    with pytest.raises(ContractError, match="finite and >= 0"):
+_NAN, _INF = float("nan"), float("inf")
+_RATES = {"adam-lr": lambda v: AdamState(lr=v), "sgd-lr": lambda v: SgdState(lr=v),
+          "swats-eps-switch": lambda v: SwatsState(eps_switch=v),
+          "swats-lr": lambda v: make_state("swats", lr=v)}
+
+
+@pytest.mark.parametrize("build, value, match", [
+    *[pytest.param(build, v, "finite and >= 0", id=f"{name}-{v}")
+      for name, build in _RATES.items() for v in (-0.001, _NAN, _INF)],
+    *[pytest.param(lambda v, n=n: AdamState(**{n: v}), v, n + r" must be in \[0, 1\)",
+                   id=f"adam-{n}-{v}")
+      for n in ("beta1", "beta2") for v in (-0.001, 1.0, 2.0, _NAN)],
+    *[pytest.param(lambda v: AdamState(eps=v), v, "finite and > 0", id=f"adam-eps-{v}")
+      for v in (0.0, -1e-8, _NAN, _INF)],
+    *[pytest.param(lambda v: SwatsState(phase="sgd", sgd_lr=v), v, "sgd_lr must be finite",
+                   id=f"swats-sgd-lr-{v}") for v in (_NAN, _INF, -_INF)],
+])
+def test_state_rejects_negative_or_nonfinite_rate(build, value, match):
+    with pytest.raises(ContractError, match=match):
         build(value)
 
 

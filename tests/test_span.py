@@ -147,15 +147,18 @@ class TestScore:
 
     def test_gradients_through_score_and_loss(self):
         rng = np.random.default_rng(2)
-        valid = np.array([False, True, True, True, False])
+        # one example, then a batch whose second row has a padded tail
+        cases = [((5, 4), [False, True, True, True, False], (1, 3)),
+                 ((2, 5, 4), [[False, True, True, True, False],
+                              [False, True, True, False, False]], np.array([[1, 3], [2, 2]]))]
+        for h_shape, valid, gold in cases:
+            def build(h, ws, we, valid=np.array(valid), gold=gold):
+                logits = S.score(h, {"w_start": ws, "w_end": we}, valid)
+                return S.span_loss(logits, gold)
 
-        def build(h, ws, we):
-            logits = S.score(h, {"w_start": ws, "w_end": we}, valid)
-            return S.span_loss(logits, (1, 3))
-
-        check_grads(build, [rng.standard_normal((5, 4)),
-                            rng.standard_normal((4, 1)),
-                            rng.standard_normal((4, 1))])
+            check_grads(build, [rng.standard_normal(h_shape),
+                                rng.standard_normal((4, 1)),
+                                rng.standard_normal((4, 1))])
 
 
 class TestSpanLoss:
@@ -189,6 +192,35 @@ class TestSpanLoss:
                        + ref_log_probs(end, valid)[gold_e])
             np.testing.assert_allclose(loss, expect, rtol=1e-12)
 
+    @pytest.mark.parametrize("gap", [100.0, 110.0, 1e4])
+    def test_far_gold_is_exact(self, gap):
+        """Gold logits ``gap`` below the best: a float32 probability
+        underflows there, a log-probability does not. Loss and gradient
+        match a straight-line fp64 log-sum-exp at both dtypes."""
+        valid = np.array([[True] * 8, [False] + [True] * 4 + [False] * 3])
+        golds = np.array([[1, 6], [2, 3]])
+        start = np.zeros((2, 8))
+        end = np.linspace(-1.0, 1.0, 16).reshape(2, 8)
+        start[0, 4] = start[1, 3] = gap
+        end[0, 0] = gap
+        want, want_grads = 0.0, []
+        for x, gold in ((start, golds[:, 0]), (end, golds[:, 1])):
+            lp = np.stack([ref_log_probs(row, v) for row, v in zip(x, valid)])
+            want -= lp[[0, 1], gold].sum() / 2
+            want_grads.append((np.exp(lp) - np.eye(8)[gold]) / 2)
+        for dtype, tol in ((np.float32, 1e-6), (np.float64, 1e-12)):
+            lg = S.SpanLogits(Tensor(start.astype(dtype), requires_grad=True),
+                              Tensor(end.astype(dtype), requires_grad=True), valid)
+            with T.Tape() as tape:
+                loss = S.span_loss(lg, golds)
+            assert len(tape) == 1
+            T.backward(tape, loss)
+            assert loss.dtype == dtype
+            np.testing.assert_allclose(float(loss.data), want, rtol=tol)
+            for t, grad in zip((lg.start_logits, lg.end_logits), want_grads):
+                assert t.grad.dtype == dtype
+                np.testing.assert_allclose(t.grad, grad, rtol=tol, atol=tol / 10)
+
     def test_batched_is_mean(self):
         valid = np.array([[False, True, True], [False, True, True]])
         start = np.array([[0.0, 1.0, 2.0], [0.0, -1.0, 0.5]])
@@ -199,6 +231,11 @@ class TestSpanLoss:
         singles = [float(S.span_loss(lb.example(i), tuple(golds[i])).data)
                    for i in range(2)]
         np.testing.assert_allclose(batched, np.mean(singles), rtol=1e-12)
+        # the per-example losses it averages, in fp64
+        per = S.example_losses(lb, golds)
+        assert per.shape == (2,) and per.dtype == np.float64
+        np.testing.assert_allclose(per, singles, rtol=1e-12)
+        assert S.example_losses(lb.example(0), tuple(golds[0])).shape == ()
 
     def test_batched_gold_outside_valid_raises(self):
         valid = np.array([[False, True, True], [False, True, False]])
