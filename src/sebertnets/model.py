@@ -93,7 +93,7 @@ class ModelConfig:
             )
         if self.cell not in (LSTM, GRU):
             raise ContractError(f"cell must be {LSTM!r} or {GRU!r}, got {self.cell!r}")
-        if not isinstance(self.hidden_size, int) or self.hidden_size < 1:
+        if type(self.hidden_size) is not int or self.hidden_size < 1:
             raise ContractError(f"hidden_size must be an int >= 1, got {self.hidden_size!r}")
 
     @property

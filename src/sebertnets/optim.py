@@ -73,6 +73,9 @@ class AdamState:
                 raise ContractError(f"{name} must be in [0, 1), got {beta!r}")
         if not 0.0 < self.eps < math.inf:
             raise ContractError(f"eps must be finite and > 0, got {self.eps!r}")
+        # a negative step count makes a bias correction <= 0
+        if type(self.k) is not int or self.k < 0:
+            raise ContractError(f"k must be an int >= 0, got {self.k!r}")
 
 
 @dataclass
@@ -101,6 +104,9 @@ class SwatsState:
         # no sign rule: a saved Lambda is whatever the switch estimated
         if self.sgd_lr is not None and not math.isfinite(self.sgd_lr):
             raise ContractError(f"sgd_lr must be finite, got {self.sgd_lr!r}")
+        # a non-finite lam never meets eps_switch, so the switch never comes
+        if not math.isfinite(self.lam):
+            raise ContractError(f"lam must be finite, got {self.lam!r}")
 
     @property
     def k(self) -> int:

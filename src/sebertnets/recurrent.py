@@ -11,8 +11,10 @@ row, which makes running over a padded sequence provably equivalent to
 running over the truncated one.
 
 ``_step`` holds the gate equations once. ``lstm_step`` and ``gru_step``
-record one step of it on the tape; ``bidirectional_encode`` records the
-whole layer, both directions, as a single tape op whose backward is
+evaluate one step of it and record nothing: they are forward-only
+references, and raise ``ContractError`` where a tape would need their
+gradient. ``bidirectional_encode`` records the whole layer, both
+directions, as the one tape op of this module, whose backward is
 hand-written BPTT per direction, with the weight gradients formed after
 the sweep as one GEMM over all timesteps (Appleyard et al.,
 arXiv:1604.01946).
@@ -177,28 +179,16 @@ def _param_grads(cell: str, w: dict[str, np.ndarray], x: np.ndarray, acts,
     return (a @ _cat(w, "w", cell).T).reshape(x.shape), grads
 
 
-def _step_op(l_t: Tensor, h: Tensor, c: Tensor | None, p: RecurrentParams):
-    """One step as tape ops over ``_step``: the new ``h`` and, for LSTM,
-    the new ``c``, each recorded with the step's shared backward."""
-    w = {k: t.data for k, t in p.weights.items()}
-    h_new, c_new, acts = _step(p.cell, w, l_t.data, h.data,
-                               None if c is None else c.data)
-    states = (h,) if c is None else (h, c)
-    inputs = (l_t, *states, *p.weights.values())
-
-    def grads(dh, dc):
-        d_pre = np.empty(dh.shape[:-1] + (len(_gates_for(p.cell)), dh.shape[-1]),
-                         dtype=dh.dtype)
-        dh_prev, dc_prev = _step_back(p.cell, _cat(w, "u", p.cell).T,
-                                      _local(p.cell, acts), dh, dc, d_pre)
-        dx, gw = _param_grads(p.cell, w, l_t.data, acts, d_pre)
-        return (dx, dh_prev, dc_prev)[:1 + len(states)] + tuple(gw[k] for k in w)
-
-    if c is None:
-        return T._make(inputs, h_new, lambda g: grads(g, None)), None
-    zero = np.zeros_like(h_new)
-    return (T._make(inputs, h_new, lambda g: grads(g, zero)),
-            T._make(inputs, c_new, lambda g: grads(zero, g)))
+def _eval_step(l_t: Tensor, h: Tensor, c: Tensor | None, p: RecurrentParams):
+    """``_step`` on the tensors' data, recording nothing: the per-step
+    cells are forward-only references, so where a tape would need their
+    gradient they refuse rather than drop it."""
+    if T._recording((l_t, h, *(() if c is None else (c,)), *p.weights.values())):
+        raise ContractError(f"{p.cell}_step is forward-only and records no gradient; "
+                            "differentiate through bidirectional_encode")
+    h_new, c_new, _ = _step(p.cell, {k: t.data for k, t in p.weights.items()},
+                            l_t.data, h.data, None if c is None else c.data)
+    return Tensor(h_new), None if c_new is None else Tensor(c_new)
 
 
 def lstm_step(l_t: Tensor, prev: CellState, p: RecurrentParams) -> CellState:
@@ -206,14 +196,14 @@ def lstm_step(l_t: Tensor, prev: CellState, p: RecurrentParams) -> CellState:
         raise ContractError(f"lstm_step called with {p.cell!r} params")
     if prev.c is None:
         raise ContractError("lstm_step needs a cell state c in prev")
-    h, c = _step_op(l_t, prev.h, prev.c, p)
+    h, c = _eval_step(l_t, prev.h, prev.c, p)
     return CellState(h=h, c=c)
 
 
 def gru_step(l_t: Tensor, prev_h: Tensor, p: RecurrentParams) -> Tensor:
     if p.cell != GRU:
         raise ContractError(f"gru_step called with {p.cell!r} params")
-    return _step_op(l_t, prev_h, None, p)[0]
+    return _eval_step(l_t, prev_h, None, p)[0]
 
 
 def _sweep(p: RecurrentParams, x: np.ndarray, keep: np.ndarray,

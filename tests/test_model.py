@@ -488,6 +488,7 @@ def _set(section, key, value):
     ("optimizer", "lr", "0.001"),
     ("optimizer", "k", "3"),
     ("optimizer", "k", 3.0),
+    ("optimizer", "k", -1),
     ("optimizer", "beta2", _DELETE),
     ("optimizer", "lr", -0.001),
     ("optimizer", "lr", float("nan")),
@@ -496,13 +497,16 @@ def _set(section, key, value):
     ("optimizer", "beta2", 2.0),
     ("optimizer", "eps", float("inf")),
     ("optimizer", "sgd_lr", float("nan")),
+    ("optimizer", "lam", float("nan")),
     ("model", "cell", _DELETE),
     ("model", "hidden_size", "4"),
+    ("model", "hidden_size", True),
     ("model", "variant", _DELETE),
 ])
 def test_bad_metadata_is_checkpoint_error(tmp_path, section, key, value):
-    # an Adam state, and a SWATS state past its switch, which adds sgd_lr
-    for kind in ("swats",) if key == "sgd_lr" else ("adam", "swats"):
+    # an Adam state, and a SWATS state past its switch, which adds sgd_lr;
+    # SWATS-only keys run on that state alone
+    for kind in ("swats",) if key in ("sgd_lr", "lam") else ("adam", "swats"):
         model, _, _, b = build_setup()
         state = make_state(kind, eps_switch=1e30)
         for _ in range(2):

@@ -333,6 +333,10 @@ _RATES = {"adam-lr": lambda v: AdamState(lr=v), "sgd-lr": lambda v: SgdState(lr=
       for v in (0.0, -1e-8, _NAN, _INF)],
     *[pytest.param(lambda v: SwatsState(phase="sgd", sgd_lr=v), v, "sgd_lr must be finite",
                    id=f"swats-sgd-lr-{v}") for v in (_NAN, _INF, -_INF)],
+    *[pytest.param(lambda v: SwatsState(lam=v), v, "lam must be finite",
+                   id=f"swats-lam-{v}") for v in (_NAN, _INF, -_INF)],
+    *[pytest.param(lambda v: AdamState(k=v), v, "k must be an int >= 0", id=f"adam-k-{v}")
+      for v in (-1, -5, 1.0, True)],
 ])
 def test_state_rejects_negative_or_nonfinite_rate(build, value, match):
     with pytest.raises(ContractError, match=match):

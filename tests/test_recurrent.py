@@ -136,6 +136,28 @@ class TestGruStep:
             assert ((hh > -1) & (hh < 1)).all()
 
 
+@pytest.mark.parametrize("cell", [R.LSTM, R.GRU])
+def test_step_cells_are_forward_only(cell, rng):
+    p = make_params(cell, 3, 4, rng)
+    l, h, c = rng.standard_normal((2, 3)), *rng.standard_normal((2, 2, 4))
+
+    def run():
+        if cell == R.LSTM:
+            new = R.lstm_step(Tensor(l), R.CellState(Tensor(h), Tensor(c)), p)
+            return new.h.data, new.c.data
+        return R.gru_step(Tensor(l), Tensor(h), p).data, None
+
+    with T.Tape(), pytest.raises(ContractError, match="forward-only"):
+        run()
+    got_h, got_c = run()
+    if cell == R.LSTM:
+        want_h, want_c, _ = ref_lstm_step(l, h, c, raw_weights(p))
+        assert np.array_equal(got_c, want_c)
+    else:
+        want_h, _ = ref_gru_step(l, h, raw_weights(p))
+    assert np.array_equal(got_h, want_h)
+
+
 class TestBidirectionalEncode:
     def run_both(self, seq, mask, fwd, bwd, cell):
         return R.bidirectional_encode(Tensor(seq), mask, fwd, bwd, cell).data
@@ -342,35 +364,6 @@ class TestFusedPass:
 
         check_grads(build, [seq, *(fwd.weights[n].data for n in names),
                             *(bwd.weights[n].data for n in names)])
-
-    def test_gru_step_gradients(self):
-        rng = np.random.default_rng(42)
-        p = make_params(R.GRU, 3, 4, rng, scale=2.0)
-        names = list(p.weights)
-        w_h = rng.standard_normal((2, 4))
-
-        def build(x, h, *weights):
-            q = R.RecurrentParams(R.GRU, 3, 4, dict(zip(names, weights)))
-            return T.sum_all(T.mul(R.gru_step(x, h, q), Tensor(w_h)))
-
-        check_grads(build, [rng.standard_normal((2, 3)), rng.standard_normal((2, 4)),
-                            *(p.weights[n].data for n in names)])
-
-    def test_lstm_step_gradients(self):
-        rng = np.random.default_rng(43)
-        p = make_params(R.LSTM, 3, 4, rng, scale=2.0)
-        names = list(p.weights)
-        w_h, w_c = rng.standard_normal((2, 2, 4))
-
-        def build(x, h, c, *weights):
-            q = R.RecurrentParams(R.LSTM, 3, 4, dict(zip(names, weights)))
-            new = R.lstm_step(x, R.CellState(h, c), q)
-            return T.add(T.sum_all(T.mul(new.h, Tensor(w_h))),
-                         T.sum_all(T.mul(new.c, Tensor(w_c))))
-
-        check_grads(build, [rng.standard_normal((2, 3)), rng.standard_normal((2, 4)),
-                            rng.standard_normal((2, 4)),
-                            *(p.weights[n].data for n in names)])
 
     @pytest.mark.parametrize("cell", [R.LSTM, R.GRU])
     def test_tape_length_does_not_grow_with_sequence(self, cell):
