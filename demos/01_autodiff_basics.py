@@ -20,8 +20,8 @@ x = Tensor(rng.standard_normal((5, 4)))
 
 
 def loss_fn():
-    h = T.tanh(T.add_bias(T.matmul(x, w1), b1))
-    return T.mean_all(T.matmul(h, w2))
+    h = T.gelu(T.add_bias(T.matmul(x, w1), b1))
+    return T.sum_all(T.matmul(h, w2))
 
 
 with Tape() as tape:
@@ -45,6 +45,7 @@ print(f"dL/dw1[0,0]   : analytic {w1.grad[0, 0]:+.8f}  numeric {numeric:+.8f}")
 
 # ops preserve dtype, so the same graph can be built at float64 when a
 # higher-precision reference is needed
+x32 = Tensor(x.data.astype(np.float32))
 x64 = Tensor(x.data.astype(np.float64))
-print(f"float32 in -> {T.tanh(Tensor(x.data)).dtype} out, "
-      f"float64 in -> {T.tanh(x64).dtype} out")
+print(f"float32 in -> {T.gelu(x32).dtype} out, "
+      f"float64 in -> {T.gelu(x64).dtype} out")

@@ -19,9 +19,9 @@ bwd = RecurrentParams.init(GRU, 6, 4, rng)
 seq = rng.standard_normal((1, 8, 6)).astype(np.float32)
 mask = np.array([[True] * 5 + [False] * 3])
 
-padded = bidirectional_encode(Tensor(seq), mask, fwd, bwd, GRU)
+padded = bidirectional_encode(Tensor(seq), mask, fwd, bwd)
 bare = bidirectional_encode(Tensor(seq[:, :5].copy()),
-                            np.ones((1, 5), dtype=bool), fwd, bwd, GRU)
+                            np.ones((1, 5), dtype=bool), fwd, bwd)
 drift = np.abs(padded.data[:, :5] - bare.data).max()
 print(f"recurrent: real rows padded-vs-bare max diff {drift:.1e}, "
       f"masked rows all zero: {bool((padded.data[:, 5:] == 0).all())}")

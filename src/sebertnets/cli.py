@@ -182,7 +182,9 @@ def _require_target(path, what: str) -> str:
 
 
 def _parse_ini(path: str, cfg: RunConfig) -> RunConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header can name the empty section, so [DEFAULT] is an unknown
+    # section instead of silently feeding its keys to every other one
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)

@@ -62,16 +62,14 @@ class Vocabulary:
     """
 
     def __init__(self, chars: Sequence[str]):
-        seen = set()
-        ordered = []
-        for ch in chars:
+        self._chars: list[str] = list(chars)
+        self._ids: dict[str, int] = {}
+        for i, ch in enumerate(self._chars):
             if len(ch) != 1:
                 raise ContractError(f"vocabulary entries must be single chars, got {ch!r}")
-            if ch not in seen:
-                seen.add(ch)
-                ordered.append(ch)
-        self._chars: list[str] = ordered
-        self._ids: dict[str, int] = {ch: RESERVED + i for i, ch in enumerate(ordered)}
+            if ch in self._ids:
+                raise ContractError(f"vocabulary repeats the char {ch!r}")
+            self._ids[ch] = RESERVED + i
 
     @classmethod
     def from_corpus(cls, examples: Iterable["RawExample"]) -> "Vocabulary":

@@ -49,7 +49,15 @@ from .errors import (
     DataError,
     DivergenceError,
 )
-from .optim import apply_step, clip_global_norm, state_from_meta, state_meta, state_moments
+from .optim import (
+    AdamState,
+    SwatsState,
+    apply_step,
+    clip_global_norm,
+    state_from_meta,
+    state_meta,
+    state_moments,
+)
 from .recurrent import GRU, LSTM, RecurrentParams, bidirectional_encode
 from .span import (
     RecallConfig,
@@ -162,8 +170,7 @@ class Model:
                      self.encoder_params, self.enc_cfg, rng=rng)
         h = enc.hidden
         if self.cfg.recurrent:
-            h = bidirectional_encode(h, batch.attention_mask,
-                                     self.rnn_fwd, self.rnn_bwd, self.cfg.cell)
+            h = bidirectional_encode(h, batch.attention_mask, self.rnn_fwd, self.rnn_bwd)
         valid = valid_mask(batch.token_ids.shape[1], batch.text_spans)
         logits = score(h, self.head_params, valid)
         return logits, enc.attentions
@@ -358,6 +365,13 @@ def _rebuild(meta: dict, arrays: dict[str, np.ndarray]) -> tuple[Model, object |
     if m.keys() != v.keys():
         raise ContractError("optimizer moments 'm' and 'v' cover different parameters")
     state = state_from_meta(training["optimizer"], m, v)
+    # Adam touches every parameter's moments on each step, so a state
+    # past step 0 holds them all and one at step 0 holds none
+    if isinstance(state, (AdamState, SwatsState)) and m.keys() != (
+            params.keys() if state.k else set()):
+        raise ContractError(f"optimizer at step k={state.k} stores moments for "
+                            f"{len(m)} of {len(params)} parameters, expected "
+                            f"{len(params) if state.k else 0}")
     known = {*params, *(f"optim.{which}.{name}" for which, moments
                         in zip("mv", state_moments(state)) for name in moments)}
     stray = [name for name in arrays if name not in known]
@@ -415,5 +429,5 @@ def load_checkpoint(path) -> tuple[Model, object | None]:
 
     try:
         return _rebuild(meta, arrays)
-    except (ContractError, DataError) as exc:
+    except (CompatibilityError, ContractError, DataError) as exc:
         raise CheckpointError(str(exc), offset=12) from exc

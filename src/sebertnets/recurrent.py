@@ -82,6 +82,13 @@ def _gates_for(cell: str) -> tuple[str, ...]:
     raise ContractError(f"unknown cell type {cell!r}, expected {LSTM!r} or {GRU!r}")
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # 1/(1+exp(-x)) verbatim so straight-line references agree bitwise;
+    # overflow in exp saturates to the correct 0.0.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _pre(w: dict[str, np.ndarray], gate: str, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     # (l@W + h@U) + b, left to right: references depend on this order
     return (x @ w[f"w_{gate}"] + h @ w[f"u_{gate}"]) + w[f"b_{gate}"]
@@ -96,14 +103,14 @@ def _step(cell: str, w: dict[str, np.ndarray], x: np.ndarray, h: np.ndarray,
     ``h, c, f, i, o, g, tanh(c')`` for LSTM.
     """
     if cell == GRU:
-        z = T._sigmoid(_pre(w, "update", x, h))
-        r = T._sigmoid(_pre(w, "reset", x, h))
+        z = _sigmoid(_pre(w, "update", x, h))
+        r = _sigmoid(_pre(w, "reset", x, h))
         rh = r * h
         cand = np.tanh(_pre(w, "candidate", x, rh))
         return (1.0 - z) * h + z * cand, None, (h, z, r, rh, cand)
-    f = T._sigmoid(_pre(w, "f", x, h))
-    i = T._sigmoid(_pre(w, "i", x, h))
-    o = T._sigmoid(_pre(w, "o", x, h))
+    f = _sigmoid(_pre(w, "f", x, h))
+    i = _sigmoid(_pre(w, "i", x, h))
+    o = _sigmoid(_pre(w, "o", x, h))
     g = np.tanh(_pre(w, "c", x, h))
     c_new = f * c + i * g
     tc = np.tanh(c_new)
@@ -261,7 +268,7 @@ def _sweep(p: RecurrentParams, x: np.ndarray, keep: np.ndarray,
 
 
 def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
-                         bwd: RecurrentParams, cell: str) -> Tensor:
+                         bwd: RecurrentParams) -> Tensor:
     """Run ``fwd`` left-to-right and ``bwd`` right-to-left over the real
     positions of ``seq`` and concatenate per-position hidden states.
 
@@ -270,12 +277,11 @@ def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
     positions are zero. The whole layer is one tape op: both sweeps read
     one time-major copy of ``seq`` and write the two halves of one
     output, and the backward returns the sum of the two directions'
-    input gradients.
+    input gradients. Both directions must hold the same cell type.
     """
-    _gates_for(cell)
-    if fwd.cell != cell or bwd.cell != cell:
-        raise ContractError(f"cell {cell!r} does not match params "
-                            f"({fwd.cell!r}, {bwd.cell!r})")
+    if fwd.cell != bwd.cell:
+        raise ContractError(f"directions hold different cells ({fwd.cell!r}, {bwd.cell!r})")
+    _gates_for(fwd.cell)
     m = np.asarray(mask, dtype=bool)
     data = seq.data
     if seq.ndim == 2:

@@ -12,6 +12,13 @@ There is no implicit broadcasting: binary ops take equal shapes or a
 scalar operand, and ``add_bias`` is the one explicit trailing-axis
 broadcast, so every backward rule stays auditable. (The boolean mask of
 ``masked_softmax`` may broadcast; it carries no gradient.)
+
+The module holds 13 primitives: the twelve ops a model runs (``add``,
+``mul``, ``add_bias``, ``matmul``, ``relu``, ``gelu``, ``reshape``,
+``transpose``, ``embedding_lookup``, ``layer_norm``, ``masked_softmax``
+and ``dropout``) and ``sum_all``, the scalar reducer that gradient checks
+end in. The recurrent layer and the span loss are hand-written ops of
+their own modules, built on ``_make``.
 """
 
 from __future__ import annotations
@@ -72,39 +79,12 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self.data.reshape(()))
-
-    def __float__(self) -> float:
-        return self.item()
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
 
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other, self.dtype))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0, self.dtype))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(value, dtype) -> Tensor:
@@ -245,13 +225,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make((a, b), a.data + b.data, bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes_ok(a, b, "sub")
-    def bwd(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
-    return _make((a, b), a.data - b.data, bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes_ok(a, b, "mul")
     va, vb = a.data, b.data
@@ -277,45 +250,19 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: 2-D x 2-D, vector x 2-D, or batched with leading
-    axes; a 2-D operand against a batched one is shared across the batch
-    and its gradient sums over the leading axes."""
+    """Matrix product: 2-D x 2-D, or batched with leading axes; a 2-D
+    operand against a batched one is shared across the batch and its
+    gradient sums over the leading axes."""
     va, vb = a.data, b.data
-    if va.ndim < 1 or vb.ndim < 2:
+    if va.ndim < 2 or vb.ndim < 2:
         raise ShapeError(f"matmul: unsupported ranks {va.shape} @ {vb.shape}")
     if va.shape[-1] != vb.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions of {va.shape} and {vb.shape} do not match")
-    out = va @ vb
-    if va.ndim == 1:
-        def bwd_vec(g):
-            return g @ np.swapaxes(vb, -1, -2), np.outer(va, g)
-        return _make((a, b), out, bwd_vec)
     def bwd(g):
         ga = g @ np.swapaxes(vb, -1, -2)
         gb = np.swapaxes(va, -1, -2) @ g
         return _sum_leading(ga, va.shape), _sum_leading(gb, vb.shape)
-    return _make((a, b), out, bwd)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1/(1+exp(-x)) verbatim so straight-line references agree bitwise;
-    # overflow in exp saturates to the correct 0.0.
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    s = _sigmoid(x.data)
-    def bwd(g):
-        return (g * (s * (1.0 - s)),)
-    return _make((x,), s, bwd)
-
-
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-    def bwd(g):
-        return (g * (1.0 - t * t),)
-    return _make((x,), t, bwd)
+    return _make((a, b), va @ vb, bwd)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -422,36 +369,6 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
     return _make((logits,), p, bwd)
 
 
-def cross_entropy(probs: Tensor, targets) -> Tensor:
-    """Negative log-likelihood of integer targets under given
-    probabilities: 2-D [B, n] probs with a length-B target vector averaged
-    over the batch, or 1-D probs with a scalar target as a batch of one.
-    No model loss calls it (``span.span_loss`` reads log-probabilities);
-    it stays a primitive of the tape, gradchecked with the others."""
-    t = np.asarray(targets)
-    v = probs.data
-    if v.ndim == 1:
-        if t.shape not in ((), (1,)):
-            raise ShapeError(f"cross_entropy: 1-D probs need a scalar target, got shape {t.shape}")
-        return cross_entropy(reshape(probs, (1, v.shape[0])), t.reshape(1))
-    if v.ndim == 2:
-        if t.shape != (v.shape[0],):
-            raise ShapeError(f"cross_entropy: probs {v.shape} need targets of shape "
-                             f"({v.shape[0]},), got {t.shape}")
-        if t.size and (t.min() < 0 or t.max() >= v.shape[1]):
-            raise IndexError(f"target out of range for {v.shape[1]} classes")
-        rows = np.arange(v.shape[0])
-        picked = v[rows, t]
-        with np.errstate(divide="ignore"):
-            out = np.asarray(np.mean(-np.log(picked)), dtype=v.dtype)
-        def bwd(g):
-            gp = np.zeros_like(v)
-            gp[rows, t] = -g / (v.shape[0] * picked)
-            return (gp,)
-        return _make((probs,), out, bwd)
-    raise ShapeError(f"cross_entropy: probs must be 1-D or 2-D, got shape {v.shape}")
-
-
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale survivors
     by 1/(1-rate). Call only in training; rate 0 is the identity."""
@@ -466,15 +383,8 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
+    """The sum of every element, as a 0-d tensor of ``x``'s dtype."""
     def bwd(g):
         return (np.broadcast_to(g, x.shape).astype(x.dtype, copy=True),)
     return _make((x,), np.asarray(x.data.sum(), dtype=x.dtype), bwd)
 
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.size
-    if n == 0:
-        raise ContractError("mean_all of an empty tensor")
-    def bwd(g):
-        return (np.broadcast_to(g / n, x.shape).astype(x.dtype, copy=True),)
-    return _make((x,), np.asarray(x.data.mean(), dtype=x.dtype), bwd)

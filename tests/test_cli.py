@@ -160,7 +160,7 @@ def test_train_missing_data_is_usage_error(tmp_path):
     assert console_main(["train"]) == 1  # no train path at all
 
 
-def test_bad_config_key_is_usage_error(tmp_path):
+def test_bad_config_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[run]\nwarp_speed = 9\n", encoding="utf-8")
     assert console_main(["train", "--config", str(cfg)]) == 1
@@ -170,6 +170,12 @@ def test_bad_config_key_is_usage_error(tmp_path):
     assert console_main(["train", "--config", str(cfg)]) == 1
     cfg.write_bytes(b"[run]\nepochs = \xff\n")
     assert console_main(["train", "--config", str(cfg)]) == 1
+    # [DEFAULT] is a section like any other, and no known one
+    for text in ("[DEFAULT]\nepochs = 0\n", "[DEFAULT]\nx = 1\n[model]\ncell = gru\n"):
+        cfg.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert console_main(["train", "--config", str(cfg)]) == 1
+        assert "unknown section [DEFAULT]" in capsys.readouterr().err
 
 
 def test_bad_variant_is_usage_error(tmp_path):

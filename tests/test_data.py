@@ -56,6 +56,10 @@ class TestVocabulary:
         with pytest.raises(IndexError):
             D.Vocabulary(list("ab")).char_for(99)
 
+    def test_repeated_char_raises(self):
+        with pytest.raises(ContractError, match="repeats the char 'a'"):
+            D.Vocabulary(list("aba"))
+
 
 class TestEncodeExample:
     def setup_method(self):

@@ -86,7 +86,7 @@ class TestEmbed:
         def build(*tensors):
             params = dict(zip(names, tensors))
             out = E.embed(ids, segs, params, cfg)
-            return T.mean_all(T.mul(out, out))
+            return T.sum_all(T.mul(out, out))
 
         check_grads(build, [proto[n].data for n in names])
 
@@ -219,6 +219,6 @@ class TestEndToEndGradients:
         def build(*tensors):
             params = dict(zip(names, tensors))
             out = E.encode(ids, segs, mask, params, cfg)
-            return T.mean_all(T.mul(out.hidden, out.hidden))
+            return T.sum_all(T.mul(out.hidden, out.hidden))
 
         check_grads(build, [proto[n].data for n in names])

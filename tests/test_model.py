@@ -1,11 +1,14 @@
 """Model assembly, training step, and checkpoint tests."""
 
+import inspect
 import json
 import struct
+import sys
 
 import numpy as np
 import pytest
 
+from sebertnets import tensor as T
 from sebertnets.data import (
     RawExample,
     SynthConfig,
@@ -45,12 +48,14 @@ def tiny_corpus(n=16, seed=0, multi=0.0):
 
 
 def build_setup(variant=SEBERTNETS, n=16, seed=0, d_model=8, hidden=4,
-                n_layers=1, n_heads=2, d_ff=16, dropout=0.0, corpus=None, cell=GRU):
+                n_layers=1, n_heads=2, d_ff=16, dropout=0.0, corpus=None, cell=GRU,
+                activation="relu"):
     examples = corpus if corpus is not None else tiny_corpus(n=n, seed=seed)
     vocab = Vocabulary.from_corpus(examples)
     enc_cfg = EncoderConfig(vocab_size=vocab.size, d_model=d_model,
                             n_layers=n_layers, n_heads=n_heads, d_ff=d_ff,
-                            max_len=MAX_LEN, dropout_rate=dropout)
+                            max_len=MAX_LEN, dropout_rate=dropout,
+                            activation=activation)
     cfg = ModelConfig(variant=variant, cell=cell, hidden_size=hidden)
     model = Model(cfg, enc_cfg, vocab, seed=seed)
     flat = flatten_for_training(examples)
@@ -296,6 +301,42 @@ def test_far_gold_logit_trains_with_finite_loss():
     np.testing.assert_allclose(loss, want, rtol=1e-6)
 
 
+def test_every_primitive_is_run_by_a_model_or_reduces_a_gradcheck():
+    """The tensor primitives, the public functions of ``sebertnets.tensor``
+    that make a Tensor, are exactly those that one dropout training step
+    of some model reaches, plus ``sum_all``, the scalar that gradient
+    checks end in; and criterion 1 gradchecks exactly them. So no
+    primitive outlives its last model caller unnoticed."""
+    from test_acceptance import _primitive_trials
+
+    prims = {name for name, fn in vars(T).items()
+             if inspect.isfunction(fn) and not name.startswith("_")
+             and fn.__module__ == T.__name__
+             and inspect.signature(fn).return_annotation == "Tensor"}
+    names = {getattr(T, name).__code__: name for name in prims}
+    reached = set()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            reached.add(names[frame.f_code])
+
+    for variant, cell, act in ((BERT_BASELINE, GRU, "gelu"), (SEBERTNETS, GRU, "relu"),
+                               (HSEBERTNETS, LSTM, "relu")):
+        model, _, _, b = build_setup(variant=variant, cell=cell, activation=act,
+                                     dropout=0.1)
+        state = make_state("adam")
+        outer = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            model.train_step(b, state, np.random.default_rng(0))
+        finally:
+            sys.setprofile(outer)
+    assert reached | {"sum_all"} == prims
+    checked = {"matmul" if name.startswith("matmul_") else name
+               for name in _primitive_trials(np.random.default_rng(0))}
+    assert checked == prims
+
+
 # ------------------------------------------------------------ checkpoint
 
 
@@ -521,6 +562,35 @@ def test_bad_metadata_is_checkpoint_error(tmp_path, section, key, value):
         assert exc.value.offset == 12
 
 
+@pytest.mark.parametrize("steps, drop, k", [
+    (0, (), 3),
+    (1, "all", 3),
+    (1, ("head.w_end",), 3),
+    (1, (), 0),
+], ids=["k3-no-moments", "k3-moments-dropped", "k3-one-parameter-dropped",
+        "k0-with-moments"])
+def test_moments_must_fit_step_count(tmp_path, steps, drop, k):
+    """An Adam or SWATS state past step 0 stores moments for every
+    parameter, and one at step 0 for none. Anything else would resume
+    from zeroed moments or misread the next bias correction, so it is a
+    CheckpointError."""
+    for kind in ("adam", "swats"):
+        model, _, _, b = build_setup()
+        state = make_state(kind)
+        for _ in range(steps):
+            model.train_step(b, state, np.random.default_rng(0))
+        adam = state.adam if kind == "swats" else state
+        for name in list(adam.m) if drop == "all" else drop:
+            del adam.m[name], adam.v[name]
+        path = tmp_path / f"{kind}.sebn"
+        model.save(path, state)
+        bad = tmp_path / f"bad-{kind}.sebn"
+        rewrite_meta(path, bad, _set("optimizer", "k", k))
+        with pytest.raises(CheckpointError, match="moments") as exc:
+            Model.load(bad)
+        assert exc.value.offset == 12
+
+
 @pytest.mark.parametrize("edit, match", [
     (lambda meta: meta["params"][0].pop("shape"), "shape"),
     (lambda meta: meta.update(params={"name": "x"}), "params"),
@@ -540,10 +610,13 @@ def test_bad_metadata_is_checkpoint_error(tmp_path, section, key, value):
     (lambda meta: meta["training"].update(optimizer=None), "'optim.m.encoder"),
     (lambda meta: meta["training"].update(optimizer={"kind": "sgd", "lr": 0.01}),
      "'optim.m.encoder"),
+    (lambda meta: meta["vocab"].update(chars=meta["vocab"]["chars"][:-1]), "vocab"),
+    (lambda meta: meta["vocab"].update(chars=meta["vocab"]["chars"][:-1]
+                                       + meta["vocab"]["chars"][0]), "repeats"),
 ], ids=["entry-without-shape", "params-not-list", "entry-is-string", "no-step",
         "extra-encoder-key", "string-d-model", "string-vocab", "no-optimizer",
         "m-without-v", "repeated-name", "stray-entry", "moments-without-optimizer",
-        "moments-with-sgd"])
+        "moments-with-sgd", "vocab-one-short", "vocab-repeats-a-char"])
 def test_malformed_metadata_is_checkpoint_error(tmp_path, edit, match):
     """Directory, training, encoder, vocabulary and optimizer-moment
     metadata of the wrong shape or type, and directory entries the

@@ -159,8 +159,8 @@ def test_step_cells_are_forward_only(cell, rng):
 
 
 class TestBidirectionalEncode:
-    def run_both(self, seq, mask, fwd, bwd, cell):
-        return R.bidirectional_encode(Tensor(seq), mask, fwd, bwd, cell).data
+    def run_both(self, seq, mask, fwd, bwd):
+        return R.bidirectional_encode(Tensor(seq), mask, fwd, bwd).data
 
     def test_output_shape_and_dtype(self):
         rng = np.random.default_rng(1)
@@ -168,10 +168,10 @@ class TestBidirectionalEncode:
             fwd = make_params(cell, 5, 3, rng, dtype=np.float32)
             bwd = make_params(cell, 5, 3, rng, dtype=np.float32)
             seq = rng.standard_normal((4, 5)).astype(np.float32)
-            out = self.run_both(seq, np.ones(4, dtype=bool), fwd, bwd, cell)
+            out = self.run_both(seq, np.ones(4, dtype=bool), fwd, bwd)
             assert out.shape == (4, 6) and out.dtype == np.float32
             batched = self.run_both(np.stack([seq, seq]), np.ones((2, 4), dtype=bool),
-                                    fwd, bwd, cell)
+                                    fwd, bwd)
             assert batched.shape == (2, 4, 6)
             np.testing.assert_array_equal(batched[0], out)
 
@@ -180,7 +180,7 @@ class TestBidirectionalEncode:
         fwd = make_params(R.GRU, 3, 2, rng)
         bwd = make_params(R.GRU, 3, 2, rng)
         x = rng.standard_normal((1, 3))
-        out = self.run_both(x, np.array([True]), fwd, bwd, R.GRU)
+        out = self.run_both(x, np.array([True]), fwd, bwd)
         hf, _ = ref_gru_step(x[0], np.zeros(2), raw_weights(fwd))
         hb, _ = ref_gru_step(x[0], np.zeros(2), raw_weights(bwd))
         np.testing.assert_array_equal(out[0], np.concatenate([hf, hb]))
@@ -190,7 +190,7 @@ class TestBidirectionalEncode:
         fwd = make_params(R.LSTM, 3, 2, rng)
         bwd = make_params(R.LSTM, 3, 2, rng)
         mask = np.array([True, True, False, True, False])
-        out = self.run_both(rng.standard_normal((5, 3)), mask, fwd, bwd, R.LSTM)
+        out = self.run_both(rng.standard_normal((5, 3)), mask, fwd, bwd)
         np.testing.assert_array_equal(out[2], 0.0)
         np.testing.assert_array_equal(out[4], 0.0)
         assert np.abs(out[mask]).max() > 0
@@ -206,9 +206,9 @@ class TestBidirectionalEncode:
             seq = rng.standard_normal((n_real + pad, 4))
             mask = np.zeros(n_real + pad, dtype=bool)
             mask[:n_real] = True
-            padded = self.run_both(seq, mask, fwd, bwd, cell)
+            padded = self.run_both(seq, mask, fwd, bwd)
             truncated = self.run_both(seq[:n_real], np.ones(n_real, dtype=bool),
-                                      fwd, bwd, cell)
+                                      fwd, bwd)
             np.testing.assert_allclose(padded[:n_real], truncated, rtol=0, atol=1e-6)
             np.testing.assert_array_equal(padded[n_real:], 0.0)
 
@@ -217,10 +217,10 @@ class TestBidirectionalEncode:
         fwd = make_params(R.GRU, 4, 3, rng)
         bwd = make_params(R.GRU, 4, 3, rng)
         real = rng.standard_normal((3, 4))
-        base = self.run_both(real, np.ones(3, dtype=bool), fwd, bwd, R.GRU)
+        base = self.run_both(real, np.ones(3, dtype=bool), fwd, bwd)
         extended = np.concatenate([real, rng.standard_normal((5, 4))])
         mask = np.array([True] * 3 + [False] * 5)
-        out = self.run_both(extended, mask, fwd, bwd, R.GRU)
+        out = self.run_both(extended, mask, fwd, bwd)
         np.testing.assert_array_equal(out[:3], base)
 
     def test_interior_mask_freezes_state(self):
@@ -229,8 +229,8 @@ class TestBidirectionalEncode:
         fwd = make_params(R.GRU, 4, 3, rng)
         bwd = make_params(R.GRU, 4, 3, rng)
         seq = rng.standard_normal((3, 4))
-        masked_mid = self.run_both(seq, np.array([True, False, True]), fwd, bwd, R.GRU)
-        two_step = self.run_both(seq[[0, 2]], np.ones(2, dtype=bool), fwd, bwd, R.GRU)
+        masked_mid = self.run_both(seq, np.array([True, False, True]), fwd, bwd)
+        two_step = self.run_both(seq[[0, 2]], np.ones(2, dtype=bool), fwd, bwd)
         np.testing.assert_array_equal(masked_mid[[0, 2]], two_step)
 
     def test_all_masked_raises(self):
@@ -239,7 +239,7 @@ class TestBidirectionalEncode:
         bwd = make_params(R.GRU, 4, 3, rng)
         with pytest.raises(DegenerateMaskError):
             self.run_both(rng.standard_normal((3, 4)), np.zeros(3, dtype=bool),
-                          fwd, bwd, R.GRU)
+                          fwd, bwd)
 
     def test_cell_mismatch_raises(self):
         rng = np.random.default_rng(9)
@@ -247,7 +247,7 @@ class TestBidirectionalEncode:
         bwd = make_params(R.LSTM, 4, 3, rng)
         with pytest.raises(ContractError):
             self.run_both(rng.standard_normal((3, 4)), np.ones(3, dtype=bool),
-                          fwd, bwd, R.GRU)
+                          fwd, bwd)
 
 
 class TestGradients:
@@ -267,8 +267,8 @@ class TestGradients:
             k = len(names)
             fwd = R.RecurrentParams(cell, d, hid, dict(zip(names, weight_tensors[:k])))
             bwd = R.RecurrentParams(cell, d, hid, dict(zip(names, weight_tensors[k:])))
-            out = R.bidirectional_encode(seq_t, mask, fwd, bwd, cell)
-            return T.mean_all(T.mul(out, out))
+            out = R.bidirectional_encode(seq_t, mask, fwd, bwd)
+            return T.sum_all(T.mul(out, out))
 
         check_grads(build, [seq, *fwd_arrays, *bwd_arrays])
 
@@ -316,7 +316,7 @@ class TestFusedPass:
         fwd = make_params(cell, 4, 5, rng, dtype=dtype, scale=2.0)
         bwd = make_params(cell, 4, 5, rng, dtype=dtype, scale=2.0)
         seq, mask = ragged_batch(rng, 4, dtype)
-        got = R.bidirectional_encode(Tensor(seq), mask, fwd, bwd, cell).data
+        got = R.bidirectional_encode(Tensor(seq), mask, fwd, bwd).data
         want = reference_encode(seq, mask, fwd, bwd, cell)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -335,7 +335,7 @@ class TestFusedPass:
             tape = T.Tape()
             tracemalloc.start()
             with tape if taped else contextlib.nullcontext():
-                outs.append(R.bidirectional_encode(Tensor(seq), mask, fwd, bwd, cell).data)
+                outs.append(R.bidirectional_encode(Tensor(seq), mask, fwd, bwd).data)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
             assert bool(len(tape)) == taped
@@ -359,7 +359,7 @@ class TestFusedPass:
             k = len(names)
             f = R.RecurrentParams(cell, d, hid, dict(zip(names, weights[:k])))
             b = R.RecurrentParams(cell, d, hid, dict(zip(names, weights[k:])))
-            out = R.bidirectional_encode(seq_t, mask, f, b, cell)
+            out = R.bidirectional_encode(seq_t, mask, f, b)
             return T.sum_all(T.mul(out, Tensor(w_out)))
 
         check_grads(build, [seq, *(fwd.weights[n].data for n in names),
@@ -375,7 +375,7 @@ class TestFusedPass:
             seq = Tensor(rng.standard_normal((2, s, 3)).astype(np.float32),
                          requires_grad=True)
             with T.Tape() as tape:
-                R.bidirectional_encode(seq, np.ones((2, s), dtype=bool), fwd, bwd, cell)
+                R.bidirectional_encode(seq, np.ones((2, s), dtype=bool), fwd, bwd)
             lengths.append(len(tape))
         assert lengths[0] == lengths[1]
 
@@ -387,7 +387,6 @@ class TestFusedPass:
         bwd = make_params(cell, 3, 2, rng)
         seq = Tensor(rng.standard_normal(shape), requires_grad=True)
         with T.Tape() as tape:
-            out = R.bidirectional_encode(seq, np.ones(shape[:-1], dtype=bool),
-                                         fwd, bwd, cell)
+            out = R.bidirectional_encode(seq, np.ones(shape[:-1], dtype=bool), fwd, bwd)
         assert len(tape) == 1
         assert out.shape == shape[:-1] + (4,)

@@ -8,6 +8,7 @@ import pytest
 
 from sebertnets import tensor as T
 from sebertnets.errors import ContractError, DegenerateMaskError, ShapeError
+from sebertnets.recurrent import _sigmoid
 
 from gradcheck import check_grads, grad_close, numeric_grad
 
@@ -24,13 +25,11 @@ class TestForwardValues:
         a = T.Tensor([1.0, 2.0, 3.0])
         b = T.Tensor([10.0, 20.0, 30.0])
         np.testing.assert_array_equal(T.add(a, b).data, [11, 22, 33])
-        np.testing.assert_array_equal(T.sub(b, a).data, [9, 18, 27])
         np.testing.assert_array_equal(T.mul(a, b).data, [10, 40, 90])
 
     def test_scalar_operand(self):
         a = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal((a * 2.0).data, [[2, 4], [6, 8]])
-        np.testing.assert_array_equal((1.0 - T.Tensor([0.25])).data, [0.75])
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError) as e:
@@ -45,21 +44,25 @@ class TestForwardValues:
     def test_matmul_inner_dim_check(self):
         with pytest.raises(ShapeError):
             T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))))
+        with pytest.raises(ShapeError):  # a vector left operand has no rule
+            T.matmul(T.Tensor(np.zeros(3)), T.Tensor(np.zeros((3, 2))))
 
     def test_dtype_preserved(self, randn):
         for dt in (np.float32, np.float64):
             x = T.Tensor(randn(3, 3).astype(dt))
             y = T.Tensor(randn(3, 3).astype(dt))
-            for out in (T.add(x, y), T.matmul(x, y), T.tanh(x), T.sigmoid(x),
-                        T.relu(x), T.sum_all(x)):
+            for out in (T.add(x, y), T.matmul(x, y), T.gelu(x), T.relu(x),
+                        T.sum_all(x)):
                 assert out.dtype == dt
 
     def test_sigmoid_saturates_without_nan(self):
-        s32 = T.sigmoid(T.Tensor(np.array([-100.0, 0.0, 100.0], dtype=np.float32)))
-        np.testing.assert_array_equal(s32.data, [0.0, 0.5, 1.0])
-        s64 = T.sigmoid(T.Tensor(np.array([-800.0, 0.0, 800.0], dtype=np.float64)))
-        assert np.isfinite(s64.data).all()
-        np.testing.assert_allclose(s64.data, [0.0, 0.5, 1.0], atol=1e-300)
+        # the recurrent gates' sigmoid; tier-1 turns its exp overflow
+        # warning into an error unless the kernel silences it
+        s32 = _sigmoid(np.array([-100.0, 0.0, 100.0], dtype=np.float32))
+        np.testing.assert_array_equal(s32, [0.0, 0.5, 1.0])
+        s64 = _sigmoid(np.array([-800.0, 0.0, 800.0], dtype=np.float64))
+        assert np.isfinite(s64).all()
+        np.testing.assert_allclose(s64, [0.0, 0.5, 1.0], atol=1e-300)
 
     def test_relu(self):
         np.testing.assert_array_equal(
@@ -72,10 +75,6 @@ class TestForwardValues:
         out = T.layer_norm(x, g, b).data
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-12)
         np.testing.assert_allclose((out ** 2).mean(axis=-1), 1.0, atol=1e-4)
-
-    def test_item_requires_scalar(self):
-        with pytest.raises(ContractError):
-            T.Tensor([1.0, 2.0]).item()
 
 
 class TestMaskedSoftmax:
@@ -136,24 +135,6 @@ class TestMaskedSoftmax:
     def test_mask_that_does_not_broadcast_raises(self, shape):
         with pytest.raises(ShapeError):
             T.masked_softmax(T.Tensor(np.zeros((2, 4, 3))), np.ones(shape, dtype=bool))
-
-
-class TestCrossEntropy:
-    def test_uniform_gives_log_v(self):
-        v = 7
-        p = T.Tensor(np.full(v, 1.0 / v, dtype=np.float64))
-        out = T.cross_entropy(p, 3)
-        np.testing.assert_allclose(float(out.data), np.log(v), rtol=1e-15)
-
-    def test_batch_mean(self):
-        p = T.Tensor(np.array([[0.5, 0.5], [0.25, 0.75]], dtype=np.float64))
-        out = T.cross_entropy(p, np.array([0, 1]))
-        expect = (-np.log(0.5) - np.log(0.75)) / 2.0
-        np.testing.assert_allclose(float(out.data), expect, rtol=1e-15)
-
-    def test_target_out_of_range(self):
-        with pytest.raises(IndexError):
-            T.cross_entropy(T.Tensor(np.full(3, 1 / 3)), 5)
 
 
 class TestTapeMechanics:
@@ -239,24 +220,21 @@ class TestTapeMechanics:
 class TestGradientsAgainstFiniteDifferences:
     def test_add_sub_mul(self, randn):
         a, b = randn(3, 4), randn(3, 4)
-        check_grads(lambda x, y: T.sum_all(T.mul(T.add(x, y), T.sub(x, y))), [a, b])
+        check_grads(lambda x, y: T.sum_all(T.mul(T.add(x, y), y)), [a, b])
 
     def test_scalar_mul(self, randn):
         check_grads(lambda x, s: T.sum_all(T.mul(x, s)), [randn(3, 3), randn(1)])
 
     def test_add_bias(self, randn):
-        check_grads(lambda x, b: T.sum_all(T.tanh(T.add_bias(x, b))),
+        check_grads(lambda x, b: T.sum_all(T.gelu(T.add_bias(x, b))),
                     [randn(4, 5), randn(5)])
 
     def test_add_bias_batched(self, randn):
-        check_grads(lambda x, b: T.sum_all(T.tanh(T.add_bias(x, b))),
+        check_grads(lambda x, b: T.sum_all(T.gelu(T.add_bias(x, b))),
                     [randn(2, 3, 4), randn(4)])
 
     def test_matmul_2d(self, randn):
         check_grads(lambda a, b: T.sum_all(T.matmul(a, b)), [randn(3, 4), randn(4, 2)])
-
-    def test_matmul_vector(self, randn):
-        check_grads(lambda a, b: T.sum_all(T.matmul(a, b)), [randn(4), randn(4, 3)])
 
     def test_matmul_batched(self, randn):
         check_grads(lambda a, b: T.sum_all(T.matmul(a, b)),
@@ -267,8 +245,6 @@ class TestGradientsAgainstFiniteDifferences:
 
     def test_sigmoid_tanh_relu_gelu(self, randn):
         x = randn(3, 4) + np.sign(randn(3, 4)) * 0.05  # keep away from relu kink
-        check_grads(lambda t: T.sum_all(T.sigmoid(t)), [x])
-        check_grads(lambda t: T.sum_all(T.tanh(t)), [x])
         check_grads(lambda t: T.sum_all(T.relu(t)), [x])
         check_grads(lambda t: T.sum_all(T.gelu(t)), [x])
 
@@ -280,7 +256,7 @@ class TestGradientsAgainstFiniteDifferences:
 
     def test_embedding_lookup_accumulates_repeats(self, randn):
         ids = np.array([0, 2, 2, 1])
-        check_grads(lambda tab: T.sum_all(T.tanh(T.embedding_lookup(tab, ids))),
+        check_grads(lambda tab: T.sum_all(T.gelu(T.embedding_lookup(tab, ids))),
                     [randn(4, 3)])
         table = T.Tensor(randn(4, 3).astype(np.float64), requires_grad=True)
         with T.Tape() as tape:
@@ -294,7 +270,7 @@ class TestGradientsAgainstFiniteDifferences:
             T.embedding_lookup(T.Tensor(randn(4, 3)), np.array([4]))
 
     def test_layer_norm(self, randn):
-        check_grads(lambda x, g, b: T.sum_all(T.sigmoid(T.layer_norm(x, g, b))),
+        check_grads(lambda x, g, b: T.sum_all(T.gelu(T.layer_norm(x, g, b))),
                     [randn(3, 6), randn(6), randn(6)])
 
     def test_masked_softmax(self, randn):
@@ -302,17 +278,6 @@ class TestGradientsAgainstFiniteDifferences:
         check_grads(lambda x: T.sum_all(T.mul(T.masked_softmax(x, mask),
                                               T.masked_softmax(x, mask))),
                     [randn(2, 4)])
-
-    def test_cross_entropy_1d(self, randn):
-        logits = randn(5)
-        mask = np.ones(5, dtype=bool)
-        check_grads(lambda x: T.cross_entropy(T.masked_softmax(x, mask), 2), [logits])
-
-    def test_cross_entropy_batched(self, randn):
-        mask = np.ones((3, 5), dtype=bool)
-        targets = np.array([0, 4, 2])
-        check_grads(lambda x: T.cross_entropy(T.masked_softmax(x, mask), targets),
-                    [randn(3, 5)])
 
     def test_dropout_fixed_mask(self, randn):
         def build(x):
@@ -323,14 +288,11 @@ class TestGradientsAgainstFiniteDifferences:
         x = T.Tensor(randn(3, 3))
         assert T.dropout(x, 0.0, np.random.default_rng(0)) is x
 
-    def test_mean_all(self, randn):
-        check_grads(lambda x: T.mean_all(T.mul(x, x)), [randn(4, 5)])
-
     def test_deep_chain(self, randn):
         def build(x, w1, b1, w2, b2):
             h = T.relu(T.add_bias(T.matmul(x, w1), b1))
-            out = T.tanh(T.add_bias(T.matmul(h, w2), b2))
-            return T.mean_all(T.mul(out, out))
+            out = T.gelu(T.add_bias(T.matmul(h, w2), b2))
+            return T.sum_all(T.mul(out, out))
         check_grads(build, [randn(4, 6), randn(6, 5), randn(5), randn(5, 3), randn(3)])
 
 
