@@ -7,15 +7,15 @@ attention map to confirm padded keys get zero weight.
 
 import numpy as np
 
-from sebertnets.encoder import EncoderConfig, encode, init_encoder_params
-from sebertnets.recurrent import GRU, RecurrentParams, bidirectional_encode
-from sebertnets.tensor import Tensor
+from sebertnets.encoder import EncoderConfig, encode, encoder_layout
+from sebertnets.recurrent import GRU, RecurrentParams, bidirectional_encode, direction_layout
+from sebertnets.tensor import Tensor, draw
 
 rng = np.random.default_rng(4)
 
 # recurrent layer: five real steps, three pad steps
-fwd = RecurrentParams.init(GRU, 6, 4, rng)
-bwd = RecurrentParams.init(GRU, 6, 4, rng)
+fwd = RecurrentParams(GRU, 6, 4, draw(direction_layout(GRU, 6, 4), rng))
+bwd = RecurrentParams(GRU, 6, 4, draw(direction_layout(GRU, 6, 4), rng))
 seq = rng.standard_normal((1, 8, 6)).astype(np.float32)
 mask = np.array([[True] * 5 + [False] * 3])
 
@@ -29,7 +29,7 @@ print(f"recurrent: real rows padded-vs-bare max diff {drift:.1e}, "
 # encoder: same experiment, plus a look at the attention weights
 cfg = EncoderConfig(vocab_size=30, d_model=8, n_layers=1, n_heads=2,
                     d_ff=16, max_len=16, dropout_rate=0.0)
-params = init_encoder_params(cfg, rng)
+params = draw(encoder_layout(cfg), rng)
 ids = rng.integers(0, 30, size=(1, 8))
 segs = np.zeros((1, 8), dtype=np.int64)
 

@@ -64,43 +64,31 @@ class EncoderOutput:
     attentions: list[np.ndarray] = field(default_factory=list)
 
 
-def _uniform(rng, shape, bound, dtype):
-    return Tensor(rng.uniform(-bound, bound, shape).astype(dtype), requires_grad=True)
-
-
-def _linear_init(rng, fan_in, fan_out, dtype):
-    return _uniform(rng, (fan_in, fan_out), 1.0 / math.sqrt(fan_in), dtype)
-
-
-def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator,
-                        dtype=np.float32) -> dict[str, Tensor]:
-    """Fresh parameter dict: embeddings uniform in [-0.05, 0.05], linear
-    maps fan-in scaled uniform, biases zero, layer-norm gain one. The key
-    projection has no bias: the softmax over keys would cancel it."""
-    d = cfg.d_model
-    p: dict[str, Tensor] = {
-        "tok_emb": _uniform(rng, (cfg.vocab_size, d), 0.05, dtype),
-        "pos_emb": _uniform(rng, (cfg.max_len, d), 0.05, dtype),
-        "seg_emb": _uniform(rng, (N_SEGMENTS, d), 0.05, dtype),
-        "emb_ln.gain": Tensor(np.ones(d, dtype=dtype), requires_grad=True),
-        "emb_ln.bias": Tensor(np.zeros(d, dtype=dtype), requires_grad=True),
-    }
+def encoder_layout(cfg: EncoderConfig):
+    """(name, shape, init) entries, produced lazily in order: embeddings
+    uniform in [-0.05, 0.05], linear maps fan-in scaled uniform, biases
+    zero, layer-norm gain one. The key projection has no bias: the
+    softmax over keys would cancel it."""
+    d, ff = cfg.d_model, cfg.d_ff
+    yield "tok_emb", (cfg.vocab_size, d), 0.05
+    yield "pos_emb", (cfg.max_len, d), 0.05
+    yield "seg_emb", (N_SEGMENTS, d), 0.05
+    yield "emb_ln.gain", (d,), "ones"
+    yield "emb_ln.bias", (d,), "zeros"
     for i in range(cfg.n_layers):
         pre = f"layer{i}."
         for name in ("q", "k", "v", "o"):
-            p[pre + "attn.w" + name] = _linear_init(rng, d, d, dtype)
+            yield pre + "attn.w" + name, (d, d), 1.0 / math.sqrt(d)
             if name != "k":
-                p[pre + "attn.b" + name] = Tensor(np.zeros(d, dtype=dtype),
-                                                  requires_grad=True)
-        p[pre + "attn_ln.gain"] = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
-        p[pre + "attn_ln.bias"] = Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
-        p[pre + "ffn.w1"] = _linear_init(rng, d, cfg.d_ff, dtype)
-        p[pre + "ffn.b1"] = Tensor(np.zeros(cfg.d_ff, dtype=dtype), requires_grad=True)
-        p[pre + "ffn.w2"] = _linear_init(rng, cfg.d_ff, d, dtype)
-        p[pre + "ffn.b2"] = Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
-        p[pre + "ffn_ln.gain"] = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
-        p[pre + "ffn_ln.bias"] = Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
-    return p
+                yield pre + "attn.b" + name, (d,), "zeros"
+        yield pre + "attn_ln.gain", (d,), "ones"
+        yield pre + "attn_ln.bias", (d,), "zeros"
+        yield pre + "ffn.w1", (d, ff), 1.0 / math.sqrt(d)
+        yield pre + "ffn.b1", (ff,), "zeros"
+        yield pre + "ffn.w2", (ff, d), 1.0 / math.sqrt(ff)
+        yield pre + "ffn.b2", (d,), "zeros"
+        yield pre + "ffn_ln.gain", (d,), "ones"
+        yield pre + "ffn_ln.bias", (d,), "zeros"
 
 
 def embed(token_ids, segment_ids, params: dict[str, Tensor], cfg: EncoderConfig,

@@ -7,6 +7,11 @@ layer whose per-position states feed the head (``sebertnets`` and
 and decode identically (one ranked span stream); ``hsebertnets`` stays
 an accepted name so that checkpoints and configs that store it load.
 
+Every parameter's name, shape and init rule is an entry of ``layout``,
+built from each module's part. A fresh model draws it; a load walks it
+against the checkpoint directory and takes the payload arrays as the
+parameters, drawing nothing.
+
 Checkpoint file layout::
 
     bytes 0..3    magic b"SEBN"
@@ -41,7 +46,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .data import Batch, Vocabulary
-from .encoder import EncoderConfig, encode, init_encoder_params
+from .encoder import EncoderConfig, encode, encoder_layout
 from .errors import (
     CheckpointError,
     CompatibilityError,
@@ -58,19 +63,19 @@ from .optim import (
     state_meta,
     state_moments,
 )
-from .recurrent import GRU, LSTM, RecurrentParams, bidirectional_encode
+from .recurrent import GRU, LSTM, RecurrentParams, bidirectional_encode, direction_layout
 from .span import (
     RecallConfig,
     SpanCandidate,
     SpanLogits,
     decode_multichannel,
     example_losses,
-    init_head_params,
+    head_layout,
     score,
     span_loss,
     valid_mask,
 )
-from .tensor import Tape, Tensor, backward, zero_grads
+from .tensor import Tape, Tensor, backward, draw, zero_grads
 
 BERT_BASELINE = "bert_baseline"
 SEBERTNETS = "sebertnets"
@@ -109,11 +114,32 @@ class ModelConfig:
         return self.variant in _RECURRENT
 
 
+def layout(cfg: ModelConfig, enc_cfg: EncoderConfig):
+    """The model's (name, shape, init) entries, produced lazily in their
+    one order: encoder, each recurrent direction, span head."""
+    parts = [("encoder.", encoder_layout(enc_cfg))]
+    if cfg.recurrent:
+        parts += [(pre, direction_layout(cfg.cell, enc_cfg.d_model, cfg.hidden_size))
+                  for pre in ("rnn_fwd.", "rnn_bwd.")]
+    parts.append(("head.", head_layout(2 * cfg.hidden_size if cfg.recurrent
+                                       else enc_cfg.d_model)))
+    for pre, part in parts:
+        for name, shape, init in part:
+            yield pre + name, shape, init
+
+
 class Model:
     """Owns all trainable parameters of one variant plus its configs."""
 
     def __init__(self, cfg: ModelConfig, enc_cfg: EncoderConfig,
                  vocab: Vocabulary, seed: int = 0):
+        rng = np.random.default_rng(seed)
+        self._assemble(cfg, enc_cfg, vocab, lambda entries: draw(entries, rng))
+
+    def _assemble(self, cfg: ModelConfig, enc_cfg: EncoderConfig, vocab: Vocabulary,
+                  make) -> None:
+        """Hold, at step 0, what ``make`` gives for this model's layout;
+        the per-module dicts are views that share its Tensors."""
         if enc_cfg.vocab_size != vocab.size:
             raise CompatibilityError(
                 f"encoder vocab_size {enc_cfg.vocab_size} does not match "
@@ -123,37 +149,26 @@ class Model:
         self.enc_cfg = enc_cfg
         self.vocab = vocab
         self.step = 0
-        rng = np.random.default_rng(seed)
-        self.encoder_params = init_encoder_params(enc_cfg, rng)
+        params = self._params = make(layout(cfg, enc_cfg))
+
+        def part(prefix):
+            return {n[len(prefix):]: p for n, p in params.items() if n.startswith(prefix)}
+
+        self.encoder_params = part("encoder.")
+        self.rnn_fwd = self.rnn_bwd = None
         if cfg.recurrent:
-            self.rnn_fwd = RecurrentParams.init(
-                cfg.cell, enc_cfg.d_model, cfg.hidden_size, rng)
-            self.rnn_bwd = RecurrentParams.init(
-                cfg.cell, enc_cfg.d_model, cfg.hidden_size, rng)
-            head_width = 2 * cfg.hidden_size
-        else:
-            self.rnn_fwd = None
-            self.rnn_bwd = None
-            head_width = enc_cfg.d_model
-        self.head_params = init_head_params(head_width, rng)
+            self.rnn_fwd, self.rnn_bwd = (
+                RecurrentParams(cfg.cell, enc_cfg.d_model, cfg.hidden_size, part(pre))
+                for pre in ("rnn_fwd.", "rnn_bwd."))
+        self.head_params = part("head.")
 
     @property
     def head_width(self) -> int:
         return self.head_params["w_start"].shape[0]
 
     def parameters(self) -> dict[str, Tensor]:
-        """Flat name → Tensor map in a stable order."""
-        out: dict[str, Tensor] = {}
-        for name, p in self.encoder_params.items():
-            out[f"encoder.{name}"] = p
-        if self.cfg.recurrent:
-            for name, p in self.rnn_fwd.weights.items():
-                out[f"rnn_fwd.{name}"] = p
-            for name, p in self.rnn_bwd.weights.items():
-                out[f"rnn_bwd.{name}"] = p
-        for name, p in self.head_params.items():
-            out[f"head.{name}"] = p
-        return out
+        """The model's flat name -> Tensor map, in ``layout`` order."""
+        return self._params
 
     # ------------------------------------------------------------ forward
 
@@ -329,36 +344,45 @@ def _check_entry(entry) -> None:
                               f"and 'shape', 'offset' and 'nbytes' counts", offset=12)
 
 
+def _config(cls, meta: dict, key: str):
+    """Metadata section ``key`` as a ``cls``, whose fields it must hold exactly."""
+    keys = sorted(f.name for f in fields(cls))
+    if sorted(meta[key]) != keys:
+        raise ContractError(f"{key} section holds {sorted(meta[key])}, expected {keys}")
+    return cls(**meta[key])
+
+
+def _payload_params(entries, arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    """The payload ``arrays`` as the parameters of layout ``entries``,
+    checked in turn. A lazy layout ends the walk at the first entry the
+    file lacks or holds at another shape, so no size field makes it allocate."""
+    params = {}
+    for name, shape, _ in entries:
+        if name not in arrays:
+            raise CheckpointError(f"parameter {name!r} missing from directory",
+                                  offset=12)
+        if arrays[name].shape != shape:
+            raise CheckpointError(
+                f"parameter {name!r} has shape {arrays[name].shape}, expected {shape}",
+                offset=12)
+        params[name] = Tensor(arrays[name], requires_grad=True)
+    return params
+
+
 def _rebuild(meta: dict, arrays: dict[str, np.ndarray]) -> tuple[Model, object | None]:
     """The model and optimizer state that the checked metadata and
-    payload arrays describe."""
-    stored = meta["model"]
-    cfg = ModelConfig(variant=stored.get("variant"), cell=stored.get("cell"),
-                      hidden_size=stored.get("hidden_size"))
-    keys = sorted(f.name for f in fields(EncoderConfig))
-    if sorted(meta["encoder"]) != keys:
-        raise ContractError(f"encoder section holds {sorted(meta['encoder'])}, "
-                            f"expected {keys}")
-    enc_cfg = EncoderConfig(**meta["encoder"])
+    payload arrays describe. Nothing is drawn."""
+    cfg = _config(ModelConfig, meta, "model")
+    enc_cfg = _config(EncoderConfig, meta, "encoder")
     vocab = Vocabulary.from_json(meta["vocab"])
-    model = Model(cfg, enc_cfg, vocab, seed=0)
     training = meta["training"]
     if not _is_count(training.get("step")) or "optimizer" not in training:
         raise ContractError(f"training section needs a 'step' count and an "
                             f"'optimizer' entry, got {training!r}")
+    model = Model.__new__(Model)
+    model._assemble(cfg, enc_cfg, vocab, lambda entries: _payload_params(entries, arrays))
     model.step = training["step"]
-
     params = model.parameters()
-    for name, p in params.items():
-        if name not in arrays:
-            raise CheckpointError(f"parameter {name!r} missing from directory",
-                                  offset=12)
-        got = arrays[name]
-        if got.shape != p.shape:
-            raise CheckpointError(
-                f"parameter {name!r} has shape {got.shape}, expected {p.shape}",
-                offset=12)
-        p.data = got.astype(p.data.dtype, copy=False)
 
     m, v = ({name: arrays[f"optim.{which}.{name}"] for name in params
              if f"optim.{which}.{name}" in arrays} for which in "mv")

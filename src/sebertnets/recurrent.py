@@ -54,24 +54,14 @@ class RecurrentParams:
     hidden_size: int
     weights: dict[str, Tensor]
 
-    @classmethod
-    def init(cls, cell: str, input_size: int, hidden_size: int,
-             rng: np.random.Generator, dtype=np.float32) -> "RecurrentParams":
-        gates = _gates_for(cell)
-        kw = 1.0 / math.sqrt(input_size)
-        ku = 1.0 / math.sqrt(hidden_size)
-        weights: dict[str, Tensor] = {}
-        for g in gates:
-            weights[f"w_{g}"] = Tensor(
-                rng.uniform(-kw, kw, (input_size, hidden_size)).astype(dtype),
-                requires_grad=True)
-            weights[f"u_{g}"] = Tensor(
-                rng.uniform(-ku, ku, (hidden_size, hidden_size)).astype(dtype),
-                requires_grad=True)
-            weights[f"b_{g}"] = Tensor(
-                np.zeros(hidden_size, dtype=dtype), requires_grad=True)
-        return cls(cell=cell, input_size=input_size, hidden_size=hidden_size,
-                   weights=weights)
+
+def direction_layout(cell: str, input_size: int, hidden_size: int):
+    """One direction's (name, shape, init) entries, gate by gate:
+    ``w_<gate>`` and ``u_<gate>`` fan-in scaled uniform, ``b_<gate>`` zero."""
+    for g in _gates_for(cell):
+        yield f"w_{g}", (input_size, hidden_size), 1.0 / math.sqrt(input_size)
+        yield f"u_{g}", (hidden_size, hidden_size), 1.0 / math.sqrt(hidden_size)
+        yield f"b_{g}", (hidden_size,), "zeros"
 
 
 def _gates_for(cell: str) -> tuple[str, ...]:

@@ -92,15 +92,11 @@ def valid_mask(length: int, text_span) -> np.ndarray:
     return (first <= pos) & (pos <= last)
 
 
-def init_head_params(width: int, rng: np.random.Generator,
-                     dtype=np.float32) -> dict[str, Tensor]:
-    """Start and end scoring vectors, fan-in scaled uniform, with no bias:
-    the softmax over positions would cancel it."""
+def head_layout(width: int):
+    """(name, shape, init) of the start and end scoring vectors, fan-in
+    scaled uniform, with no bias: the softmax over positions cancels it."""
     bound = 1.0 / math.sqrt(width)
-    def w():
-        return Tensor(rng.uniform(-bound, bound, (width, 1)).astype(dtype),
-                      requires_grad=True)
-    return {"w_start": w(), "w_end": w()}
+    return [("w_start", (width, 1), bound), ("w_end", (width, 1), bound)]
 
 
 def score(h: Tensor, params: dict[str, Tensor], valid: np.ndarray) -> SpanLogits:

@@ -33,6 +33,8 @@ from .errors import ContractError, DegenerateMaskError, ShapeError
 
 DEFAULT_DTYPE = np.float32
 _FLOAT_DTYPES = (np.float32, np.float64)
+# the constant init rules of a parameter layout
+_FILLS = {"zeros": 0.0, "ones": 1.0}
 
 
 class Tensor:
@@ -194,6 +196,16 @@ def zero_grads(params) -> None:
     values = params.values() if hasattr(params, "values") else params
     for t in values:
         t.zero_grad()
+
+
+def draw(layout, rng: np.random.Generator, dtype=DEFAULT_DTYPE) -> dict[str, Tensor]:
+    """Fresh trainable Tensors for a parameter layout: an iterable of
+    (name, shape, init) entries, drawn in order. ``init`` is "zeros" or
+    "ones", or a bound b for uniform values in [-b, b] from ``rng``."""
+    return {name: Tensor(np.full(shape, _FILLS[init], dtype) if init in _FILLS
+                         else rng.uniform(-init, init, shape).astype(dtype),
+                         requires_grad=True)
+            for name, shape, init in layout}
 
 
 def _binary_shapes_ok(a: Tensor, b: Tensor, op: str) -> None:

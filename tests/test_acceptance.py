@@ -43,7 +43,7 @@ from sebertnets.data import (
     flatten_for_training,
     generate_synthetic,
 )
-from sebertnets.encoder import EncoderConfig, encode, init_encoder_params
+from sebertnets.encoder import EncoderConfig, encode, encoder_layout
 from sebertnets.errors import CheckpointError
 from sebertnets.evaluation import evaluate, f1
 from sebertnets.model import (
@@ -69,6 +69,7 @@ from sebertnets.recurrent import (
     CellState,
     RecurrentParams,
     bidirectional_encode,
+    direction_layout,
     gru_step,
     lstm_step,
 )
@@ -77,11 +78,11 @@ from sebertnets.span import (
     SpanLogits,
     decode_multichannel,
     decode_top1,
-    init_head_params,
+    head_layout,
     score,
     span_loss,
 )
-from sebertnets.tensor import Tape, Tensor, backward
+from sebertnets.tensor import Tape, Tensor, backward, draw
 
 
 def _elapsed_ok(t0: float, budget: float, label: str) -> None:
@@ -191,15 +192,12 @@ def test_criterion_01_gradient_suite():
         rng = np.random.default_rng(5000 + trial)
         cell = LSTM if trial % 2 == 0 else GRU
         arrays = {}
-        for k, v in init_encoder_params(enc_cfg, rng, dtype=np.float64).items():
-            arrays[f"enc.{k}"] = v.data
-        for pre in ("fwd.", "bwd."):
-            p = RecurrentParams.init(cell, enc_cfg.d_model, 3, rng,
-                                     dtype=np.float64)
-            for k, v in p.weights.items():
-                arrays[f"{pre}{k}"] = v.data
-        for k, v in init_head_params(6, rng, dtype=np.float64).items():
-            arrays[f"head.{k}"] = v.data
+        for pre, part in (("enc.", encoder_layout(enc_cfg)),
+                          ("fwd.", direction_layout(cell, enc_cfg.d_model, 3)),
+                          ("bwd.", direction_layout(cell, enc_cfg.d_model, 3)),
+                          ("head.", head_layout(6))):
+            for k, v in draw(part, rng, np.float64).items():
+                arrays[pre + k] = v.data
 
         ids = rng.integers(0, 7, size=(2, 6))
         segs = rng.integers(0, 2, size=(2, 6))
@@ -314,8 +312,9 @@ def test_criterion_03_mask_equivalence():
     d_in, d_h = 5, 4
 
     for cell in (LSTM, GRU):
-        fwd = RecurrentParams.init(cell, d_in, d_h, rng)
-        bwd = RecurrentParams.init(cell, d_in, d_h, rng)
+        layout = direction_layout
+        fwd = RecurrentParams(cell, d_in, d_h, draw(layout(cell, d_in, d_h), rng))
+        bwd = RecurrentParams(cell, d_in, d_h, draw(layout(cell, d_in, d_h), rng))
         for length in range(1, 21):
             pad = int(rng.integers(1, 9))
             seq = rng.standard_normal((1, length + pad, d_in)).astype(np.float32)
@@ -332,7 +331,7 @@ def test_criterion_03_mask_equivalence():
 
     enc_cfg = EncoderConfig(vocab_size=11, d_model=8, n_layers=2, n_heads=2,
                             d_ff=12, max_len=32, dropout_rate=0.0)
-    params = init_encoder_params(enc_cfg, rng)
+    params = draw(encoder_layout(enc_cfg), rng)
     for length in range(1, 21):
         pad = int(rng.integers(1, 9))
         ids = rng.integers(0, 11, size=(1, length))

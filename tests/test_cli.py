@@ -161,21 +161,27 @@ def test_train_missing_data_is_usage_error(tmp_path):
 
 
 def test_bad_config_key_is_usage_error(tmp_path, capsys):
+    """Each bad config is named in a usage error (exit 1). The run has
+    every path it needs, so an error that went unnoticed would train."""
+    train = tmp_path / "train.jsonl"
+    make_corpus(train, n=8)
     cfg = tmp_path / "c.ini"
-    cfg.write_text("[run]\nwarp_speed = 9\n", encoding="utf-8")
-    assert console_main(["train", "--config", str(cfg)]) == 1
-    cfg.write_text("[warp]\nx = 1\n", encoding="utf-8")
-    assert console_main(["train", "--config", str(cfg)]) == 1
-    cfg.write_text("[run]\nepochs = many\n", encoding="utf-8")
-    assert console_main(["train", "--config", str(cfg)]) == 1
-    cfg.write_bytes(b"[run]\nepochs = \xff\n")
-    assert console_main(["train", "--config", str(cfg)]) == 1
-    # [DEFAULT] is a section like any other, and no known one
-    for text in ("[DEFAULT]\nepochs = 0\n", "[DEFAULT]\nx = 1\n[model]\ncell = gru\n"):
-        cfg.write_text(text, encoding="utf-8")
+    argv = ["train", "--config", str(cfg), "--train", str(train),
+            "--checkpoint", str(tmp_path / "m.sebn"), "--log", str(tmp_path / "l.jsonl")]
+    for text, message in [
+        (b"[run]\nwarp_speed = 9\n", "unknown key 'warp_speed' in [run]"),
+        (b"[warp]\nx = 1\n", "unknown section [warp]"),
+        (b"[run]\nepochs = many\n", "needs a int"),
+        (b"[run]\nepochs = \xff\n", "can't decode byte 0xff"),
+        # [DEFAULT] is a section like any other, and no known one
+        (b"[DEFAULT]\nepochs = 0\n", "unknown section [DEFAULT]"),
+        (b"[DEFAULT]\nx = 1\n[model]\ncell = gru\n", "unknown section [DEFAULT]"),
+    ]:
+        cfg.write_bytes(text)
         capsys.readouterr()
-        assert console_main(["train", "--config", str(cfg)]) == 1
-        assert "unknown section [DEFAULT]" in capsys.readouterr().err
+        assert console_main(argv) == 1, text
+        assert message in capsys.readouterr().err, text
+    assert not (tmp_path / "m.sebn").exists()
 
 
 def test_bad_variant_is_usage_error(tmp_path):

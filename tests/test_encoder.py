@@ -20,7 +20,7 @@ def small_cfg(**kw):
 
 
 def fp64_params(cfg, seed=0):
-    return E.init_encoder_params(cfg, np.random.default_rng(seed), dtype=np.float64)
+    return T.draw(E.encoder_layout(cfg), np.random.default_rng(seed), np.float64)
 
 
 class TestConfig:

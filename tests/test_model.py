@@ -31,6 +31,7 @@ from sebertnets.model import (
     SEBERTNETS,
     Model,
     ModelConfig,
+    layout,
     load_checkpoint,
     save_checkpoint,
 )
@@ -613,10 +614,12 @@ def test_moments_must_fit_step_count(tmp_path, steps, drop, k):
     (lambda meta: meta["vocab"].update(chars=meta["vocab"]["chars"][:-1]), "vocab"),
     (lambda meta: meta["vocab"].update(chars=meta["vocab"]["chars"][:-1]
                                        + meta["vocab"]["chars"][0]), "repeats"),
+    (lambda meta: meta["model"].update(hiden_size=64), "hiden_size"),
 ], ids=["entry-without-shape", "params-not-list", "entry-is-string", "no-step",
         "extra-encoder-key", "string-d-model", "string-vocab", "no-optimizer",
         "m-without-v", "repeated-name", "stray-entry", "moments-without-optimizer",
-        "moments-with-sgd", "vocab-one-short", "vocab-repeats-a-char"])
+        "moments-with-sgd", "vocab-one-short", "vocab-repeats-a-char",
+        "extra-model-key"])
 def test_malformed_metadata_is_checkpoint_error(tmp_path, edit, match):
     """Directory, training, encoder, vocabulary and optimizer-moment
     metadata of the wrong shape or type, and directory entries the
@@ -632,6 +635,81 @@ def test_malformed_metadata_is_checkpoint_error(tmp_path, edit, match):
     with pytest.raises(CheckpointError, match=match) as exc:
         Model.load(bad)
     assert exc.value.offset == 12
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("model", "hidden_size", 10 ** 5),
+    ("encoder", "d_ff", 10 ** 9),
+    ("encoder", "max_len", 10 ** 9),
+    ("encoder", "d_model", 10 ** 9),
+    ("encoder", "n_layers", 10 ** 6),
+    ("encoder", "vocab_size", 10 ** 9),
+])
+def test_inflated_size_field_is_checkpoint_error(tmp_path, capsys, section, key, value):
+    """A size field past what the payload holds is a CheckpointError
+    (exit 2 from predict, no traceback) found before any parameter is
+    allocated: the load stays under 1 MiB however large the field."""
+    import tracemalloc
+
+    from sebertnets.cli import console_main
+    from sebertnets.data import write_jsonl
+
+    model, _, _, _ = build_setup()
+    path = tmp_path / "ok.sebn"
+    model.save(path)
+    bad = tmp_path / "bad.sebn"
+    rewrite_meta(path, bad, _set(section, key, value))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError):
+            Model.load(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"load peaked at {peak} bytes"
+
+    data = tmp_path / "data.jsonl"
+    write_jsonl(tiny_corpus(n=2), data)
+    capsys.readouterr()
+    assert console_main(["predict", "--checkpoint", str(bad), "--data", str(data),
+                         "--out", str(tmp_path / "preds.jsonl")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant, cell", [(BERT_BASELINE, GRU), (SEBERTNETS, GRU),
+                                           (HSEBERTNETS, LSTM)])
+def test_parameters_follow_the_layout_and_a_load_draws_none(tmp_path, monkeypatch,
+                                                           variant, cell):
+    """A model's parameters are its layout's names and shapes, in order,
+    and its per-module dicts share their Tensors; a load takes them from
+    the payload and never draws."""
+    import sebertnets.model as model_module
+
+    def expect(m):
+        want = [(name, shape) for name, shape, _ in layout(m.cfg, m.enc_cfg)]
+        params = m.parameters()
+        assert [(name, p.shape) for name, p in params.items()] == want
+        views = {f"encoder.{n}": p for n, p in m.encoder_params.items()}
+        for pre, direction in (("rnn_fwd.", m.rnn_fwd), ("rnn_bwd.", m.rnn_bwd)):
+            views.update({pre + n: p for n, p in getattr(direction, "weights", {}).items()})
+        views.update({f"head.{n}": p for n, p in m.head_params.items()})
+        assert views.keys() == params.keys()
+        assert all(views[name] is p for name, p in params.items())
+
+    model, _, _, _ = build_setup(variant=variant, cell=cell)
+    expect(model)
+    path = tmp_path / "m.sebn"
+    model.save(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a load drew parameters")
+
+    monkeypatch.setattr(model_module, "draw", refuse)
+    monkeypatch.setattr(T, "draw", refuse)
+    loaded, _ = Model.load(path)
+    expect(loaded)
+    for name, p in loaded.parameters().items():
+        assert np.array_equal(p.data, model.parameters()[name].data), name
 
 
 def add_entries(path, out, version, names):

@@ -44,7 +44,7 @@ def ref_gru_step(l, h, w):
 
 
 def make_params(cell, d, hid, rng, dtype=np.float64, scale=1.0):
-    p = R.RecurrentParams.init(cell, d, hid, rng, dtype=dtype)
+    p = R.RecurrentParams(cell, d, hid, T.draw(R.direction_layout(cell, d, hid), rng, dtype))
     if scale != 1.0:
         for t in p.weights.values():
             t.data *= scale
@@ -255,11 +255,11 @@ class TestGradients:
     def test_four_step_bidirectional(self, cell):
         rng = np.random.default_rng(10)
         d, hid, s = 3, 2, 4
-        proto = R.RecurrentParams.init(cell, d, hid, rng, dtype=np.float64)
-        names = list(proto.weights)
-        fwd_arrays = [proto.weights[n].data for n in names]
-        proto_b = R.RecurrentParams.init(cell, d, hid, rng, dtype=np.float64)
-        bwd_arrays = [proto_b.weights[n].data for n in names]
+        proto = T.draw(R.direction_layout(cell, d, hid), rng, np.float64)
+        names = list(proto)
+        fwd_arrays = [proto[n].data for n in names]
+        proto_b = T.draw(R.direction_layout(cell, d, hid), rng, np.float64)
+        bwd_arrays = [proto_b[n].data for n in names]
         seq = rng.standard_normal((s, d))
         mask = np.array([True, True, True, False])
 

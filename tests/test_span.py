@@ -124,7 +124,7 @@ class TestValidMask:
 class TestScore:
     def test_zero_weights_uniform(self):
         rng = np.random.default_rng(0)
-        params = S.init_head_params(6, rng, dtype=np.float64)
+        params = T.draw(S.head_layout(6), rng, np.float64)
         params["w_start"].data[:] = 0.0
         params["w_end"].data[:] = 0.0
         h = Tensor(rng.standard_normal((5, 6)))
@@ -136,7 +136,7 @@ class TestScore:
 
     def test_batched_shape(self):
         rng = np.random.default_rng(1)
-        params = S.init_head_params(6, rng)
+        params = T.draw(S.head_layout(6), rng)
         h = Tensor(rng.standard_normal((2, 5, 6)).astype(np.float32))
         valid = np.ones((2, 5), dtype=bool)
         out = S.score(h, params, valid)
