@@ -1,37 +1,45 @@
 """A tour of the tape-based autodiff core.
 
-Builds a tiny two-layer computation by hand, runs the backward pass, and
-checks one gradient against central finite differences. Everything the
-full model does runs through this same mechanism.
+Records a tiny one-layer encoder plus a linear readout, runs the backward
+pass, and checks one gradient against central finite differences. Each
+encoder block (embedding, attention, feed-forward) is one tape op with a
+hand-written backward; the readout uses the tensor primitives
+``reshape``, ``matmul`` and ``sum_all``. The full model records onto the
+same tape.
 """
 
 import numpy as np
 
+from sebertnets import encoder as E
 from sebertnets import tensor as T
 from sebertnets.tensor import Tape, Tensor, backward
 
 rng = np.random.default_rng(0)
-
-# leaf parameters: a 4->3 affine map followed by a 3->1 readout
-w1 = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-b1 = Tensor(np.zeros(3), requires_grad=True)
-w2 = Tensor(rng.standard_normal((3, 1)), requires_grad=True)
-x = Tensor(rng.standard_normal((5, 4)))
+cfg = E.EncoderConfig(vocab_size=8, d_model=4, n_layers=1, n_heads=2, d_ff=6,
+                      max_len=8, dropout_rate=0.0, activation="gelu")
+params = T.draw(E.encoder_layout(cfg), rng, np.float64)
+w_out = Tensor(rng.standard_normal((4, 1)), requires_grad=True)
+ids = rng.integers(0, 8, size=(1, 5))
+segs = np.zeros_like(ids)
+mask = np.ones((1, 5), dtype=bool)
 
 
 def loss_fn():
-    h = T.gelu(T.add_bias(T.matmul(x, w1), b1))
-    return T.sum_all(T.matmul(h, w2))
+    hidden = E.encode(ids, segs, mask, params, cfg).hidden
+    return T.sum_all(T.matmul(T.reshape(hidden, (5, 4)), w_out))
 
 
 with Tape() as tape:
     loss = loss_fn()
 backward(tape, loss)
 
+print(f"tape records  : {len(tape)} (embedding, attention, feed-forward, "
+      f"reshape, matmul, sum)")
 print(f"loss          : {float(loss.data):.6f}")
-print(f"dL/dw2        :\n{w2.grad.ravel()}")
+print(f"dL/dw_out     : {w_out.grad.ravel()}")
 
-# check dL/dw1[0, 0] numerically: nudge the entry, recompute, difference
+# check one feed-forward weight numerically: nudge it, recompute, difference
+w1 = params["layer0.ffn.w1"]
 h_step = 1e-6
 base = w1.data[0, 0]
 w1.data[0, 0] = base + h_step
@@ -43,9 +51,8 @@ numeric = (up - down) / (2 * h_step)
 
 print(f"dL/dw1[0,0]   : analytic {w1.grad[0, 0]:+.8f}  numeric {numeric:+.8f}")
 
-# ops preserve dtype, so the same graph can be built at float64 when a
-# higher-precision reference is needed
-x32 = Tensor(x.data.astype(np.float32))
-x64 = Tensor(x.data.astype(np.float64))
-print(f"float32 in -> {T.gelu(x32).dtype} out, "
-      f"float64 in -> {T.gelu(x64).dtype} out")
+# blocks preserve dtype, so the same graph runs at float32 for training
+# and at float64 when a higher-precision reference is needed
+params32 = T.draw(E.encoder_layout(cfg), np.random.default_rng(0))
+print(f"float32 params -> {E.encode(ids, segs, mask, params32, cfg).hidden.dtype} "
+      f"out, float64 params -> {E.encode(ids, segs, mask, params, cfg).hidden.dtype} out")

@@ -7,6 +7,19 @@ A pass given an ``rng`` is a training pass: dropout follows the
 embedding and each attention and feed-forward block. Attention weights
 of every layer and head are returned for inspection, uncopied and
 read-only.
+
+The encoder is three blocks: the embedding (three lookups, add, layer
+norm, dropout), the attention sublayer (q/k/v/o projections, scaled
+masked softmax, dropout, residual, layer norm) and the feed-forward
+sublayer (two linears, activation, dropout, residual, layer norm). Each
+is an array function that returns its output and its hand-written
+backward, built from the kernels below it. Where a tape records a
+block's inputs the block is one tape op; elsewhere it runs on bare
+arrays and builds no Tensor, so a tape-free pass builds only its output.
+Training and inference run the same functions. Each backward adds the
+gradients of an input used several times in reverse order of use, as a
+tape of the separate operations would, so gradients are bit for bit
+those of the composed operations.
 """
 
 from __future__ import annotations
@@ -17,11 +30,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, ShapeError
+from .errors import ContractError, DegenerateMaskError, ShapeError
 from .tensor import Tensor
 
-_ACTIVATIONS = {"relu": T.relu, "gelu": T.gelu}
 N_SEGMENTS = 2
+_GELU_C = math.sqrt(2.0 / math.pi)
+_EMBEDDING = ("tok_emb", "pos_emb", "seg_emb", "emb_ln.gain", "emb_ln.bias")
+_ATTENTION = ("attn.wq", "attn.bq", "attn.wk", "attn.wv", "attn.bv", "attn.wo",
+              "attn.bo", "attn_ln.gain", "attn_ln.bias")
+_FFN = ("ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ffn_ln.gain", "ffn_ln.bias")
 
 
 @dataclass
@@ -91,46 +108,201 @@ def encoder_layout(cfg: EncoderConfig):
         yield pre + "ffn_ln.bias", (d,), "zeros"
 
 
+# ------------------------------------------------------------ kernels
+#
+# Each kernel takes arrays and returns its output and its backward: a
+# function from the output gradient to a tuple of its array inputs'
+# gradients.
+
+
+def _linear(x, w, b=None):
+    """``x @ w (+ b)`` over [B, S, n]. The weight gradient is the batched
+    ``swapaxes(x) @ g`` summed over the batch, the bias one ``g`` summed
+    over batch and positions."""
+    y = x @ w if b is None else x @ w + b
+
+    def back(g):
+        grads = (g @ w.T, (np.swapaxes(x, -1, -2) @ g).sum(axis=0))
+        return grads if b is None else grads + (g.sum(axis=(0, 1)),)
+    return y, back
+
+
+def _relu(v):
+    return np.maximum(v, 0.0), lambda g: (g * (v > 0.0),)
+
+
+def _gelu(v):
+    """Tanh approximation of the Gaussian error linear unit."""
+    t = np.tanh(_GELU_C * (v + 0.044715 * v ** 3))
+
+    def back(g):
+        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * v ** 2)
+        return (g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * d_inner),)
+    return 0.5 * v * (1.0 + t), back
+
+
+_ACTIVATIONS = {"relu": _relu, "gelu": _gelu}
+
+
+def _layer_norm(v, gain, bias, eps=1e-5):
+    """Normalize the trailing axis to zero mean and unit variance (biased
+    variance), then scale and shift."""
+    n = v.dtype.type(v.shape[-1])
+
+    def mean(a):
+        # np.mean's value bit for bit (its float64 quotient rounds to the
+        # same float32), without its per-call Python overhead
+        return a.sum(axis=-1, keepdims=True) / n
+    xc = v - mean(v)
+    inv = 1.0 / np.sqrt(mean(xc * xc) + eps)
+    xhat = xc * inv
+    lead = tuple(range(v.ndim - 1))
+
+    def back(g):
+        dxhat = g * gain
+        dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+        return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+    return xhat * gain + bias, back
+
+
+def _masked_softmax(v, neg):
+    """Softmax over the trailing axis after adding ``neg``, 0 at live and
+    -inf at masked positions, broadcasting to ``v`` (a [B, 1, 1, S] key
+    mask serves [B, nh, S, S] scores). Masked positions of finite scores
+    get probability exactly 0 and zero gradient; the caller ensures each
+    row has a live position."""
+    v = v + neg
+    # out of place: computing in place frees fewer large temporaries, and
+    # glibc then maps each big training array afresh (2x the page faults)
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    return p, lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
+
+
+def _dropout(v, rate, rng):
+    """Inverted dropout: zero with probability ``rate``, scale survivors
+    by 1/(1-rate). Without an ``rng``, or at rate 0, it is the identity
+    and draws nothing."""
+    if rng is None or rate == 0.0:
+        return v, lambda g: (g,)
+    keep = (rng.random(v.shape) >= rate).astype(v.dtype) * (1.0 / (1.0 - rate))
+    return v * keep, lambda g: (g * keep,)
+
+
+# ------------------------------------------------------------- blocks
+
+
+def _embedding(tok, pos, seg, gain, bias, ids, segs, rate, rng):
+    """Token + position + segment rows of [B, S] ``ids``, layer-normed,
+    then dropout. Table gradients scatter with accumulation at repeats."""
+    y, ln_back = _layer_norm(tok[ids] + pos[:ids.shape[1]] + seg[segs], gain, bias)
+    out, drop_back = _dropout(y, rate, rng)
+
+    def back(g):
+        dx, d_gain, d_bias = ln_back(*drop_back(g))
+        tables = []
+        positions = np.broadcast_to(np.arange(ids.shape[1]), ids.shape)
+        for table, idx in ((tok, ids), (pos, positions), (seg, segs)):
+            d_table = np.zeros_like(table)
+            np.add.at(d_table, idx, dx)
+            tables.append(d_table)
+        return (*tables, d_gain, d_bias)
+    return out, back
+
+
+def _attention(x, wq, bq, wk, wv, bv, wo, bo, gain, bias, neg, n_heads, maps,
+               rate, rng):
+    """Multi-head self-attention over [B, S, d] ``x`` with key mask
+    ``neg`` (as in ``_masked_softmax``), dropout, residual and layer norm.
+    Appends the read-only [B, nh, S, S] attention weights to ``maps``."""
+    b, s, d = x.shape
+    split = (b, s, n_heads, d // n_heads)
+    scale = x.dtype.type(1.0 / math.sqrt(d // n_heads))
+
+    def heads(a):
+        return a.reshape(split).transpose(0, 2, 1, 3)
+
+    def merge(a):
+        return a.transpose(0, 2, 1, 3).reshape(b, s, d)
+
+    (q, q_back), (k, k_back), (v, v_back) = (
+        _linear(x, wq, bq), _linear(x, wk), _linear(x, wv, bv))
+    q, k, v = heads(q), heads(k), heads(v)
+    kt = k.transpose(0, 1, 3, 2)
+    p, soft_back = _masked_softmax((q @ kt) * scale, neg)
+    ctx = merge(p @ v)
+    out, out_back = _linear(ctx, wo, bo)
+    out, drop_back = _dropout(out, rate, rng)
+    y, ln_back = _layer_norm(x + out, gain, bias)
+    # the weights the backward reads, handed out uncopied: keep them unwritten
+    p.flags.writeable = False
+    maps.append(p)
+
+    def back(g):
+        d_res, d_gain, d_bias = ln_back(g)
+        d_ctx, d_wo, d_bo = out_back(*drop_back(d_res))
+        d_ctx = np.transpose(d_ctx.reshape(split), (0, 2, 1, 3))
+        d_scores = soft_back(d_ctx @ np.swapaxes(v, -1, -2))[0] * scale
+        dx_v, d_wv, d_bv = v_back(merge(np.swapaxes(p, -1, -2) @ d_ctx))
+        d_kt = np.swapaxes(q, -1, -2) @ d_scores
+        dx_k, d_wk = k_back(merge(np.transpose(d_kt, (0, 1, 3, 2))))
+        dx_q, d_wq, d_bq = q_back(merge(d_scores @ np.swapaxes(kt, -1, -2)))
+        # x feeds q, k, v and the residual: add in reverse order of use
+        return (((d_res + dx_v) + dx_k) + dx_q, d_wq, d_bq, d_wk, d_wv, d_bv,
+                d_wo, d_bo, d_gain, d_bias)
+    return y, back
+
+
+def _ffn(x, w1, b1, w2, b2, gain, bias, activation, rate, rng):
+    """Position-wise feed-forward over [B, S, d] ``x``: linear,
+    ``activation``, linear, dropout, residual and layer norm."""
+    h, h_back = _linear(x, w1, b1)
+    a, act_back = _ACTIVATIONS[activation](h)
+    out, out_back = _linear(a, w2, b2)
+    out, drop_back = _dropout(out, rate, rng)
+    y, ln_back = _layer_norm(x + out, gain, bias)
+
+    def back(g):
+        d_res, d_gain, d_bias = ln_back(g)
+        d_a, d_w2, d_b2 = out_back(*drop_back(d_res))
+        dx, d_w1, d_b1 = h_back(*act_back(d_a))
+        return d_res + dx, d_w1, d_b1, d_w2, d_b2, d_gain, d_bias
+    return y, back
+
+
+def _block(fn, inputs, *args):
+    """Run block ``fn`` on the arrays of ``inputs``, Tensors or bare
+    arrays, then ``args``. Where a tape records an input, the result is
+    one tape op with ``fn``'s backward; otherwise it is the bare array."""
+    out, back = fn(*(t.data if isinstance(t, Tensor) else t for t in inputs), *args)
+    if not T._recording([t for t in inputs if isinstance(t, Tensor)]):
+        return out
+    return T._make(tuple(t if isinstance(t, Tensor) else Tensor(t) for t in inputs),
+                   out, back)
+
+
 def embed(token_ids, segment_ids, params: dict[str, Tensor], cfg: EncoderConfig,
-          *, rng: np.random.Generator | None = None) -> Tensor:
+          *, rng: np.random.Generator | None = None) -> Tensor | np.ndarray:
     """Token + learned position + segment embedding, layer-normed.
-    Inputs are [B, S] integer arrays. With an ``rng``, dropout follows."""
+    Inputs are [B, S] integer arrays. With an ``rng``, dropout follows.
+    The [B, S, d] result is one tape op where a tape records the tables,
+    and a bare array elsewhere."""
     ids = np.asarray(token_ids)
     segs = np.asarray(segment_ids)
     if ids.ndim != 2 or segs.shape != ids.shape:
         raise ShapeError(f"token ids {ids.shape} and segment ids {segs.shape} "
                          f"must be equal 2-D shapes")
-    b, s = ids.shape
-    if s > cfg.max_len:
-        raise ShapeError(f"sequence length {s} exceeds max_len {cfg.max_len}")
-    positions = np.broadcast_to(np.arange(s), (b, s))
-    x = T.add(T.add(T.embedding_lookup(params["tok_emb"], ids),
-                    T.embedding_lookup(params["pos_emb"], positions)),
-              T.embedding_lookup(params["seg_emb"], segs))
-    x = T.layer_norm(x, params["emb_ln.gain"], params["emb_ln.bias"])
-    if rng is not None:
-        x = T.dropout(x, cfg.dropout_rate, rng)
-    return x
-
-
-def _attention(x: Tensor, mask: np.ndarray, params, pre: str, cfg: EncoderConfig):
-    b, s, d = x.shape
-    nh, dh = cfg.n_heads, cfg.d_head
-
-    def heads(name):
-        proj = T.matmul(x, params[pre + "attn.w" + name])
-        if name != "k":
-            proj = T.add_bias(proj, params[pre + "attn.b" + name])
-        return T.transpose(T.reshape(proj, (b, s, nh, dh)), (0, 2, 1, 3))
-
-    q, k, v = heads("q"), heads("k"), heads("v")
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-    probs = T.masked_softmax(scores, mask[:, None, None, :])
-    ctx = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), (b, s, d))
-    out = T.add_bias(T.matmul(ctx, params[pre + "attn.wo"]), params[pre + "attn.bo"])
-    # the weights the backward reads, handed out uncopied: keep them unwritten
-    probs.data.flags.writeable = False
-    return out, probs.data
+    if ids.shape[1] > cfg.max_len:
+        raise ShapeError(f"sequence length {ids.shape[1]} exceeds max_len {cfg.max_len}")
+    for idx, table in ((ids, params["tok_emb"]), (segs, params["seg_emb"])):
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ContractError(f"embedding ids must be integers, got dtype {idx.dtype}")
+        n = table.shape[0]
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise IndexError(f"embedding id out of range [0, {n}): "
+                             f"min {idx.min()}, max {idx.max()}")
+    return _block(_embedding, [params[name] for name in _EMBEDDING], ids, segs,
+                  cfg.dropout_rate, rng)
 
 
 def encode(token_ids, segment_ids, attention_mask, params: dict[str, Tensor],
@@ -138,29 +310,23 @@ def encode(token_ids, segment_ids, attention_mask, params: dict[str, Tensor],
            rng: np.random.Generator | None = None) -> EncoderOutput:
     """Full encoder pass over a batch. ``attention_mask`` is [B, S] bool;
     padded positions are excluded as attention keys, so real positions
-    are unaffected by padding. Dropout runs exactly when an ``rng`` is
-    given: that is a training pass."""
+    are unaffected by padding, and a row with no real position is an
+    error. Dropout runs exactly when an ``rng`` is given: that is a
+    training pass."""
     mask = np.asarray(attention_mask, dtype=bool)
     x = embed(token_ids, segment_ids, params, cfg, rng=rng)
     if mask.shape != x.shape[:2]:
         raise ShapeError(f"attention mask {mask.shape} does not match ids {x.shape[:2]}")
-    act = _ACTIVATIONS[cfg.activation]
-    drop = cfg.dropout_rate
+    if not mask.any(axis=-1).all():
+        raise DegenerateMaskError("encode: an attention mask row has no real position")
+    dtype = params["tok_emb"].dtype.type
+    neg = np.where(mask, dtype(0), dtype(-np.inf))[:, None, None, :]
     attentions: list[np.ndarray] = []
     for i in range(cfg.n_layers):
         pre = f"layer{i}."
-        attn_out, weights = _attention(x, mask, params, pre, cfg)
-        attentions.append(weights)
-        if rng is not None:
-            attn_out = T.dropout(attn_out, drop, rng)
-        x = T.layer_norm(T.add(x, attn_out),
-                         params[pre + "attn_ln.gain"], params[pre + "attn_ln.bias"])
-        ff = T.add_bias(T.matmul(act(T.add_bias(T.matmul(x, params[pre + "ffn.w1"]),
-                                                params[pre + "ffn.b1"])),
-                                 params[pre + "ffn.w2"]),
-                        params[pre + "ffn.b2"])
-        if rng is not None:
-            ff = T.dropout(ff, drop, rng)
-        x = T.layer_norm(T.add(x, ff),
-                         params[pre + "ffn_ln.gain"], params[pre + "ffn_ln.bias"])
-    return EncoderOutput(hidden=x, attentions=attentions)
+        x = _block(_attention, [x, *(params[pre + name] for name in _ATTENTION)],
+                   neg, cfg.n_heads, attentions, cfg.dropout_rate, rng)
+        x = _block(_ffn, [x, *(params[pre + name] for name in _FFN)],
+                   cfg.activation, cfg.dropout_rate, rng)
+    return EncoderOutput(hidden=x if isinstance(x, Tensor) else Tensor(x),
+                         attentions=attentions)

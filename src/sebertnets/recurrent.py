@@ -48,11 +48,21 @@ class CellState:
 @dataclass
 class RecurrentParams:
     """Per-gate weights: ``w_<gate>`` maps the input, ``u_<gate>`` the
-    previous hidden state, ``b_<gate>`` is the bias."""
+    previous hidden state, ``b_<gate>`` is the bias. They must be exactly
+    the entries of ``direction_layout(cell, input_size, hidden_size)``."""
     cell: str
     input_size: int
     hidden_size: int
     weights: dict[str, Tensor]
+
+    def __post_init__(self):
+        want = {name: shape for name, shape, _ in
+                direction_layout(self.cell, self.input_size, self.hidden_size)}
+        got = {name: tuple(w.shape) for name, w in self.weights.items()}
+        if got != want:
+            raise ShapeError(f"{self.cell} weights {got} do not fit input size "
+                             f"{self.input_size} and hidden size {self.hidden_size}: "
+                             f"expected {want}")
 
 
 def direction_layout(cell: str, input_size: int, hidden_size: int):
@@ -271,7 +281,6 @@ def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
     """
     if fwd.cell != bwd.cell:
         raise ContractError(f"directions hold different cells ({fwd.cell!r}, {bwd.cell!r})")
-    _gates_for(fwd.cell)
     m = np.asarray(mask, dtype=bool)
     data = seq.data
     if seq.ndim == 2:
@@ -281,6 +290,9 @@ def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
         raise ShapeError(f"seq must be 2-D or 3-D, got shape {seq.shape}")
     if m.shape != data.shape[:2]:
         raise ShapeError(f"mask shape {m.shape} does not match sequence {data.shape[:2]}")
+    if data.shape[-1] != fwd.input_size or bwd.input_size != fwd.input_size:
+        raise ShapeError(f"sequence width {data.shape[-1]} does not match input sizes "
+                         f"{fwd.input_size} and {bwd.input_size}")
     if not m.any(axis=1).all():
         raise DegenerateMaskError("bidirectional_encode: a sequence is fully masked")
 

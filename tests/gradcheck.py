@@ -51,6 +51,30 @@ def numeric_grad_at(f, x: np.ndarray, coords, h: float = H) -> np.ndarray:
     return out
 
 
+def weighted_sum(out, w):
+    """sum(out * w) as a 0-d Tensor, built from ``matmul``, ``reshape`` and
+    ``sum_all``. ``out`` may be a bare array, as a block gives where no
+    tape records it; ``w`` is a constant array of its shape."""
+    out = out if isinstance(out, T.Tensor) else T.Tensor(out)
+    w = T.Tensor(np.asarray(w, dtype=out.dtype).reshape(-1, 1))
+    return T.sum_all(T.matmul(T.reshape(out, (1, -1)), w))
+
+
+def square_sum(out):
+    """sum(out * out) as a 0-d Tensor; ``out`` as in ``weighted_sum``."""
+    out = out if isinstance(out, T.Tensor) else T.Tensor(out)
+    return T.sum_all(T.matmul(T.reshape(out, (1, -1)), T.reshape(out, (-1, 1))))
+
+
+def kernel_op(kernel, *args):
+    """An array kernel, which returns its output and backward, as a tape
+    op over Tensor inputs, with ``args`` passed after their arrays."""
+    def op(*tensors):
+        out, back = kernel(*(t.data for t in tensors), *args)
+        return T._make(tensors, out, back)
+    return op
+
+
 def check_grads(build, arrays, tol: float = REL_TOL, h: float = H) -> None:
     """Verify analytic grads of ``build(*tensors) -> scalar Tensor``
     against full finite-difference Jacobians, input by input."""

@@ -1,8 +1,9 @@
 """Acceptance suite: ten criteria, one test (and one pass/fail line) each.
 
-1.  Gradient suite: every differentiable primitive plus the composed
-    2-layer-encoder + 4-step-BiLSTM + span-loss graph against fp64
-    central differences, rel err < 1e-5, 100 randomized trials each.
+1.  Gradient suite: every tensor primitive and encoder block op plus
+    the composed 2-layer-encoder + 4-step-BiLSTM + span-loss graph
+    against fp64 central differences, rel err < 1e-5, 100 randomized
+    trials each.
 2.  lstm_step / gru_step match straight-line fp64 references bit-exactly
     on 1000 random cases each.
 3.  Encoder and bidirectional outputs at real positions invariant to
@@ -33,7 +34,9 @@ import time
 import numpy as np
 import pytest
 
-from gradcheck import REL_TOL, check_grads, grad_close, numeric_grad_at
+from gradcheck import (REL_TOL, check_grads, grad_close, kernel_op, numeric_grad_at,
+                       weighted_sum)
+from sebertnets import encoder as E
 from sebertnets import tensor as T
 from sebertnets.data import (
     SynthConfig,
@@ -96,56 +99,56 @@ def _elapsed_ok(t0: float, budget: float, label: str) -> None:
 # ---------------------------------------------------------------------
 
 
-def _away_from_zero(x, margin=0.25):
-    return np.where(np.abs(x) < margin, x + margin * np.where(x >= 0, 1.0, -1.0), x)
-
-
-def _weighted(out, w):
-    return T.sum_all(T.mul(out, Tensor(w)))
-
-
 def _primitive_trials(rng):
     """name -> (build, arrays): one randomized check per primitive."""
     n = rng.standard_normal
-    w34, w23, w43 = n((3, 4)), n((2, 3)), n((4, 3))
+    w_m2, w_m3, w_rsh = n((4, 2)), n((2, 3, 3)), n((3, 4))
+    return {
+        "matmul_mat_mat": (lambda a, b: weighted_sum(T.matmul(a, b), w_m2),
+                           [n((4, 5)), n((5, 2))]),
+        "matmul_batched_shared": (lambda a, b: weighted_sum(T.matmul(a, b), w_m3),
+                                  [n((2, 3, 4)), n((4, 3))]),
+        "reshape": (lambda x: weighted_sum(T.reshape(x, (3, 4)), w_rsh), [n((2, 6))]),
+        "sum_all": (lambda x: T.sum_all(x), [n((2, 3))]),
+    }
 
-    ids = rng.integers(0, 6, size=(2, 3))
-    mask = rng.random((3, 6)) > 0.4
-    mask[np.arange(3), rng.integers(0, 6, size=3)] = True
+
+def _block_trials(rng):
+    """name -> (build, arrays): one randomized check per encoder block op,
+    dropout on (a fixed mask per trial), over a ragged key mask and both
+    activations."""
+    n = rng.standard_normal
+    b, s, d, heads, ff, rate = 2, 3, 4, 2, 5, 0.3
+    ids = rng.integers(0, 6, size=(b, s))
+    segs = rng.integers(0, 2, size=(b, s))
+    keys = rng.random((b, s)) > 0.4
+    keys[np.arange(b), rng.integers(0, s, size=b)] = True
+    neg = np.where(keys, 0.0, -np.inf)[:, None, None, :]
     drop_seed = int(rng.integers(0, 2 ** 31))
+    w_out = n((b, s, d))
 
-    def drop_build(x):
-        return T.sum_all(T.mul(T.dropout(x, 0.4, np.random.default_rng(drop_seed)),
-                               Tensor(w34)))
+    def block(fn, *args):
+        def build(*tensors):
+            op = kernel_op(fn, *args, rate, np.random.default_rng(drop_seed))
+            return weighted_sum(op(*tensors), w_out)
+        return build
 
-    w_b = n((2, 3, 4))
-    w_m2, w_m3 = n((4, 2)), n((2, 3, 3))
-    w_rsh, w_tr = n((3, 4)), n((4, 2, 3))
-    w_emb, w_ln, w_sm = n((2, 3, 4)), n((3, 5)), n((3, 6))
+    def ln():
+        return [1.0 + 0.1 * n(d), 0.1 * n(d)]
+
+    def linear(n_in, n_out, bias=True):
+        return [n((n_in, n_out)) / np.sqrt(n_in)] + ([0.1 * n(n_out)] if bias else [])
 
     return {
-        "add": (lambda x, y: _weighted(T.add(x, y), w34), [n((3, 4)), n((3, 4))]),
-        "mul": (lambda x, y: _weighted(T.mul(x, y), w43), [n((4, 3)), n((4, 3))]),
-        "add_bias": (lambda x, b: _weighted(T.add_bias(x, b), w_b),
-                     [n((2, 3, 4)), n(4)]),
-        "matmul_mat_mat": (lambda a, b: _weighted(T.matmul(a, b), w_m2),
-                           [n((4, 5)), n((5, 2))]),
-        "matmul_batched_shared": (lambda a, b: _weighted(T.matmul(a, b), w_m3),
-                                  [n((2, 3, 4)), n((4, 3))]),
-        "relu": (lambda x: _weighted(T.relu(x), w34),
-                 [_away_from_zero(n((3, 4)))]),
-        "gelu": (lambda x: _weighted(T.gelu(x), w34), [n((3, 4))]),
-        "reshape": (lambda x: _weighted(T.reshape(x, (3, 4)), w_rsh), [n((2, 6))]),
-        "transpose": (lambda x: _weighted(T.transpose(x, (2, 0, 1)), w_tr),
-                      [n((2, 3, 4))]),
-        "embedding_lookup": (lambda tab: _weighted(T.embedding_lookup(tab, ids),
-                                                   w_emb), [n((6, 4))]),
-        "layer_norm": (lambda x, g, b: _weighted(T.layer_norm(x, g, b), w_ln),
-                       [n((3, 5)), 1.0 + 0.1 * n(5), 0.1 * n(5)]),
-        "masked_softmax": (lambda x: _weighted(T.masked_softmax(x, mask), w_sm),
-                           [n((3, 6))]),
-        "dropout": (drop_build, [n((3, 4))]),
-        "sum_all": (lambda x: T.sum_all(T.mul(x, Tensor(w23))), [n((2, 3))]),
+        "embedding": (block(E._embedding, ids, segs),
+                      [n((6, d)), n((s, d)), n((2, d)), *ln()]),
+        "attention": (block(E._attention, neg, heads, []),
+                      [n((b, s, d)), *linear(d, d), *linear(d, d, bias=False),
+                       *linear(d, d), *linear(d, d), *ln()]),
+        "ffn_relu": (block(E._ffn, "relu"),
+                     [n((b, s, d)), *linear(d, ff), *linear(ff, d), *ln()]),
+        "ffn_gelu": (block(E._ffn, "gelu"),
+                     [n((b, s, d)), *linear(d, ff), *linear(ff, d), *ln()]),
     }
 
 
@@ -179,11 +182,12 @@ def test_criterion_01_gradient_suite():
     master = np.random.default_rng(1001)
     for trial in range(100):
         rng = np.random.default_rng(master.integers(0, 2 ** 63))
-        for name, (build, arrays) in _primitive_trials(rng).items():
+        trials = {**_primitive_trials(rng), **_block_trials(rng)}
+        for name, (build, arrays) in trials.items():
             try:
                 check_grads(build, arrays)
             except AssertionError as exc:
-                raise AssertionError(f"primitive {name}, trial {trial}: {exc}")
+                raise AssertionError(f"op {name}, trial {trial}: {exc}")
 
     # composed graph: two encoder layers, four real recurrent steps
     enc_cfg = EncoderConfig(vocab_size=7, d_model=4, n_layers=2, n_heads=2,

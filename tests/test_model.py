@@ -1,6 +1,8 @@
 """Model assembly, training step, and checkpoint tests."""
 
+import contextlib
 import inspect
+import itertools
 import json
 import struct
 import sys
@@ -18,7 +20,7 @@ from sebertnets.data import (
     flatten_for_training,
     generate_synthetic,
 )
-from sebertnets.encoder import EncoderConfig
+from sebertnets.encoder import EncoderConfig, encode
 from sebertnets.errors import (
     CheckpointError,
     CompatibilityError,
@@ -336,6 +338,120 @@ def test_every_primitive_is_run_by_a_model_or_reduces_a_gradcheck():
     checked = {"matmul" if name.startswith("matmul_") else name
                for name in _primitive_trials(np.random.default_rng(0))}
     assert checked == prims
+
+
+def test_default_train_step_makes_eleven_tape_records(monkeypatch):
+    """A default ``sebertnets`` step records one op per encoder block (the
+    embedding, then attention and feed-forward per layer), one for the
+    recurrent layer, a matmul and a reshape per span side, and the loss."""
+    import sebertnets.model as model_module
+
+    examples = tiny_corpus(n=4)
+    vocab = Vocabulary.from_corpus(examples)
+    enc_cfg = EncoderConfig(vocab_size=vocab.size)
+    model = Model(ModelConfig(), enc_cfg, vocab)
+    b = batch([encode_example(ex, vocab, enc_cfg.max_len)
+               for ex in flatten_for_training(examples)])
+    lengths = []
+    real_backward = model_module.backward
+
+    def counting(tape, loss):
+        lengths.append(len(tape))
+        real_backward(tape, loss)
+
+    monkeypatch.setattr(model_module, "backward", counting)
+    model.train_step(b, make_state("adam"), np.random.default_rng(0))
+    assert enc_cfg.n_layers == 2 and enc_cfg.dropout_rate > 0
+    assert lengths == [11]
+
+
+def test_tape_free_predict_builds_no_tensor_inside_encode():
+    """Per-example ``bert_baseline`` predict runs the encoder on bare
+    arrays: the one Tensor built inside ``encode`` is its output."""
+    model, vocab, _, _ = build_setup(variant=BERT_BASELINE, n_layers=2, dropout=0.1)
+    one = batch([encode_example(flatten_for_training(tiny_corpus())[0], vocab, MAX_LEN)])
+    enc_code, init_code = encode.__code__, T.Tensor.__init__.__code__
+    depth, built = [0], []
+
+    def watch(frame, event, arg):
+        if frame.f_code is enc_code:
+            depth[0] += {"call": 1, "return": -1}.get(event, 0)
+        elif event == "call" and frame.f_code is init_code and depth[0]:
+            built.append(frame.f_back.f_code.co_name)
+
+    outer = sys.getprofile()
+    sys.setprofile(watch)
+    try:
+        preds = model.predict(one)
+    finally:
+        sys.setprofile(outer)
+    assert len(preds) == 1 and preds[0]
+    assert built == ["encode"]
+
+
+@pytest.mark.parametrize("variant", [BERT_BASELINE, SEBERTNETS, HSEBERTNETS])
+def test_encode_is_one_path_with_and_without_a_tape(variant):
+    """The same blocks run on a recording tape and without one: hidden
+    states, attention maps and logits are bit-identical, with dropout off
+    and on, and the maps are read-only either way."""
+    model, vocab, _, _ = build_setup(variant=variant, n=32, n_layers=2, dropout=0.1)
+    encoded = [encode_example(ex, vocab, MAX_LEN)
+               for ex in flatten_for_training(tiny_corpus(n=32))]
+    params = model.parameters()
+    for dtype in (np.float32, np.float64):
+        for p in params.values():
+            p.data = p.data.astype(dtype)
+        for b, seed in itertools.product((batch(encoded[:1]), batch(encoded[:32])),
+                                         (None, 3)):
+            def rng():
+                return None if seed is None else np.random.default_rng(seed)
+
+            runs = []
+            for taped in (False, True):
+                with Tape() if taped else contextlib.nullcontext():
+                    out = encode(b.token_ids, b.segment_ids, b.attention_mask,
+                                 model.encoder_params, model.enc_cfg, rng=rng())
+                    logits, _ = model.forward(b, rng=rng())
+                assert out.hidden.requires_grad is taped
+                runs.append((out, logits))
+            (plain, plain_logits), (taped, taped_logits) = runs
+            assert plain.hidden.dtype == dtype and len(plain.attentions) == 2
+            assert plain.hidden.data.tobytes() == taped.hidden.data.tobytes()
+            assert plain_logits.start_logits.data.tobytes() == \
+                taped_logits.start_logits.data.tobytes()
+            for a, c in zip(plain.attentions, taped.attentions):
+                assert a.tobytes() == c.tobytes()
+                assert not a.flags.writeable and not c.flags.writeable
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_two_live_recorded_passes_backward_in_either_order(first):
+    """Two tapes recorded on two batches, dropout on, both alive: each
+    backward gives bit for bit the gradients of its pass run alone,
+    whichever runs first. The block ops own their saved activations."""
+    model, vocab, _, _ = build_setup(variant=SEBERTNETS, n=16, n_layers=2, dropout=0.1)
+    encoded = [encode_example(ex, vocab, MAX_LEN)
+               for ex in flatten_for_training(tiny_corpus(n=16))]
+    batches = (batch(encoded[:5]), batch(encoded[5:12]))
+    params = model.parameters()
+
+    def record(i):
+        with Tape() as tape:
+            logits, _ = model.forward(batches[i], rng=np.random.default_rng(10 + i))
+            loss = span_loss(logits, batches[i].golds)
+        return tape, loss
+
+    def grads(tape, loss):
+        T.zero_grads(params)
+        backward(tape, loss)
+        return {n: p.grad.copy() for n, p in params.items()}
+
+    alone = [grads(*record(i)) for i in (0, 1)]
+    live = [record(0), record(1)]
+    for i in (first, 1 - first):
+        got = grads(*live[i])
+        for n in params:
+            assert got[n].tobytes() == alone[i][n].tobytes(), (i, n)
 
 
 # ------------------------------------------------------------ checkpoint

@@ -9,10 +9,10 @@ import pytest
 
 from sebertnets import recurrent as R
 from sebertnets import tensor as T
-from sebertnets.errors import ContractError, DegenerateMaskError
+from sebertnets.errors import ContractError, DegenerateMaskError, ShapeError
 from sebertnets.tensor import Tensor
 
-from gradcheck import check_grads
+from gradcheck import check_grads, square_sum, weighted_sum
 
 @pytest.fixture
 def rng():
@@ -241,6 +241,25 @@ class TestBidirectionalEncode:
             self.run_both(rng.standard_normal((3, 4)), np.zeros(3, dtype=bool),
                           fwd, bwd)
 
+    def test_weights_that_do_not_fit_the_sizes_raise(self):
+        # hidden-4 weights declared as input 99, hidden 5
+        weights = T.draw(R.direction_layout(R.GRU, 6, 4), np.random.default_rng(0))
+        with pytest.raises(ShapeError, match="hidden size 5"):
+            R.RecurrentParams(R.GRU, 99, 5, weights)
+        with pytest.raises(ShapeError):  # the right sizes, one weight short
+            R.RecurrentParams(R.GRU, 6, 4, {k: w for k, w in weights.items()
+                                            if k != "u_reset"})
+        with pytest.raises(ShapeError):  # an LSTM's weights as a GRU's
+            R.RecurrentParams(R.GRU, 6, 4, T.draw(R.direction_layout(R.LSTM, 6, 4),
+                                                  np.random.default_rng(0)))
+
+    def test_sequence_width_must_fit_the_input_size(self):
+        rng = np.random.default_rng(9)
+        fwd = make_params(R.GRU, 4, 3, rng)
+        bwd = make_params(R.GRU, 4, 3, rng)
+        with pytest.raises(ShapeError, match="width 5"):
+            self.run_both(rng.standard_normal((3, 5)), np.ones(3, dtype=bool), fwd, bwd)
+
     def test_cell_mismatch_raises(self):
         rng = np.random.default_rng(9)
         fwd = make_params(R.GRU, 4, 3, rng)
@@ -268,7 +287,7 @@ class TestGradients:
             fwd = R.RecurrentParams(cell, d, hid, dict(zip(names, weight_tensors[:k])))
             bwd = R.RecurrentParams(cell, d, hid, dict(zip(names, weight_tensors[k:])))
             out = R.bidirectional_encode(seq_t, mask, fwd, bwd)
-            return T.sum_all(T.mul(out, out))
+            return square_sum(out)
 
         check_grads(build, [seq, *fwd_arrays, *bwd_arrays])
 
@@ -360,7 +379,7 @@ class TestFusedPass:
             f = R.RecurrentParams(cell, d, hid, dict(zip(names, weights[:k])))
             b = R.RecurrentParams(cell, d, hid, dict(zip(names, weights[k:])))
             out = R.bidirectional_encode(seq_t, mask, f, b)
-            return T.sum_all(T.mul(out, Tensor(w_out)))
+            return weighted_sum(out, w_out)
 
         check_grads(build, [seq, *(fwd.weights[n].data for n in names),
                             *(bwd.weights[n].data for n in names)])

@@ -1,16 +1,18 @@
-"""Tensor core: forward values, tape mechanics, and gradients vs finite
-differences."""
+"""Tensor core and the encoder's array kernels: forward values, tape
+mechanics, and gradients vs finite differences."""
 
 import threading
 
 import numpy as np
 import pytest
 
+from sebertnets import encoder as E
 from sebertnets import tensor as T
 from sebertnets.errors import ContractError, DegenerateMaskError, ShapeError
 from sebertnets.recurrent import _sigmoid
 
-from gradcheck import check_grads, grad_close, numeric_grad
+from gradcheck import (check_grads, grad_close, kernel_op, numeric_grad, square_sum,
+                       weighted_sum)
 
 @pytest.fixture
 def randn():
@@ -20,21 +22,24 @@ def randn():
     return lambda *shape: rng.standard_normal(shape)
 
 
+def key_bias(mask, dtype=np.float64):
+    """The additive key mask ``encode`` builds: 0 at live, -inf at masked."""
+    return np.where(mask, dtype(0), dtype(-np.inf))
+
+
+def encode_tiny(mask, ids_shape=(2, 4)):
+    cfg = E.EncoderConfig(vocab_size=5, d_model=4, n_layers=1, n_heads=2, d_ff=4,
+                          max_len=8, dropout_rate=0.0)
+    params = T.draw(E.encoder_layout(cfg), np.random.default_rng(0), np.float64)
+    ids = np.ones(ids_shape, dtype=np.int64)
+    return E.encode(ids, np.zeros_like(ids), mask, params, cfg)
+
+
 class TestForwardValues:
-    def test_add_mul_sub(self):
-        a = T.Tensor([1.0, 2.0, 3.0])
-        b = T.Tensor([10.0, 20.0, 30.0])
-        np.testing.assert_array_equal(T.add(a, b).data, [11, 22, 33])
-        np.testing.assert_array_equal(T.mul(a, b).data, [10, 40, 90])
-
-    def test_scalar_operand(self):
-        a = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal((a * 2.0).data, [[2, 4], [6, 8]])
-
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError) as e:
-            T.add(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((3, 2))))
-        assert "(2, 3)" in str(e.value) and "(3, 2)" in str(e.value)
+            T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 2))))
+        assert "(2, 3)" in str(e.value) and "(2, 2)" in str(e.value)
 
     def test_matmul_values(self):
         a = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -51,9 +56,16 @@ class TestForwardValues:
         for dt in (np.float32, np.float64):
             x = T.Tensor(randn(3, 3).astype(dt))
             y = T.Tensor(randn(3, 3).astype(dt))
-            for out in (T.add(x, y), T.matmul(x, y), T.gelu(x), T.relu(x),
-                        T.sum_all(x)):
+            for out in (T.matmul(x, y), T.reshape(x, (9,)), T.sum_all(x)):
                 assert out.dtype == dt
+            v = randn(2, 3, 3).astype(dt)
+            g = np.ones(3, dtype=dt)
+            for out, back in (E._relu(v), E._gelu(v), E._layer_norm(v, g, g),
+                              E._masked_softmax(v, key_bias(np.arange(3) < 2, dt)),
+                              E._dropout(v, 0.5, np.random.default_rng(0)),
+                              E._linear(v, randn(3, 2).astype(dt), g[:2])):
+                assert out.dtype == dt
+                assert all(d.dtype == dt for d in back(out))
 
     def test_sigmoid_saturates_without_nan(self):
         # the recurrent gates' sigmoid; tier-1 turns its exp overflow
@@ -65,83 +77,76 @@ class TestForwardValues:
         np.testing.assert_allclose(s64, [0.0, 0.5, 1.0], atol=1e-300)
 
     def test_relu(self):
-        np.testing.assert_array_equal(
-            T.relu(T.Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
+        out, back = E._relu(np.array([-1.0, 0.0, 2.0]))
+        np.testing.assert_array_equal(out, [0.0, 0.0, 2.0])
+        np.testing.assert_array_equal(back(np.ones(3))[0], [0.0, 0.0, 1.0])
 
     def test_layer_norm_standardizes(self, randn):
-        x = T.Tensor(randn(4, 8).astype(np.float64))
-        g = T.Tensor(np.ones(8))
-        b = T.Tensor(np.zeros(8))
-        out = T.layer_norm(x, g, b).data
+        out, _ = E._layer_norm(randn(4, 8), np.ones(8), np.zeros(8))
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-12)
         np.testing.assert_allclose((out ** 2).mean(axis=-1), 1.0, atol=1e-4)
 
 
 class TestMaskedSoftmax:
+    """The attention kernel takes the additive key mask ``encode`` builds
+    once per pass; ``encode`` checks the mask's shape and rows."""
+
     def test_matches_fp64_exp_normalize(self):
-        x = T.Tensor(np.array([1.0, 2.0, 3.0], dtype=np.float64))
-        p = T.masked_softmax(x, np.array([True, True, True])).data
+        p, _ = E._masked_softmax(np.array([1.0, 2.0, 3.0]), np.zeros(3))
         e = np.exp(np.array([1.0, 2.0, 3.0]) - 3.0)
         np.testing.assert_allclose(p, e / e.sum(), rtol=1e-15)
 
     def test_masked_positions_exactly_zero(self):
-        x = T.Tensor(np.array([[5.0, 1e9, -2.0, 0.5]], dtype=np.float32))
+        x = np.array([[5.0, 1e9, -2.0, 0.5]], dtype=np.float32)
         mask = np.array([[True, False, True, False]])
-        p = T.masked_softmax(x, mask).data
+        p, _ = E._masked_softmax(x, key_bias(mask, np.float32))
         assert p[0, 1] == 0.0 and p[0, 3] == 0.0
         assert np.isfinite(p).all()
         np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=1e-6)
 
     def test_degenerate_row_raises(self):
-        x = T.Tensor(np.zeros((2, 3)))
-        mask = np.array([[True, False, True], [False, False, False]])
+        mask = np.array([[True, False, True, True], [False, False, False, False]])
         with pytest.raises(DegenerateMaskError):
-            T.masked_softmax(x, mask)
+            encode_tiny(mask)
 
     def test_masked_grad_is_zero(self, randn):
-        x = T.Tensor(randn(2, 4).astype(np.float64), requires_grad=True)
         mask = np.array([[True, False, True, True], [True, True, False, True]])
-        with T.Tape() as tape:
-            p = T.masked_softmax(x, mask)
-            loss = T.sum_all(T.mul(p, p))
-        T.backward(tape, loss)
-        assert x.grad[0, 1] == 0.0 and x.grad[1, 2] == 0.0
+        p, back = E._masked_softmax(randn(2, 4), key_bias(mask))
+        (g,) = back(2 * p)  # the gradient of sum(p * p)
+        assert g[0, 1] == 0.0 and g[1, 2] == 0.0
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_broadcast_key_mask_equals_full_mask(self, randn, dtype):
         keys = np.array([[True, False, True, True, False],
                          [False, False, False, True, True]])
-        x0, w = randn(2, 3, 4, 5).astype(dtype), randn(2, 3, 4, 5).astype(dtype)
+        x, w = randn(2, 3, 4, 5).astype(dtype), randn(2, 3, 4, 5).astype(dtype)
         outs = []
         for mask in (keys[:, None, None, :], np.broadcast_to(keys[:, None, None, :],
                                                              (2, 3, 4, 5)).copy()):
-            x = T.Tensor(x0.copy(), requires_grad=True)
-            with T.Tape() as tape:
-                p = T.masked_softmax(x, mask)
-                loss = T.sum_all(T.mul(p, T.Tensor(w)))
-            T.backward(tape, loss)
-            outs.append((p.data, x.grad))
+            p, back = E._masked_softmax(x, key_bias(mask, dtype))
+            outs.append((p, back(w)[0]))
         (p1, g1), (p2, g2) = outs
         assert p1.dtype == g1.dtype == dtype
         assert np.array_equal(p1, p2) and np.array_equal(g1, g2)
         assert (p1[0, ..., 1] == 0.0).all() and (g1[1, ..., :3] == 0.0).all()
 
     def test_degenerate_broadcast_row_raises(self):
-        mask = np.array([True, False, True, False, False, False]).reshape(2, 1, 3)
+        # one dead row among live ones still fails the whole batch
+        mask = np.array([[True, True, True], [False, False, False], [True, False, False]])
         with pytest.raises(DegenerateMaskError):
-            T.masked_softmax(T.Tensor(np.zeros((2, 4, 3))), mask)
+            encode_tiny(mask, ids_shape=(3, 3))
 
     @pytest.mark.parametrize("shape", [(2, 1, 4), (2, 3), (3, 1, 3), (1, 2, 1, 3)])
     def test_mask_that_does_not_broadcast_raises(self, shape):
         with pytest.raises(ShapeError):
-            T.masked_softmax(T.Tensor(np.zeros((2, 4, 3))), np.ones(shape, dtype=bool))
+            encode_tiny(np.ones(shape, dtype=bool), ids_shape=(2, 4))
 
 
 class TestTapeMechanics:
     def test_loss_must_be_scalar(self, randn):
-        x = T.Tensor(randn(3), requires_grad=True)
+        x = T.Tensor(randn(3, 3), requires_grad=True)
         with T.Tape() as tape:
-            y = T.mul(x, x)
+            y = T.matmul(x, x)
         with pytest.raises(ContractError):
             T.backward(tape, y)
 
@@ -164,7 +169,7 @@ class TestTapeMechanics:
     def test_grads_accumulate_until_cleared(self):
         x = T.Tensor(np.ones(3), requires_grad=True)
         with T.Tape() as tape:
-            loss = T.sum_all(T.mul(x, x))
+            loss = square_sum(x)
         T.backward(tape, loss)
         first = x.grad.copy()
         T.backward(tape, loss)
@@ -176,7 +181,7 @@ class TestTapeMechanics:
         x = T.Tensor(randn(3), requires_grad=True)
         c = T.Tensor(randn(3))
         with T.Tape() as tape:
-            loss = T.sum_all(T.mul(x, c))
+            loss = T.sum_all(T.matmul(T.reshape(x, (1, 3)), T.reshape(c, (3, 1))))
         T.backward(tape, loss)
         assert c.grad is None
         np.testing.assert_array_equal(x.grad, c.data)
@@ -190,13 +195,14 @@ class TestTapeMechanics:
         assert len(tape) == 0
 
     def test_reused_intermediate_fans_in(self):
-        # y = x*x used twice: loss = sum(y + y) -> dloss/dx = 4x
-        x = T.Tensor(np.array([1.0, 2.0], dtype=np.float64), requires_grad=True)
+        # y = sum(x * x) feeds both operands of one product: loss = y**2,
+        # so dloss/dx = 4 * y * x
+        x = T.Tensor(np.array([[1.0, 2.0]], dtype=np.float64), requires_grad=True)
         with T.Tape() as tape:
-            y = T.mul(x, x)
-            loss = T.sum_all(T.add(y, y))
+            y = T.matmul(x, T.reshape(x, (2, 1)))
+            loss = T.sum_all(T.matmul(y, y))
         T.backward(tape, loss)
-        np.testing.assert_allclose(x.grad, 4 * x.data)
+        np.testing.assert_allclose(x.grad, 4 * 5.0 * x.data)
 
     def test_tapes_on_threads_are_independent(self):
         results = {}
@@ -205,7 +211,7 @@ class TestTapeMechanics:
             rng = np.random.default_rng(seed)
             x = T.Tensor(rng.standard_normal(4), requires_grad=True, dtype=np.float64)
             with T.Tape() as tape:
-                loss = T.sum_all(T.mul(x, x))
+                loss = square_sum(x)
             T.backward(tape, loss)
             results[key] = np.abs(x.grad - 2 * x.data).max()
 
@@ -218,20 +224,14 @@ class TestTapeMechanics:
 
 
 class TestGradientsAgainstFiniteDifferences:
-    def test_add_sub_mul(self, randn):
-        a, b = randn(3, 4), randn(3, 4)
-        check_grads(lambda x, y: T.sum_all(T.mul(T.add(x, y), y)), [a, b])
-
-    def test_scalar_mul(self, randn):
-        check_grads(lambda x, s: T.sum_all(T.mul(x, s)), [randn(3, 3), randn(1)])
-
     def test_add_bias(self, randn):
-        check_grads(lambda x, b: T.sum_all(T.gelu(T.add_bias(x, b))),
-                    [randn(4, 5), randn(5)])
+        # the bias of a linear map: its gradient sums over the positions
+        check_grads(lambda x, w, b: square_sum(kernel_op(E._linear)(x, w, b)),
+                    [randn(1, 4, 3), randn(3, 5), randn(5)])
 
     def test_add_bias_batched(self, randn):
-        check_grads(lambda x, b: T.sum_all(T.gelu(T.add_bias(x, b))),
-                    [randn(2, 3, 4), randn(4)])
+        check_grads(lambda x, w, b: square_sum(kernel_op(E._linear)(x, w, b)),
+                    [randn(2, 3, 4), randn(4, 4), randn(4)])
 
     def test_matmul_2d(self, randn):
         check_grads(lambda a, b: T.sum_all(T.matmul(a, b)), [randn(3, 4), randn(4, 2)])
@@ -245,55 +245,67 @@ class TestGradientsAgainstFiniteDifferences:
 
     def test_sigmoid_tanh_relu_gelu(self, randn):
         x = randn(3, 4) + np.sign(randn(3, 4)) * 0.05  # keep away from relu kink
-        check_grads(lambda t: T.sum_all(T.relu(t)), [x])
-        check_grads(lambda t: T.sum_all(T.gelu(t)), [x])
+        w = randn(3, 4)
+        check_grads(lambda t: weighted_sum(kernel_op(E._relu)(t), w), [x])
+        check_grads(lambda t: weighted_sum(kernel_op(E._gelu)(t), w), [x])
 
-    def test_reshape_transpose(self, randn):
-        def build(x):
-            y = T.transpose(T.reshape(x, (2, 3, 4)), (0, 2, 1))
-            return T.sum_all(T.mul(y, y))
-        check_grads(build, [randn(6, 4)])
+    def test_reshape(self, randn):
+        check_grads(lambda x: square_sum(T.reshape(x, (2, 3, 4))), [randn(6, 4)])
 
     def test_embedding_lookup_accumulates_repeats(self, randn):
-        ids = np.array([0, 2, 2, 1])
-        check_grads(lambda tab: T.sum_all(T.gelu(T.embedding_lookup(tab, ids))),
-                    [randn(4, 3)])
-        table = T.Tensor(randn(4, 3).astype(np.float64), requires_grad=True)
-        with T.Tape() as tape:
-            loss = T.sum_all(T.embedding_lookup(table, ids))
-        T.backward(tape, loss)
-        np.testing.assert_array_equal(table.grad[2], 2.0)
-        np.testing.assert_array_equal(table.grad[3], 0.0)
+        ids, segs = np.array([[0, 2, 2, 1]]), np.zeros((1, 4), dtype=np.int64)
+        w = randn(1, 4, 3)
+        op = kernel_op(E._embedding, ids, segs, 0.0, None)
+        check_grads(lambda tok, pos, seg, g, b: weighted_sum(op(tok, pos, seg, g, b), w),
+                    [randn(4, 3), randn(5, 3), randn(2, 3), 1.0 + 0.1 * randn(3),
+                     randn(3)])
+        tables = [randn(4, 3), randn(5, 3), randn(2, 3)]
+        _, back = E._embedding(*tables, np.ones(3), np.zeros(3), ids, segs, 0.0, None)
+        d_tok, d_pos, d_seg, _, _ = back(w)
+        # one example: position p's row is the gradient at p, and id 2's
+        # row sums its two positions
+        np.testing.assert_array_equal(d_tok[2], d_pos[1] + d_pos[2])
+        np.testing.assert_array_equal(d_tok[3], 0.0)
+        np.testing.assert_array_equal(d_seg[0], d_pos[:4].sum(axis=0))
 
     def test_embedding_out_of_range(self, randn):
-        with pytest.raises(IndexError):
-            T.embedding_lookup(T.Tensor(randn(4, 3)), np.array([4]))
+        cfg = E.EncoderConfig(vocab_size=4, d_model=4, n_heads=2, max_len=8)
+        params = T.draw(E.encoder_layout(cfg), np.random.default_rng(0))
+        for ids, segs in (([[4]], [[0]]), ([[-1]], [[0]]), ([[1]], [[2]])):
+            with pytest.raises(IndexError):
+                E.embed(np.array(ids), np.array(segs), params, cfg)
 
     def test_layer_norm(self, randn):
-        check_grads(lambda x, g, b: T.sum_all(T.gelu(T.layer_norm(x, g, b))),
+        w = randn(3, 6)
+        check_grads(lambda x, g, b: weighted_sum(kernel_op(E._layer_norm)(x, g, b), w),
                     [randn(3, 6), randn(6), randn(6)])
 
     def test_masked_softmax(self, randn):
         mask = np.array([[True, True, False, True], [True, True, True, False]])
-        check_grads(lambda x: T.sum_all(T.mul(T.masked_softmax(x, mask),
-                                              T.masked_softmax(x, mask))),
+        check_grads(lambda x: square_sum(kernel_op(E._masked_softmax, key_bias(mask))(x)),
                     [randn(2, 4)])
 
     def test_dropout_fixed_mask(self, randn):
+        w = randn(6, 6)
+
         def build(x):
-            return T.sum_all(T.dropout(x, 0.5, np.random.default_rng(99)))
+            return weighted_sum(kernel_op(E._dropout, 0.5, np.random.default_rng(99))(x), w)
         check_grads(build, [randn(6, 6)])
 
     def test_dropout_rate_zero_is_identity(self, randn):
-        x = T.Tensor(randn(3, 3))
-        assert T.dropout(x, 0.0, np.random.default_rng(0)) is x
+        x = randn(3, 3)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for rate, gen in ((0.0, rng), (0.5, None)):
+            out, back = E._dropout(x, rate, gen)
+            assert out is x and back(x)[0] is x
+        assert rng.bit_generator.state == state  # nothing drawn
 
     def test_deep_chain(self, randn):
         def build(x, w1, b1, w2, b2):
-            h = T.relu(T.add_bias(T.matmul(x, w1), b1))
-            out = T.gelu(T.add_bias(T.matmul(h, w2), b2))
-            return T.sum_all(T.mul(out, out))
-        check_grads(build, [randn(4, 6), randn(6, 5), randn(5), randn(5, 3), randn(3)])
+            h = kernel_op(E._relu)(kernel_op(E._linear)(x, w1, b1))
+            return square_sum(kernel_op(E._gelu)(kernel_op(E._linear)(h, w2, b2)))
+        check_grads(build, [randn(2, 4, 6), randn(6, 5), randn(5), randn(5, 3), randn(3)])
 
 
 class TestNumericOracleHelpers:
