@@ -20,6 +20,14 @@ Training and inference run the same functions. Each backward adds the
 gradients of an input used several times in reverse order of use, as a
 tape of the separate operations would, so gradients are bit for bit
 those of the composed operations.
+
+A recorded block keeps, besides its output, only what its backward
+reads: the embedding its normalized sum; attention q, k, v, the
+attention weights, the merged context and the normalized residual; the
+feed-forward block its activation's output (gelu also its input and
+tanh) and the normalized residual; each its boolean dropout draw and
+its layer norm's per-position scale. Every other intermediate is freed
+when the block returns.
 """
 
 from __future__ import annotations
@@ -128,7 +136,10 @@ def _linear(x, w, b=None):
 
 
 def _relu(v):
-    return np.maximum(v, 0.0), lambda g: (g * (v > 0.0),)
+    """``max(v, 0)``. The backward masks by the output's sign, which is
+    the input's, so the pre-activation need not be kept."""
+    y = np.maximum(v, 0.0)
+    return y, lambda g: (g * (y > 0.0),)
 
 
 def _gelu(v):
@@ -182,11 +193,15 @@ def _masked_softmax(v, neg):
 def _dropout(v, rate, rng):
     """Inverted dropout: zero with probability ``rate``, scale survivors
     by 1/(1-rate). Without an ``rng``, or at rate 0, it is the identity
-    and draws nothing."""
+    and draws nothing. The backward keeps only the boolean draw, one byte
+    an element, and rebuilds the same scaled mask from it."""
     if rng is None or rate == 0.0:
         return v, lambda g: (g,)
-    keep = (rng.random(v.shape) >= rate).astype(v.dtype) * (1.0 / (1.0 - rate))
-    return v * keep, lambda g: (g * keep,)
+    keep, dtype = rng.random(v.shape) >= rate, v.dtype
+
+    def scaled():
+        return keep.astype(dtype) * (1.0 / (1.0 - rate))
+    return v * scaled(), lambda g: (g * scaled(),)
 
 
 # ------------------------------------------------------------- blocks

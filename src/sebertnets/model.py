@@ -223,7 +223,7 @@ class Model:
         params = self.parameters()
         zero_grads(params.values())
         with Tape() as tape:
-            logits, _ = self.forward(batch, rng=rng)
+            logits = self.forward(batch, rng=rng)[0]
             loss = span_loss(logits, golds)
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):
@@ -233,6 +233,7 @@ class Model:
         if losses is not None:
             losses.extend(example_losses(logits, golds).tolist())
         backward(tape, loss)
+        del tape  # its records hold every activation; the step needs none
         grads = {
             name: (p.grad if p.grad is not None else np.zeros_like(p.data))
             for name, p in params.items()

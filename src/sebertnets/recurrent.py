@@ -18,6 +18,14 @@ directions, as the one tape op of this module, whose backward is
 hand-written BPTT per direction, with the weight gradients formed after
 the sweep as one GEMM over all timesteps (Appleyard et al.,
 arXiv:1604.01946).
+
+A recorded sweep keeps, per step, only what BPTT cannot recompute
+cheaply: ``h, z, r, cand`` for GRU and ``h, c, f, i, o, g`` for LSTM.
+BPTT recomputes the two others bit for bit, the LSTM's ``tanh(c')`` from
+``f*c + i*g`` per step and the GRU's ``r*h`` for the ``dU`` GEMM, and
+forms each step's ``_local`` factors inside its loop. Its whole-sequence
+arrays are the gate pre-activation gradients, that ``r*h`` and the input
+and weight gradients.
 """
 
 from __future__ import annotations
@@ -99,22 +107,21 @@ def _step(cell: str, w: dict[str, np.ndarray], x: np.ndarray, h: np.ndarray,
     """The gate equations of one step on arrays, the only copy of them.
 
     Returns the new ``h``, the new ``c`` (None for GRU) and the
-    activations ``_step_back`` needs: ``h, z, r, r*h, cand`` for GRU and
-    ``h, c, f, i, o, g, tanh(c')`` for LSTM.
+    activations the backward keeps: ``h, z, r, cand`` for GRU and
+    ``h, c, f, i, o, g`` for LSTM. The GRU's ``r*h`` and the LSTM's
+    ``tanh(c')`` are not kept: the backward recomputes them bit for bit.
     """
     if cell == GRU:
         z = _sigmoid(_pre(w, "update", x, h))
         r = _sigmoid(_pre(w, "reset", x, h))
-        rh = r * h
-        cand = np.tanh(_pre(w, "candidate", x, rh))
-        return (1.0 - z) * h + z * cand, None, (h, z, r, rh, cand)
+        cand = np.tanh(_pre(w, "candidate", x, r * h))
+        return (1.0 - z) * h + z * cand, None, (h, z, r, cand)
     f = _sigmoid(_pre(w, "f", x, h))
     i = _sigmoid(_pre(w, "i", x, h))
     o = _sigmoid(_pre(w, "o", x, h))
     g = np.tanh(_pre(w, "c", x, h))
     c_new = f * c + i * g
-    tc = np.tanh(c_new)
-    return o * tc, c_new, (h, c, f, i, o, g, tc)
+    return o * np.tanh(c_new), c_new, (h, c, f, i, o, g)
 
 
 def _cat(w: dict[str, np.ndarray], kind: str, cell: str) -> np.ndarray:
@@ -123,13 +130,14 @@ def _cat(w: dict[str, np.ndarray], kind: str, cell: str) -> np.ndarray:
 
 
 def _local(cell: str, acts) -> tuple[np.ndarray, ...]:
-    """The factors ``_step_back`` multiplies by, from ``_step``
-    activations. Elementwise, so a whole sequence's come from one call."""
+    """The factors ``_step_back`` multiplies by, from one step's kept
+    ``_step`` activations; the LSTM's ``tanh(c')`` is recomputed here."""
     if cell == GRU:
-        h, z, r, _, cand = acts
+        h, z, r, cand = acts
         return (z * (1.0 - cand * cand), (cand - h) * (z * (1.0 - z)),
                 h * (r * (1.0 - r)), 1.0 - z, r)
-    _, c, f, i, o, g, tc = acts
+    _, c, f, i, o, g = acts
+    tc = np.tanh(f * c + i * g)
     return (o * (1.0 - tc * tc), c * (f * (1.0 - f)), g * (i * (1.0 - i)),
             tc * (o * (1.0 - o)), i * (1.0 - g * g), f)
 
@@ -165,16 +173,16 @@ def _param_grads(cell: str, w: dict[str, np.ndarray], x: np.ndarray, acts,
     """Input and weight gradients from the gate pre-activation gradients
     of any number of steps, each one GEMM or sum over all leading rows.
 
-    ``x`` is [..., d], ``acts`` the matching ``_step`` activations and
-    ``d_pre`` [..., G, H]. Returns ``d x`` and a weight-name -> gradient
-    dict.
+    ``x`` is [..., d], ``acts`` the matching kept ``_step`` activations
+    and ``d_pre`` [..., G, H]. Returns ``d x`` and a weight-name ->
+    gradient dict.
     """
     hid = d_pre.shape[-1]
     a = d_pre.reshape(-1, d_pre.shape[-2] * hid)
     h2 = acts[0].reshape(-1, hid)
-    if cell == GRU:  # the candidate's recurrent input is r*h
-        du = np.concatenate([h2.T @ a[:, :2 * hid],
-                             acts[3].reshape(-1, hid).T @ a[:, 2 * hid:]], axis=1)
+    if cell == GRU:  # the candidate's recurrent input is r*h, recomputed
+        rh = (acts[2] * acts[0]).reshape(-1, hid)
+        du = np.concatenate([h2.T @ a[:, :2 * hid], rh.T @ a[:, 2 * hid:]], axis=1)
     else:
         du = h2.T @ a
     dw = x.reshape(-1, x.shape[-1]).T @ a
@@ -222,10 +230,11 @@ def _sweep(p: RecurrentParams, x: np.ndarray, keep: np.ndarray,
     gradients.
 
     When ``record`` is set the sweep keeps each step's ``_step``
-    activations; otherwise it keeps none. The BPTT runs only the
-    recurrent ``dh @ U.T`` products per step and collects the gate
-    pre-activation gradients, from which ``_param_grads`` forms the input
-    and weight gradients over all B*S rows at once.
+    activations, 4 [S, B, H] arrays for GRU and 6 for LSTM; otherwise it
+    keeps none. The BPTT runs per step only the ``_local`` factors of
+    that step and the recurrent ``dh @ U.T`` products, and collects the
+    gate pre-activation gradients, from which ``_param_grads`` forms the
+    input and weight gradients over all B*S rows at once.
     """
     cell = p.cell
     w = {k: t.data for k, t in p.weights.items()}
@@ -247,7 +256,6 @@ def _sweep(p: RecurrentParams, x: np.ndarray, keep: np.ndarray,
         out[t] = h * keep_f[t]
 
     def bptt(dy):
-        local = _local(cell, saved)
         u_t = np.ascontiguousarray(_cat(w, "u", cell).T)
         dh = np.zeros_like(h)
         dc = None if c is None else np.zeros_like(c)
@@ -256,7 +264,7 @@ def _sweep(p: RecurrentParams, x: np.ndarray, keep: np.ndarray,
             k = keep[t]
             dh = dh + dy[t]
             dh_prev, dc_prev = _step_back(
-                cell, u_t, [a[t] for a in local], np.where(k, dh, 0.0),
+                cell, u_t, _local(cell, [a[t] for a in saved]), np.where(k, dh, 0.0),
                 None if dc is None else np.where(k, dc, 0.0), d_pre[t])
             dh = np.where(k, dh_prev, dh)
             if dc is not None:

@@ -154,6 +154,12 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
     ``loss`` must be a single-element tensor produced on ``tape``. The seed
     gradient is 1. Leaves with ``requires_grad=False`` are skipped.
+
+    A gradient lives only until its record has run: each record's output
+    gradient leaves the pass's dict when its backward is called, and the
+    input gradients it returns are dropped once added, so the pass holds
+    no gradient of a record already run. The records are only read, so
+    a tape can be run backward again.
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be a scalar, got shape {loss.shape}")
@@ -162,11 +168,11 @@ def backward(tape: Tape, loss: Tensor) -> None:
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     produced = tape._produced
     for rec in reversed(tape._records):
-        g = grads.get(id(rec.output))
-        if g is None:
+        if id(rec.output) not in grads:
             continue
-        input_grads = rec.backward(g)
-        for t, ig in zip(rec.inputs, input_grads):
+        # popped into the call, so the record's backward holds the only
+        # reference and can drop it once read
+        for t, ig in zip(rec.inputs, rec.backward(grads.pop(id(rec.output)))):
             if ig is None or not t.requires_grad:
                 continue
             if id(t) in produced:
@@ -176,6 +182,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
                 if t.grad is None:
                     t.grad = np.zeros_like(t.data)
                 t.grad += ig
+        # hold none of this record's gradients while the next one runs
+        ig = prev = None
 
 
 def zero_grads(params) -> None:

@@ -6,6 +6,7 @@ import itertools
 import json
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,6 +364,55 @@ def test_default_train_step_makes_eleven_tape_records(monkeypatch):
     model.train_step(b, make_state("adam"), np.random.default_rng(0))
     assert enc_cfg.n_layers == 2 and enc_cfg.dropout_rate > 0
     assert lengths == [11]
+
+
+@pytest.mark.parametrize("variant, cell", [(SEBERTNETS, GRU), (HSEBERTNETS, LSTM)])
+def test_train_step_peak_is_what_the_ops_keep(monkeypatch, variant, cell):
+    """One recorded step peaks at the arrays its ops are documented to
+    keep plus the recurrent backward's working set, within 5% for arrays
+    too small to list (layer-norm scales, masks, per-step temporaries, the
+    span head). A whole-sequence BPTT temporary, a kept ``r*h`` or
+    ``tanh(c')``, or a gradient held past its record lifts the peak past
+    that. The optimizer runs after the tape is released."""
+    import sebertnets.model as model_module
+
+    d, hid, ff, nh = 8, 48, 16, 2
+    model, _, _, b = build_setup(variant=variant, cell=cell, d_model=d, hidden=hid,
+                                 n_heads=nh, d_ff=ff, dropout=0.1)
+    state, rng = make_state("adam"), np.random.default_rng(0)
+    model.train_step(b, state, rng)  # the optimizer state exists before tracing
+    (n, s), f = b.token_ids.shape, 4
+    acts = 4 if cell == GRU else 6  # [S, B, H] activations per direction
+    # one encoder layer: each block keeps its float32 output and boolean
+    # dropout draw; the embedding its normalized sum; attention q, k, v,
+    # the context, the normalized residual and the weights; the FFN its
+    # activation and normalized residual. The recurrent layer keeps its
+    # time-major input, its activations and its output
+    kept = (n * s * d * (2 * f + 1)
+            + n * s * d * (6 * f + 1) + n * nh * s * s * f
+            + n * s * (ff * f + d * (2 * f + 1))
+            + n * s * (d + 2 * acts * hid + 2 * hid) * f)
+    # its backward: the output gradient batch- and time-major, then one
+    # direction's gate gradients (4 LSTM gates, or 3 GRU gates and r*h)
+    work = n * s * (2 * 2 * hid + 4 * hid) * f
+    live = []
+    real_clip = model_module.clip_global_norm
+
+    def clip(grads, max_norm):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return real_clip(grads, max_norm)
+
+    monkeypatch.setattr(model_module, "clip_global_norm", clip)
+    tracemalloc.start()
+    try:
+        model.train_step(b, state, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * (kept + work)
+    # when clipping starts, the gradients are live and no activation is
+    grad_bytes = sum(p.grad.nbytes for p in model.parameters().values())
+    assert live[0] < grad_bytes + kept // 20
 
 
 def test_tape_free_predict_builds_no_tensor_inside_encode():

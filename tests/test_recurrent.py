@@ -359,10 +359,11 @@ class TestFusedPass:
             tracemalloc.stop()
             assert bool(len(tape)) == taped
         assert np.array_equal(outs[0], outs[1])
-        # the taped pass keeps 5 (GRU) or 7 (LSTM) [S, B, H] arrays per
-        # direction, each half the size of the output; the untaped one none
-        acts = (5 if cell == R.GRU else 7) * outs[0].nbytes
-        assert peaks[1] - peaks[0] > 3 * acts // 4
+        # the taped pass keeps 4 (GRU) or 6 (LSTM) [S, B, H] arrays per
+        # direction, each half the size of the output; the untaped one
+        # none. One array more or fewer per direction falls outside.
+        acts = (4 if cell == R.GRU else 6) * outs[0].nbytes
+        assert 7 * acts // 8 < peaks[1] - peaks[0] < 9 * acts // 8
 
     @pytest.mark.parametrize("cell", [R.LSTM, R.GRU])
     def test_ragged_gradients(self, cell):

@@ -2,6 +2,7 @@
 mechanics, and gradients vs finite differences."""
 
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -176,6 +177,36 @@ class TestTapeMechanics:
         np.testing.assert_array_equal(x.grad, 2 * first)
         x.zero_grad()
         assert x.grad is None
+
+    def test_a_gradient_lives_until_its_record_has_run(self):
+        """When a record's backward runs, no gradient that an earlier-run
+        record received or returned is alive but the one it is handed;
+        and the tape, whose records are only read, replays."""
+        given = []  # weakrefs to every gradient a backward got or returned
+        others_alive = []
+
+        def op(t, w):
+            def bwd(g):
+                others_alive.append(sum(r() is not None and r() is not g for r in given))
+                grads = (g * 2.0, g + 1.0)
+                given.extend(weakref.ref(a) for a in (g, *grads))
+                return grads
+            return T._make((t, w), t.data * 2.0, bwd)
+
+        x = T.Tensor(np.ones(4), requires_grad=True)
+        ws = [T.Tensor(np.ones(4), requires_grad=True) for _ in range(4)]
+        with T.Tape() as tape:
+            y = x
+            for w in ws:
+                y = op(y, w)
+            loss = T.sum_all(y)
+        T.backward(tape, loss)
+        first = x.grad.copy()
+        T.backward(tape, loss)
+        assert others_alive == [0] * 8
+        np.testing.assert_array_equal(first, np.full(4, 16.0))
+        np.testing.assert_array_equal(x.grad, 2 * first)
+        np.testing.assert_array_equal(ws[0].grad, np.full(4, 2 * (8.0 + 1.0)))
 
     def test_no_grad_for_non_requiring_leaf(self, randn):
         x = T.Tensor(randn(3), requires_grad=True)
