@@ -4,9 +4,10 @@ position-wise feed-forward block, each followed by residual + layer norm.
 
 Trained from scratch on the span objective; there is no pretraining.
 A pass given an ``rng`` is a training pass: dropout follows the
-embedding and each attention and feed-forward block. Attention weights
-of every layer and head are returned for inspection, uncopied and
-read-only.
+embedding and each attention and feed-forward block. A tape-free pass
+returns the attention weights of every layer and head for inspection,
+uncopied and read-only; a recorded pass returns none, so that no layer's
+weights outlive its forward.
 
 The encoder is three blocks: the embedding (three lookups, add, layer
 norm, dropout), the attention sublayer (q/k/v/o projections, scaled
@@ -23,11 +24,15 @@ those of the composed operations.
 
 A recorded block keeps, besides its output, only what its backward
 reads: the embedding its normalized sum; attention q, k, v, the
-attention weights, the merged context and the normalized residual; the
-feed-forward block its activation's output (gelu also its input and
-tanh) and the normalized residual; each its boolean dropout draw and
-its layer norm's per-position scale. Every other intermediate is freed
-when the block returns.
+softmax's per-row max and sum, the merged context and the normalized
+residual; the feed-forward block its activation's output (gelu also its
+input and tanh) and the normalized residual; each its boolean dropout
+draw and its layer norm's per-position scale. Every other intermediate
+is freed when the block returns. Attention keeps no [B, nh, S, S]
+array: its backward rebuilds the weights from q, k and the row
+statistics by the forward's own operations in the forward's order, so
+they are bit for bit the weights of the forward (the recompute of
+FlashAttention's backward, Dao et al., 2022).
 """
 
 from __future__ import annotations
@@ -82,9 +87,10 @@ class EncoderConfig:
 @dataclass
 class EncoderOutput:
     """``hidden``: contextual representation per position. ``attentions``:
-    one [B, n_heads, S, S] array of attention weights per layer. These are
-    the arrays the encoder computed, not copies, and are read-only: a
-    recorded pass's backward reads them, so copy one before changing it."""
+    for a tape-free pass, one [B, n_heads, S, S] array of attention
+    weights per layer, the arrays the encoder computed, not copies, and
+    read-only; copy one before changing it. A recorded pass returns
+    ``[]``: a list of maps would keep every layer's weights alive."""
     hidden: Tensor
     attentions: list[np.ndarray] = field(default_factory=list)
 
@@ -176,18 +182,34 @@ def _layer_norm(v, gain, bias, eps=1e-5):
     return xhat * gain + bias, back
 
 
+def _softmax_rows(v, neg):
+    """The weights of ``_masked_softmax`` and the per-row max and sum
+    they were formed with."""
+    v = v + neg
+    top = v.max(axis=-1, keepdims=True)
+    # out of place: computing in place frees fewer large temporaries, and
+    # glibc then maps each big training array afresh (2x the page faults)
+    e = np.exp(v - top)
+    total = e.sum(axis=-1, keepdims=True)
+    return e / total, top, total
+
+
+def _softmax_back(p, g):
+    """The softmax's input gradient from its weights ``p`` and output
+    gradient ``g``, written over ``g``."""
+    dot = (g * p).sum(axis=-1, keepdims=True)
+    np.subtract(g, dot, out=g)
+    return np.multiply(g, p, out=g)
+
+
 def _masked_softmax(v, neg):
     """Softmax over the trailing axis after adding ``neg``, 0 at live and
     -inf at masked positions, broadcasting to ``v`` (a [B, 1, 1, S] key
     mask serves [B, nh, S, S] scores). Masked positions of finite scores
     get probability exactly 0 and zero gradient; the caller ensures each
     row has a live position."""
-    v = v + neg
-    # out of place: computing in place frees fewer large temporaries, and
-    # glibc then maps each big training array afresh (2x the page faults)
-    e = np.exp(v - v.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    return p, lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
+    p = _softmax_rows(v, neg)[0]
+    return p, lambda g: (_softmax_back(p, g.copy()),)
 
 
 def _dropout(v, rate, rng):
@@ -215,13 +237,13 @@ def _embedding(tok, pos, seg, gain, bias, ids, segs, rate, rng):
 
     def back(g):
         dx, d_gain, d_bias = ln_back(*drop_back(g))
-        tables = []
-        positions = np.broadcast_to(np.arange(ids.shape[1]), ids.shape)
-        for table, idx in ((tok, ids), (pos, positions), (seg, segs)):
-            d_table = np.zeros_like(table)
-            np.add.at(d_table, idx, dx)
-            tables.append(d_table)
-        return (*tables, d_gain, d_bias)
+        d_tok, d_pos, d_seg = (np.zeros_like(t) for t in (tok, pos, seg))
+        np.add.at(d_tok, ids, dx)
+        # each row holds every position once, so this gradient is a sum
+        # over the batch; added to 0.0 as a scatter's is, a -0.0 sum is +0.0
+        d_pos[:ids.shape[1]] += dx.sum(axis=0)
+        np.add.at(d_seg, segs, dx)
+        return d_tok, d_pos, d_seg, d_gain, d_bias
     return out, back
 
 
@@ -229,7 +251,8 @@ def _attention(x, wq, bq, wk, wv, bv, wo, bo, gain, bias, neg, n_heads, maps,
                rate, rng):
     """Multi-head self-attention over [B, S, d] ``x`` with key mask
     ``neg`` (as in ``_masked_softmax``), dropout, residual and layer norm.
-    Appends the read-only [B, nh, S, S] attention weights to ``maps``."""
+    Appends the read-only [B, nh, S, S] attention weights to ``maps``
+    unless it is None; the backward rebuilds them in one buffer."""
     b, s, d = x.shape
     split = (b, s, n_heads, d // n_heads)
     scale = x.dtype.type(1.0 / math.sqrt(d // n_heads))
@@ -244,21 +267,31 @@ def _attention(x, wq, bq, wk, wv, bv, wo, bo, gain, bias, neg, n_heads, maps,
         _linear(x, wq, bq), _linear(x, wk), _linear(x, wv, bv))
     q, k, v = heads(q), heads(k), heads(v)
     kt = k.transpose(0, 1, 3, 2)
-    p, soft_back = _masked_softmax((q @ kt) * scale, neg)
+    p, top, total = _softmax_rows((q @ kt) * scale, neg)
     ctx = merge(p @ v)
+    if maps is not None:
+        # handed out uncopied: keep them unwritten
+        p.flags.writeable = False
+        maps.append(p)
+    del p
     out, out_back = _linear(ctx, wo, bo)
     out, drop_back = _dropout(out, rate, rng)
     y, ln_back = _layer_norm(x + out, gain, bias)
-    # the weights the backward reads, handed out uncopied: keep them unwritten
-    p.flags.writeable = False
-    maps.append(p)
 
     def back(g):
         d_res, d_gain, d_bias = ln_back(g)
         d_ctx, d_wo, d_bo = out_back(*drop_back(d_res))
         d_ctx = np.transpose(d_ctx.reshape(split), (0, 2, 1, 3))
-        d_scores = soft_back(d_ctx @ np.swapaxes(v, -1, -2))[0] * scale
+        # the weights again: the forward's operations in its order
+        p = q @ kt
+        np.multiply(p, scale, out=p)
+        np.add(p, neg, out=p)
+        np.subtract(p, top, out=p)
+        np.divide(np.exp(p, out=p), total, out=p)
+        d_scores = _softmax_back(p, d_ctx @ np.swapaxes(v, -1, -2))
+        np.multiply(d_scores, scale, out=d_scores)
         dx_v, d_wv, d_bv = v_back(merge(np.swapaxes(p, -1, -2) @ d_ctx))
+        del p
         d_kt = np.swapaxes(q, -1, -2) @ d_scores
         dx_k, d_wk = k_back(merge(np.transpose(d_kt, (0, 1, 3, 2))))
         dx_q, d_wq, d_bq = q_back(merge(d_scores @ np.swapaxes(kt, -1, -2)))
@@ -336,12 +369,13 @@ def encode(token_ids, segment_ids, attention_mask, params: dict[str, Tensor],
         raise DegenerateMaskError("encode: an attention mask row has no real position")
     dtype = params["tok_emb"].dtype.type
     neg = np.where(mask, dtype(0), dtype(-np.inf))[:, None, None, :]
-    attentions: list[np.ndarray] = []
+    # a recorded pass hands out no maps: each layer's weights die with its forward
+    maps = None if T._recording(params.values()) else []
     for i in range(cfg.n_layers):
         pre = f"layer{i}."
         x = _block(_attention, [x, *(params[pre + name] for name in _ATTENTION)],
-                   neg, cfg.n_heads, attentions, cfg.dropout_rate, rng)
+                   neg, cfg.n_heads, maps, cfg.dropout_rate, rng)
         x = _block(_ffn, [x, *(params[pre + name] for name in _FFN)],
                    cfg.activation, cfg.dropout_rate, rng)
     return EncoderOutput(hidden=x if isinstance(x, Tensor) else Tensor(x),
-                         attentions=attentions)
+                         attentions=maps or [])

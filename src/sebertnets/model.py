@@ -175,7 +175,9 @@ class Model:
     def forward(self, batch: Batch, *, rng: np.random.Generator | None = None
                 ) -> tuple[SpanLogits, list[np.ndarray]]:
         """Span logits for a batch plus per-layer attention weights. With
-        an ``rng`` the pass is a training pass: dropout runs."""
+        an ``rng`` the pass is a training pass: dropout runs. The weights
+        are read-only, and a pass recorded on a tape returns ``[]`` for
+        them (see ``EncoderOutput``)."""
         if int(batch.token_ids.max(initial=0)) >= self.enc_cfg.vocab_size:
             raise CompatibilityError(
                 f"batch holds token id {int(batch.token_ids.max())} but the "
@@ -232,8 +234,7 @@ class Model:
             )
         if losses is not None:
             losses.extend(example_losses(logits, golds).tolist())
-        backward(tape, loss)
-        del tape  # its records hold every activation; the step needs none
+        backward(tape, loss)  # consumes the tape and, with it, every activation
         grads = {
             name: (p.grad if p.grad is not None else np.zeros_like(p.data))
             for name, p in params.items()

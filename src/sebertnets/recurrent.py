@@ -92,9 +92,9 @@ def _gates_for(cell: str) -> tuple[str, ...]:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1/(1+exp(-x)) verbatim so straight-line references agree bitwise;
-    # overflow in exp saturates to the correct 0.0.
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+    # overflow in exp saturates to the correct 0.0, and callers silence
+    # its warning with np.errstate(over="ignore")
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _pre(w: dict[str, np.ndarray], gate: str, x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -112,13 +112,15 @@ def _step(cell: str, w: dict[str, np.ndarray], x: np.ndarray, h: np.ndarray,
     ``tanh(c')`` are not kept: the backward recomputes them bit for bit.
     """
     if cell == GRU:
-        z = _sigmoid(_pre(w, "update", x, h))
-        r = _sigmoid(_pre(w, "reset", x, h))
+        with np.errstate(over="ignore"):
+            z = _sigmoid(_pre(w, "update", x, h))
+            r = _sigmoid(_pre(w, "reset", x, h))
         cand = np.tanh(_pre(w, "candidate", x, r * h))
         return (1.0 - z) * h + z * cand, None, (h, z, r, cand)
-    f = _sigmoid(_pre(w, "f", x, h))
-    i = _sigmoid(_pre(w, "i", x, h))
-    o = _sigmoid(_pre(w, "o", x, h))
+    with np.errstate(over="ignore"):
+        f = _sigmoid(_pre(w, "f", x, h))
+        i = _sigmoid(_pre(w, "i", x, h))
+        o = _sigmoid(_pre(w, "o", x, h))
     g = np.tanh(_pre(w, "c", x, h))
     c_new = f * c + i * g
     return o * np.tanh(c_new), c_new, (h, c, f, i, o, g)
@@ -313,13 +315,19 @@ def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
     out = np.empty((s, b, hf + bwd.hidden_size), dtype=x.dtype)
     inputs = (seq, *fwd.weights.values(), *bwd.weights.values())
     record = T._recording(inputs)
-    sweeps = (_sweep(fwd, x, keep, keep_f, False, out[..., :hf], record),
-              _sweep(bwd, x, keep, keep_f, True, out[..., hf:], record))
+    sweeps = [_sweep(fwd, x, keep, keep_f, False, out[..., :hf], record),
+              _sweep(bwd, x, keep, keep_f, True, out[..., hf:], record)]
 
     def backward(dy):
-        dy = dy.reshape(b, s, -1).transpose(1, 0, 2) * keep_f
-        dx_f, g_f = sweeps[0](dy[..., :hf])
-        dx_b, g_b = sweeps[1](dy[..., hf:])
+        dy = dy.reshape(b, s, -1).transpose(1, 0, 2)
+        # each direction's time-major half of the output gradient
+        halves = [np.multiply(dy[..., cols], keep_f, order="C")
+                  for cols in (slice(None, hf), slice(hf, None))]
+        del dy
+        # popped into the call: a direction's BPTT, with its kept
+        # activations, and its half die once it has run
+        dx_f, g_f = sweeps.pop(0)(halves.pop(0))
+        dx_b, g_b = sweeps.pop(0)(halves.pop(0))
         dx = np.ascontiguousarray((dx_b + dx_f).transpose(1, 0, 2))
         return (dx.reshape(seq.shape), *g_f, *g_b)
 

@@ -3,10 +3,11 @@
 Values are numpy arrays, float32 by default; every op preserves the dtype
 of its inputs, so whole graphs can run at float64 for verification against
 reference implementations. Ops record onto the innermost active ``Tape``
-(a context manager). ``backward(tape, loss)`` replays the tape in reverse
-and accumulates gradients into the ``.grad`` of leaf tensors that have
-``requires_grad=True``; intermediate gradients live in a transient dict
-owned by the call. Gradients accumulate across calls until ``zero_grad``.
+(a context manager). ``backward(tape, loss)`` runs the tape in reverse,
+once, and accumulates gradients into the ``.grad`` of leaf tensors that
+have ``requires_grad=True``; intermediate gradients live in a transient
+dict owned by the call. Gradients accumulate across calls until
+``zero_grad``.
 
 There is no implicit broadcasting: ``matmul``'s shared 2-D operand is
 the one broadcast, and its gradient sums over the batch axes, so every
@@ -155,35 +156,45 @@ def backward(tape: Tape, loss: Tensor) -> None:
     ``loss`` must be a single-element tensor produced on ``tape``. The seed
     gradient is 1. Leaves with ``requires_grad=False`` are skipped.
 
-    A gradient lives only until its record has run: each record's output
-    gradient leaves the pass's dict when its backward is called, and the
-    input gradients it returns are dropped once added, so the pass holds
-    no gradient of a record already run. The records are only read, so
-    a tape can be run backward again.
+    The call consumes the tape: it takes each record off the tape, drops
+    the record's output before calling its backward and the record, with
+    its closure and inputs, once its gradients are added, so each op's
+    saved arrays die as soon as its gradient is taken. A second call on
+    the tape raises ``ContractError``; ``len(tape)`` read before the call
+    is the number of records. A gradient lives only until its record has
+    run: each record's output gradient leaves the pass's dict when its
+    backward is called, and the input gradients it returns are dropped
+    once added.
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be a scalar, got shape {loss.shape}")
     if id(loss) not in tape._produced:
-        raise ContractError("loss was not produced on this tape")
+        raise ContractError("loss was not produced on this tape, or the tape "
+                            "was already run backward")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    produced = tape._produced
-    for rec in reversed(tape._records):
-        if id(rec.output) not in grads:
-            continue
-        # popped into the call, so the record's backward holds the only
-        # reference and can drop it once read
-        for t, ig in zip(rec.inputs, rec.backward(grads.pop(id(rec.output)))):
-            if ig is None or not t.requires_grad:
-                continue
-            if id(t) in produced:
-                prev = grads.get(id(t))
-                grads[id(t)] = ig if prev is None else prev + ig
-            else:
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad += ig
-        # hold none of this record's gradients while the next one runs
-        ig = prev = None
+    records, produced = tape._records, tape._produced
+    while records:
+        rec = records.pop()
+        # a released output's id leaves the set: the id of a freed object
+        # can be reused, and only live outputs may key the gradient dict
+        key = id(rec.output)
+        produced.discard(key)
+        rec.output = None
+        if key in grads:
+            # popped into the call, so the record's backward holds the
+            # only reference and can drop it once read
+            for t, ig in zip(rec.inputs, rec.backward(grads.pop(key))):
+                if ig is None or not t.requires_grad:
+                    continue
+                if id(t) in produced:
+                    prev = grads.get(id(t))
+                    grads[id(t)] = ig if prev is None else prev + ig
+                else:
+                    if t.grad is None:
+                        t.grad = np.zeros_like(t.data)
+                    t.grad += ig
+        # the record, its closure and inputs, and its gradients die here
+        rec = t = ig = prev = None
 
 
 def zero_grads(params) -> None:

@@ -154,6 +154,66 @@ class TestEncodeOracle:
             assert not a.flags.writeable
 
 
+class TestRecordedPass:
+    """What a recorded pass keeps: no attention weights, which its backward
+    rebuilds, and table gradients equal to a scatter with accumulation."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_rebuilds_the_tape_free_weights_bit_for_bit(self, monkeypatch,
+                                                                  dtype):
+        cfg = small_cfg(n_layers=2, d_model=16, n_heads=4, d_ff=16, dropout_rate=0.1)
+        params = T.draw(E.encoder_layout(cfg), np.random.default_rng(3), dtype)
+        rng = np.random.default_rng(5)
+        ids = rng.integers(1, cfg.vocab_size, (5, 9))
+        mask = np.arange(9) < np.array([[9], [4], [9], [1], [6]])
+        plain = E.encode(ids, np.zeros_like(ids), mask, params, cfg,
+                         rng=np.random.default_rng(8)).attentions
+        rebuilt, real = [], E._softmax_back
+
+        def spy(p, g):
+            rebuilt.append(p.copy())
+            return real(p, g)
+
+        monkeypatch.setattr(E, "_softmax_back", spy)
+        with T.Tape() as tape:
+            out = E.encode(ids, np.zeros_like(ids), mask, params, cfg,
+                           rng=np.random.default_rng(8))
+            loss = T.sum_all(T.reshape(out.hidden, (-1,)))
+        assert out.attentions == [] and rebuilt == []
+        T.backward(tape, loss)
+        assert len(plain) == len(rebuilt) == 2
+        assert (plain[0][1, ..., 4:] == 0.0).all()  # masked keys
+        for a, p in zip(plain, reversed(rebuilt)):  # the backward runs last layer first
+            assert a.dtype == p.dtype == dtype
+            assert a.tobytes() == p.tobytes()
+
+    def test_position_gradient_is_the_scatter_bit_for_bit(self, monkeypatch):
+        """The position table's gradient, a sum over the batch, equals
+        ``np.add.at`` into zeros in every bit, an all -0.0 column too."""
+        rng, real = np.random.default_rng(2), E._layer_norm
+        for b, s in ((1, 5), (7, 9)):
+            dx = rng.standard_normal((b, s, 4)).astype(np.float32)
+            dx[:, :, 1] = -0.0
+            dx[:, 2, 3] = -0.0
+
+            def layer_norm(v, gain, bias):
+                y, back = real(v, gain, bias)
+                return y, lambda g: (dx,) + back(g)[1:]
+
+            monkeypatch.setattr(E, "_layer_norm", layer_norm)
+            tables = [rng.standard_normal(shape).astype(np.float32)
+                      for shape in ((6, 4), (10, 4), (2, 4))]
+            ids = rng.integers(0, 6, (b, s))
+            segs = rng.integers(0, 2, (b, s))
+            _, back = E._embedding(*tables, np.ones(4, np.float32), np.zeros(4, np.float32),
+                                   ids, segs, 0.0, None)
+            d_pos = back(np.ones((b, s, 4), np.float32))[1]
+            want = np.zeros_like(tables[1])
+            np.add.at(want, np.broadcast_to(np.arange(s), (b, s)), dx)
+            assert d_pos.tobytes() == want.tobytes()
+            assert np.signbit(want[:s, 1]).sum() == 0
+
+
 class TestPaddingInvariance:
     def test_real_rows_unchanged_by_padding(self):
         cfg = small_cfg(n_layers=2, max_len=12)

@@ -372,8 +372,10 @@ def test_train_step_peak_is_what_the_ops_keep(monkeypatch, variant, cell):
     keep plus the recurrent backward's working set, within 5% for arrays
     too small to list (layer-norm scales, masks, per-step temporaries, the
     span head). A whole-sequence BPTT temporary, a kept ``r*h`` or
-    ``tanh(c')``, or a gradient held past its record lifts the peak past
-    that. The optimizer runs after the tape is released."""
+    ``tanh(c')``, a gradient held past its record, attention weights kept
+    for the backward, or a record's arrays held once its gradient is
+    taken lifts the peak past that. The optimizer runs after the tape is
+    consumed."""
     import sebertnets.model as model_module
 
     d, hid, ff, nh = 8, 48, 16, 2
@@ -385,16 +387,20 @@ def test_train_step_peak_is_what_the_ops_keep(monkeypatch, variant, cell):
     acts = 4 if cell == GRU else 6  # [S, B, H] activations per direction
     # one encoder layer: each block keeps its float32 output and boolean
     # dropout draw; the embedding its normalized sum; attention q, k, v,
-    # the context, the normalized residual and the weights; the FFN its
-    # activation and normalized residual. The recurrent layer keeps its
-    # time-major input, its activations and its output
+    # the context and the normalized residual, and no [B, nh, S, S]
+    # array; the FFN its activation and normalized residual. The
+    # recurrent layer keeps its time-major input, its activations and
+    # its output
     kept = (n * s * d * (2 * f + 1)
-            + n * s * d * (6 * f + 1) + n * nh * s * s * f
+            + n * s * d * (6 * f + 1)
             + n * s * (ff * f + d * (2 * f + 1))
             + n * s * (d + 2 * acts * hid + 2 * hid) * f)
-    # its backward: the output gradient batch- and time-major, then one
-    # direction's gate gradients (4 LSTM gates, or 3 GRU gates and r*h)
-    work = n * s * (2 * 2 * hid + 4 * hid) * f
+    # the backward peaks at the span head, while the recurrent output is
+    # alive: the two gradients of that [B, S, 2H] output and their sum.
+    # BPTT frees the output, then holds the output gradient's two
+    # time-major halves and one direction's gate gradients (4 LSTM gates,
+    # or 3 GRU gates and r*h): 2H less
+    work = 3 * n * s * 2 * hid * f
     live = []
     real_clip = model_module.clip_global_norm
 
@@ -442,8 +448,9 @@ def test_tape_free_predict_builds_no_tensor_inside_encode():
 @pytest.mark.parametrize("variant", [BERT_BASELINE, SEBERTNETS, HSEBERTNETS])
 def test_encode_is_one_path_with_and_without_a_tape(variant):
     """The same blocks run on a recording tape and without one: hidden
-    states, attention maps and logits are bit-identical, with dropout off
-    and on, and the maps are read-only either way."""
+    states and logits are bit-identical, with dropout off and on. The
+    tape-free pass returns read-only attention maps, and the recorded
+    pass, from both ``encode`` and ``Model.forward``, returns none."""
     model, vocab, _, _ = build_setup(variant=variant, n=32, n_layers=2, dropout=0.1)
     encoded = [encode_example(ex, vocab, MAX_LEN)
                for ex in flatten_for_training(tiny_corpus(n=32))]
@@ -461,15 +468,17 @@ def test_encode_is_one_path_with_and_without_a_tape(variant):
                 with Tape() if taped else contextlib.nullcontext():
                     out = encode(b.token_ids, b.segment_ids, b.attention_mask,
                                  model.encoder_params, model.enc_cfg, rng=rng())
-                    logits, _ = model.forward(b, rng=rng())
+                    logits, maps = model.forward(b, rng=rng())
                 assert out.hidden.requires_grad is taped
-                runs.append((out, logits))
-            (plain, plain_logits), (taped, taped_logits) = runs
-            assert plain.hidden.dtype == dtype and len(plain.attentions) == 2
+                runs.append((out, logits, maps))
+            (plain, plain_logits, plain_maps), (taped, taped_logits, taped_maps) = runs
+            assert plain.hidden.dtype == dtype
             assert plain.hidden.data.tobytes() == taped.hidden.data.tobytes()
             assert plain_logits.start_logits.data.tobytes() == \
                 taped_logits.start_logits.data.tobytes()
-            for a, c in zip(plain.attentions, taped.attentions):
+            assert taped.attentions == [] and taped_maps == []
+            assert len(plain.attentions) == len(plain_maps) == 2
+            for a, c in zip(plain.attentions, plain_maps):
                 assert a.tobytes() == c.tobytes()
                 assert not a.flags.writeable and not c.flags.writeable
 

@@ -10,7 +10,7 @@ import pytest
 from sebertnets import encoder as E
 from sebertnets import tensor as T
 from sebertnets.errors import ContractError, DegenerateMaskError, ShapeError
-from sebertnets.recurrent import _sigmoid
+from sebertnets.recurrent import GRU, LSTM, _sigmoid, _step, direction_layout
 
 from gradcheck import (check_grads, grad_close, kernel_op, numeric_grad, square_sum,
                        weighted_sum)
@@ -70,12 +70,27 @@ class TestForwardValues:
 
     def test_sigmoid_saturates_without_nan(self):
         # the recurrent gates' sigmoid; tier-1 turns its exp overflow
-        # warning into an error unless the kernel silences it
-        s32 = _sigmoid(np.array([-100.0, 0.0, 100.0], dtype=np.float32))
+        # warning into an error unless the step silences it, once per step
+        with np.errstate(over="ignore"):
+            s32 = _sigmoid(np.array([-100.0, 0.0, 100.0], dtype=np.float32))
+            s64 = _sigmoid(np.array([-800.0, 0.0, 800.0], dtype=np.float64))
         np.testing.assert_array_equal(s32, [0.0, 0.5, 1.0])
-        s64 = _sigmoid(np.array([-800.0, 0.0, 800.0], dtype=np.float64))
         assert np.isfinite(s64).all()
         np.testing.assert_allclose(s64, [0.0, 0.5, 1.0], atol=1e-300)
+        # every sigmoid gate of a step, driven to -big and +big by its bias,
+        # saturates to exactly 0 and 1 with no warning
+        for cell, gates in ((GRU, (1, 2)), (LSTM, (2, 3, 4))):
+            for dtype, big in ((np.float32, 100.0), (np.float64, 800.0)):
+                w = {name: np.zeros(shape, dtype)
+                     for name, shape, _ in direction_layout(cell, 1, 2)}
+                for name in w:
+                    if name.startswith("b_"):
+                        w[name][:] = (-big, big)
+                h = np.zeros((1, 2), dtype)
+                acts = _step(cell, w, np.zeros((1, 1), dtype), h,
+                             h.copy() if cell == LSTM else None)[2]
+                for k in gates:
+                    assert acts[k].tobytes() == np.array([[0.0, 1.0]], dtype).tobytes()
 
     def test_relu(self):
         out, back = E._relu(np.array([-1.0, 0.0, 2.0]))
@@ -169,29 +184,35 @@ class TestTapeMechanics:
 
     def test_grads_accumulate_until_cleared(self):
         x = T.Tensor(np.ones(3), requires_grad=True)
-        with T.Tape() as tape:
-            loss = square_sum(x)
-        T.backward(tape, loss)
-        first = x.grad.copy()
-        T.backward(tape, loss)
-        np.testing.assert_array_equal(x.grad, 2 * first)
+        grads = []
+        for _ in range(2):  # two recorded passes: a tape runs backward once
+            with T.Tape() as tape:
+                loss = square_sum(x)
+            T.backward(tape, loss)
+            grads.append(x.grad.copy())
+        np.testing.assert_array_equal(grads[1], 2 * grads[0])
         x.zero_grad()
         assert x.grad is None
 
     def test_a_gradient_lives_until_its_record_has_run(self):
         """When a record's backward runs, no gradient that an earlier-run
-        record received or returned is alive but the one it is handed;
-        and the tape, whose records are only read, replays."""
+        record received or returned is alive but the one it is handed.
+        The backward consumes the tape: once it returns, no record's saved
+        array is alive, and a second backward raises."""
         given = []  # weakrefs to every gradient a backward got or returned
         others_alive = []
+        kept = []  # weakrefs to the array each op's backward reads
 
         def op(t, w):
+            saved = t.data * 2.0
+            kept.append(weakref.ref(saved))
+
             def bwd(g):
                 others_alive.append(sum(r() is not None and r() is not g for r in given))
-                grads = (g * 2.0, g + 1.0)
+                grads = (g * 2.0, g + saved)
                 given.extend(weakref.ref(a) for a in (g, *grads))
                 return grads
-            return T._make((t, w), t.data * 2.0, bwd)
+            return T._make((t, w), saved, bwd)
 
         x = T.Tensor(np.ones(4), requires_grad=True)
         ws = [T.Tensor(np.ones(4), requires_grad=True) for _ in range(4)]
@@ -200,13 +221,16 @@ class TestTapeMechanics:
             for w in ws:
                 y = op(y, w)
             loss = T.sum_all(y)
+        del y
+        assert len(tape) == 5
         T.backward(tape, loss)
-        first = x.grad.copy()
-        T.backward(tape, loss)
-        assert others_alive == [0] * 8
-        np.testing.assert_array_equal(first, np.full(4, 16.0))
-        np.testing.assert_array_equal(x.grad, 2 * first)
-        np.testing.assert_array_equal(ws[0].grad, np.full(4, 2 * (8.0 + 1.0)))
+        assert others_alive == [0] * 4
+        assert [r() for r in kept] == [None] * 4
+        np.testing.assert_array_equal(x.grad, np.full(4, 16.0))
+        np.testing.assert_array_equal(ws[0].grad, np.full(4, 8.0 + 2.0))
+        with pytest.raises(ContractError):
+            T.backward(tape, loss)
+        np.testing.assert_array_equal(x.grad, np.full(4, 16.0))
 
     def test_no_grad_for_non_requiring_leaf(self, randn):
         x = T.Tensor(randn(3), requires_grad=True)
