@@ -1,24 +1,25 @@
 """A tour of the tape-based autodiff core.
 
-Records a tiny one-layer encoder plus a linear readout, runs the backward
+Records a tiny one-layer encoder plus the span head, runs the backward
 pass, and checks one gradient against central finite differences. Each
-encoder block (embedding, attention, feed-forward) is one tape op with a
-hand-written backward; the readout uses the tensor primitives
-``reshape``, ``matmul`` and ``sum_all``. The full model records onto the
-same tape.
+encoder block (embedding, attention, feed-forward) and the span head is
+one tape op with a hand-written backward; the loss sums the head's
+scores with ``sum_all``, the one tensor primitive. The full model
+records onto the same tape.
 """
 
 import numpy as np
 
 from sebertnets import encoder as E
+from sebertnets import span as S
 from sebertnets import tensor as T
-from sebertnets.tensor import Tape, Tensor, backward
+from sebertnets.tensor import Tape, backward
 
 rng = np.random.default_rng(0)
 cfg = E.EncoderConfig(vocab_size=8, d_model=4, n_layers=1, n_heads=2, d_ff=6,
                       max_len=8, dropout_rate=0.0, activation="gelu")
 params = T.draw(E.encoder_layout(cfg), rng, np.float64)
-w_out = Tensor(rng.standard_normal((4, 1)), requires_grad=True)
+head = T.draw(S.head_layout(4), rng, np.float64)
 ids = rng.integers(0, 8, size=(1, 5))
 segs = np.zeros_like(ids)
 mask = np.ones((1, 5), dtype=bool)
@@ -26,17 +27,18 @@ mask = np.ones((1, 5), dtype=bool)
 
 def loss_fn():
     hidden = E.encode(ids, segs, mask, params, cfg).hidden
-    return T.sum_all(T.matmul(T.reshape(hidden, (5, 4)), w_out))
+    return T.sum_all(S.score(hidden, head, mask).scores)
 
 
 with Tape() as tape:
     loss = loss_fn()
+records = len(tape)  # the backward consumes the tape
 backward(tape, loss)
 
-print(f"tape records  : {len(tape)} (embedding, attention, feed-forward, "
-      f"reshape, matmul, sum)")
+print(f"tape records  : {records} (embedding, attention, feed-forward, "
+      f"span head, sum)")
 print(f"loss          : {float(loss.data):.6f}")
-print(f"dL/dw_out     : {w_out.grad.ravel()}")
+print(f"dL/dw_start   : {head['w_start'].grad.ravel()}")
 
 # check one feed-forward weight numerically: nudge it, recompute, difference
 w1 = params["layer0.ffn.w1"]

@@ -28,7 +28,7 @@ start = np.full(9, -4.0)
 end = np.full(9, -4.0)
 start[2], end[3] = 3.0, 3.0    # dominant span: tokens 2..3 -> "乙丙"
 start[5], end[6] = 2.2, 2.4    # runner-up:      tokens 5..6 -> "戊己"
-logits = SpanLogits(Tensor(start), Tensor(end), valid)
+logits = SpanLogits(Tensor(np.stack([start, end])), valid)
 
 top1 = decode_top1(logits, text, (first, last),
                    RecallConfig(k=1, max_span_len=5))
@@ -45,7 +45,7 @@ for k in (1, 3, 5):
 # runner-up made dominant; each row equals its one-example call
 start2, end2 = start.copy(), end.copy()
 start2[5], end2[6] = 4.0, 4.0
-batched = SpanLogits(Tensor(np.stack([start, start2])), Tensor(np.stack([end, end2])),
+batched = SpanLogits(Tensor(np.array([[start, start2], [end, end2]])),
                      np.stack([valid, valid]))
 texts, spans = [text, text], np.array([(first, last)] * 2)
 cfg = RecallConfig(k=3, max_span_len=5)

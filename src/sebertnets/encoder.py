@@ -33,6 +33,16 @@ array: its backward rebuilds the weights from q, k and the row
 statistics by the forward's own operations in the forward's order, so
 they are bit for bit the weights of the forward (the recompute of
 FlashAttention's backward, Dao et al., 2022).
+
+While a model's pass records, its tape holds the model's ``Arena``
+(``tensor.Arena``); each recorded block writes every whole-batch array
+into blocks of it with ``out=`` and gives each back at its known death.
+A kernel's temporaries go back when the kernel returns, the arrays a
+block keeps once its backward has run, and a block's input gradient
+once the block before has read it: each backward gives back the
+gradient it is handed. A block's output, the attention maps handed out
+and the parameter gradients come from malloc. Any other pass takes
+from ``T.MALLOC`` and allocates as numpy does.
 """
 
 from __future__ import annotations
@@ -126,42 +136,77 @@ def encoder_layout(cfg: EncoderConfig):
 #
 # Each kernel takes arrays and returns its output and its backward: a
 # function from the output gradient to a tuple of its array inputs'
-# gradients.
+# gradients. A kernel writes its output and its backward's input
+# gradient, of its input's dtype, into blocks taken from ``arena`` (the
+# dropout output from ``into``; the layer norm's output comes from
+# malloc), and its caller gives them back once dead; the kernel gives
+# back its own temporaries when it returns and the arrays it keeps for
+# its backward once that has run. Kernels never write into their inputs
+# or into the gradient they are handed.
+#
+# Where a tape-free pass runs, a kernel passes ``out=arena.take(shape,
+# dtype) if arena else None``: ``T.MALLOC`` is falsy, so a tape-free
+# pass builds no shape and lets numpy allocate. A backward, and a
+# dropout draw, run only in training passes and take unconditionally;
+# from ``T.MALLOC`` that allocates.
 
 
-def _linear(x, w, b=None):
+def _linear(x, w, b=None, *, arena=T.MALLOC):
     """``x @ w (+ b)`` over [B, S, n]. The weight gradient is the batched
     ``swapaxes(x) @ g`` summed over the batch, the bias one ``g`` summed
     over batch and positions."""
-    y = x @ w if b is None else x @ w + b
+    y = np.matmul(x, w, out=arena.take(x.shape[:-1] + w.shape[1:], x.dtype) if arena
+                  else None)
+    if b is not None:
+        np.add(y, b, out=y)
 
     def back(g):
-        grads = (g @ w.T, (np.swapaxes(x, -1, -2) @ g).sum(axis=0))
+        dx = np.matmul(g, w.T, out=arena.take(x.shape, g.dtype))
+        prod = np.matmul(np.swapaxes(x, -1, -2), g,
+                         out=arena.take(x.shape[:-2] + (x.shape[-1], g.shape[-1]), g.dtype))
+        grads = (dx, prod.sum(axis=0))
+        arena.give(prod)
         return grads if b is None else grads + (g.sum(axis=(0, 1)),)
     return y, back
 
 
-def _relu(v):
+# Each activation owns its input ``v``: it gives it back once it no
+# longer needs it.
+
+
+def _relu(v, *, arena=T.MALLOC):
     """``max(v, 0)``. The backward masks by the output's sign, which is
-    the input's, so the pre-activation need not be kept."""
-    y = np.maximum(v, 0.0)
-    return y, lambda g: (g * (y > 0.0),)
+    the input's, so the pre-activation is given back at once."""
+    y = np.maximum(v, 0.0, out=arena.take(v.shape, v.dtype) if arena else None)
+    arena.give(v)
+
+    def back(g):
+        mask = np.greater(y, 0.0, out=arena.take(y.shape, bool))
+        d = np.multiply(g, mask, out=arena.take(g.shape, g.dtype))
+        arena.give(mask)
+        return (d,)
+    return y, back
 
 
-def _gelu(v):
-    """Tanh approximation of the Gaussian error linear unit."""
+def _gelu(v, *, arena=T.MALLOC):
+    """Tanh approximation of the Gaussian error linear unit. Only its
+    output and input gradient come from ``arena``."""
     t = np.tanh(_GELU_C * (v + 0.044715 * v ** 3))
 
     def back(g):
         d_inner = _GELU_C * (1.0 + 3 * 0.044715 * v ** 2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * d_inner),)
-    return 0.5 * v * (1.0 + t), back
+        d = np.multiply(g, 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * d_inner,
+                        out=arena.take(g.shape, g.dtype))
+        arena.give(v)
+        return (d,)
+    y = np.multiply(0.5 * v, 1.0 + t, out=arena.take(v.shape, v.dtype) if arena else None)
+    return y, back
 
 
 _ACTIVATIONS = {"relu": _relu, "gelu": _gelu}
 
 
-def _layer_norm(v, gain, bias, eps=1e-5):
+def _layer_norm(v, gain, bias, eps=1e-5, *, arena=T.MALLOC):
     """Normalize the trailing axis to zero mean and unit variance (biased
     variance), then scale and shift."""
     n = v.dtype.type(v.shape[-1])
@@ -170,34 +215,54 @@ def _layer_norm(v, gain, bias, eps=1e-5):
         # np.mean's value bit for bit (its float64 quotient rounds to the
         # same float32), without its per-call Python overhead
         return a.sum(axis=-1, keepdims=True) / n
-    xc = v - mean(v)
-    inv = 1.0 / np.sqrt(mean(xc * xc) + eps)
-    xhat = xc * inv
+    xhat = np.subtract(v, mean(v), out=arena.take(v.shape, v.dtype) if arena else None)
+    sq = np.multiply(xhat, xhat, out=arena.take(v.shape, v.dtype) if arena else None)
+    inv = 1.0 / np.sqrt(mean(sq) + eps)
+    arena.give(sq)
+    np.multiply(xhat, inv, out=xhat)
     lead = tuple(range(v.ndim - 1))
 
     def back(g):
-        dxhat = g * gain
-        dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
-        return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
-    return xhat * gain + bias, back
+        # inv * ((dxhat - mean(dxhat)) - xhat * mean(dxhat * xhat))
+        dx = np.multiply(g, gain, out=arena.take(g.shape, g.dtype))
+        t = np.multiply(dx, xhat, out=arena.take(g.shape, g.dtype))
+        m_dot, m_dx = mean(t), mean(dx)
+        np.multiply(xhat, m_dot, out=t)
+        np.subtract(dx, m_dx, out=dx)
+        np.subtract(dx, t, out=dx)
+        np.multiply(inv, dx, out=dx)
+        d_gain = np.multiply(g, xhat, out=t).sum(axis=lead)
+        arena.give(t)
+        arena.give(xhat)
+        return dx, d_gain, g.sum(axis=lead)
+    y = np.multiply(xhat, gain)
+    return np.add(y, bias, out=y), back
 
 
-def _softmax_rows(v, neg):
-    """The weights of ``_masked_softmax`` and the per-row max and sum
-    they were formed with."""
-    v = v + neg
-    top = v.max(axis=-1, keepdims=True)
-    # out of place: computing in place frees fewer large temporaries, and
-    # glibc then maps each big training array afresh (2x the page faults)
-    e = np.exp(v - top)
-    total = e.sum(axis=-1, keepdims=True)
-    return e / total, top, total
+def _scores(q, kt, scale, neg, out):
+    """``(q @ kt) * scale + neg``, the masked attention scores, into ``out``."""
+    out = np.matmul(q, kt, out=out)
+    np.multiply(out, scale, out=out)
+    return np.add(out, neg, out=out)
 
 
-def _softmax_back(p, g):
+def _softmax_rows(p):
+    """Softmax over the trailing axis of ``p``, in place; returns the
+    per-row max and sum it was formed with."""
+    top = p.max(axis=-1, keepdims=True)
+    np.subtract(p, top, out=p)
+    np.exp(p, out=p)
+    total = p.sum(axis=-1, keepdims=True)
+    np.divide(p, total, out=p)
+    return top, total
+
+
+def _softmax_back(p, g, *, arena=T.MALLOC):
     """The softmax's input gradient from its weights ``p`` and output
     gradient ``g``, written over ``g``."""
-    dot = (g * p).sum(axis=-1, keepdims=True)
+    gp = np.multiply(g, p, out=arena.take(g.shape, g.dtype))
+    dot = gp.sum(axis=-1, keepdims=True)
+    arena.give(gp)
     np.subtract(g, dot, out=g)
     return np.multiply(g, p, out=g)
 
@@ -208,122 +273,209 @@ def _masked_softmax(v, neg):
     mask serves [B, nh, S, S] scores). Masked positions of finite scores
     get probability exactly 0 and zero gradient; the caller ensures each
     row has a live position."""
-    p = _softmax_rows(v, neg)[0]
+    p = v + neg
+    _softmax_rows(p)
     return p, lambda g: (_softmax_back(p, g.copy()),)
 
 
-def _dropout(v, rate, rng):
+def _dropout(v, rate, rng, *, arena=T.MALLOC, into=T.MALLOC):
     """Inverted dropout: zero with probability ``rate``, scale survivors
-    by 1/(1-rate). Without an ``rng``, or at rate 0, it is the identity
-    and draws nothing. The backward keeps only the boolean draw, one byte
-    an element, and rebuilds the same scaled mask from it."""
+    by 1/(1-rate). Without an ``rng``, or at rate 0, it is the identity:
+    it returns ``v`` and the gradient it is handed, and draws nothing.
+    The backward keeps only the boolean draw, one byte an element, and
+    rebuilds the same scaled mask from it."""
     if rng is None or rate == 0.0:
         return v, lambda g: (g,)
-    keep, dtype = rng.random(v.shape) >= rate, v.dtype
+    draw = rng.random(v.shape, out=arena.take(v.shape, np.float64))
+    keep = np.greater_equal(draw, rate, out=arena.take(v.shape, bool))
+    arena.give(draw)
 
-    def scaled():
-        return keep.astype(dtype) * (1.0 / (1.0 - rate))
-    return v * scaled(), lambda g: (g * scaled(),)
+    def scaled(out):
+        # keep.astype(dtype) * (1 / (1 - rate)), into ``out``
+        return np.multiply(keep, 1.0 / (1.0 - rate), out=out, dtype=v.dtype)
+
+    def back(g):
+        d = scaled(arena.take(g.shape, g.dtype))
+        np.multiply(g, d, out=d)
+        arena.give(keep)
+        return (d,)
+    y = scaled(into.take(v.shape, v.dtype))
+    return np.multiply(v, y, out=y), back
 
 
 # ------------------------------------------------------------- blocks
+#
+# Each block takes its temporaries and kept arrays from ``arena`` and
+# returns its output from malloc. Its backward gives back the gradient
+# it is handed, which the next block's backward took from the same
+# arena, and returns its input gradient from the arena.
 
 
-def _embedding(tok, pos, seg, gain, bias, ids, segs, rate, rng):
+def _embedding(tok, pos, seg, gain, bias, ids, segs, rate, rng, *, arena=T.MALLOC):
     """Token + position + segment rows of [B, S] ``ids``, layer-normed,
     then dropout. Table gradients scatter with accumulation at repeats."""
-    y, ln_back = _layer_norm(tok[ids] + pos[:ids.shape[1]] + seg[segs], gain, bias)
-    out, drop_back = _dropout(y, rate, rng)
+    shape, dtype = ids.shape + tok.shape[1:], tok.dtype
+    # clip never applies: embed checks the ids
+    v = tok.take(ids, axis=0, out=arena.take(shape, dtype) if arena else None, mode="clip")
+    np.add(v, pos[:ids.shape[1]], out=v)
+    rows = seg.take(segs, axis=0, out=arena.take(shape, dtype) if arena else None,
+                    mode="clip")
+    np.add(v, rows, out=v)
+    arena.give(rows)
+    y, ln_back = _layer_norm(v, gain, bias, arena=arena)
+    arena.give(v)
+    out, drop_back = _dropout(y, rate, rng, arena=arena)
 
     def back(g):
-        dx, d_gain, d_bias = ln_back(*drop_back(g))
+        (dy,) = drop_back(g)
+        dx, d_gain, d_bias = ln_back(dy)
+        if dy is not g:
+            arena.give(dy)
+        arena.give(g)
         d_tok, d_pos, d_seg = (np.zeros_like(t) for t in (tok, pos, seg))
         np.add.at(d_tok, ids, dx)
         # each row holds every position once, so this gradient is a sum
         # over the batch; added to 0.0 as a scatter's is, a -0.0 sum is +0.0
         d_pos[:ids.shape[1]] += dx.sum(axis=0)
         np.add.at(d_seg, segs, dx)
+        arena.give(dx)
         return d_tok, d_pos, d_seg, d_gain, d_bias
     return out, back
 
 
+def _sublayer_out(x, o, gain, bias, rate, rng, arena):
+    """Dropout of the sublayer output ``o`` (given back), the residual
+    ``x + o`` and its layer norm: the block output and a backward from
+    its gradient to the residual's and the norm's."""
+    od, drop_back = _dropout(o, rate, rng, arena=arena, into=arena)
+    r = np.add(x, od, out=arena.take(x.shape, x.dtype) if arena else None)
+    if od is not o:
+        arena.give(od)
+    arena.give(o)
+    y, ln_back = _layer_norm(r, gain, bias, arena=arena)
+    arena.give(r)
+
+    def back(g):
+        d_res, d_gain, d_bias = ln_back(g)
+        arena.give(g)
+        (d_o,) = drop_back(d_res)
+        return d_res, d_o, d_gain, d_bias
+    return y, back
+
+
 def _attention(x, wq, bq, wk, wv, bv, wo, bo, gain, bias, neg, n_heads, maps,
-               rate, rng):
+               rate, rng, *, arena=T.MALLOC):
     """Multi-head self-attention over [B, S, d] ``x`` with key mask
     ``neg`` (as in ``_masked_softmax``), dropout, residual and layer norm.
     Appends the read-only [B, nh, S, S] attention weights to ``maps``
     unless it is None; the backward rebuilds them in one buffer."""
     b, s, d = x.shape
     split = (b, s, n_heads, d // n_heads)
-    scale = x.dtype.type(1.0 / math.sqrt(d // n_heads))
+    dtype = x.dtype
+    scale = dtype.type(1.0 / math.sqrt(d // n_heads))
 
     def heads(a):
         return a.reshape(split).transpose(0, 2, 1, 3)
 
     def merge(a):
-        return a.transpose(0, 2, 1, 3).reshape(b, s, d)
+        """[B, nh, S, dh] ``a`` as a [B, S, d] block; ``a`` is given back."""
+        if arena:
+            out = arena.take(split, dtype)
+            out[...] = a.transpose(0, 2, 1, 3)
+            out = out.reshape(b, s, d)
+        else:
+            out = a.transpose(0, 2, 1, 3).reshape(b, s, d)  # a copy
+        arena.give(a)
+        return out
 
-    (q, q_back), (k, k_back), (v, v_back) = (
-        _linear(x, wq, bq), _linear(x, wk), _linear(x, wv, bv))
-    q, k, v = heads(q), heads(k), heads(v)
+    def head_product(a, c):
+        return np.matmul(a, c, out=arena.take(a.shape[:-1] + c.shape[-1:], dtype) if arena
+                         else None)
+
+    (q2, q_back), (k2, k_back), (v2, v_back) = (
+        _linear(x, wq, bq, arena=arena), _linear(x, wk, arena=arena),
+        _linear(x, wv, bv, arena=arena))
+    q, k, v = heads(q2), heads(k2), heads(v2)
     kt = k.transpose(0, 1, 3, 2)
-    p, top, total = _softmax_rows((q @ kt) * scale, neg)
-    ctx = merge(p @ v)
+    # maps are handed out only by tape-free passes, which have no arena
+    p = _scores(q, kt, scale, neg, arena.take((b, n_heads, s, s), dtype) if arena else None)
+    top, total = _softmax_rows(p)
+    ctx = merge(head_product(p, v))
     if maps is not None:
         # handed out uncopied: keep them unwritten
         p.flags.writeable = False
         maps.append(p)
+    else:
+        arena.give(p)
     del p
-    out, out_back = _linear(ctx, wo, bo)
-    out, drop_back = _dropout(out, rate, rng)
-    y, ln_back = _layer_norm(x + out, gain, bias)
+    o, o_back = _linear(ctx, wo, bo, arena=arena)
+    y, out_back = _sublayer_out(x, o, gain, bias, rate, rng, arena)
 
     def back(g):
-        d_res, d_gain, d_bias = ln_back(g)
-        d_ctx, d_wo, d_bo = out_back(*drop_back(d_res))
-        d_ctx = np.transpose(d_ctx.reshape(split), (0, 2, 1, 3))
+        d_res, d_o, d_gain, d_bias = out_back(g)
+        d_ctx, d_wo, d_bo = o_back(d_o)
+        if d_o is not d_res:
+            arena.give(d_o)
+        arena.give(ctx)
+        d_heads = np.transpose(d_ctx.reshape(split), (0, 2, 1, 3))
         # the weights again: the forward's operations in its order
-        p = q @ kt
-        np.multiply(p, scale, out=p)
-        np.add(p, neg, out=p)
+        p = _scores(q, kt, scale, neg, arena.take((b, n_heads, s, s), dtype))
         np.subtract(p, top, out=p)
         np.divide(np.exp(p, out=p), total, out=p)
-        d_scores = _softmax_back(p, d_ctx @ np.swapaxes(v, -1, -2))
+        d_scores = _softmax_back(p, head_product(d_heads, np.swapaxes(v, -1, -2)),
+                                 arena=arena)
         np.multiply(d_scores, scale, out=d_scores)
-        dx_v, d_wv, d_bv = v_back(merge(np.swapaxes(p, -1, -2) @ d_ctx))
-        del p
-        d_kt = np.swapaxes(q, -1, -2) @ d_scores
-        dx_k, d_wk = k_back(merge(np.transpose(d_kt, (0, 1, 3, 2))))
-        dx_q, d_wq, d_bq = q_back(merge(d_scores @ np.swapaxes(kt, -1, -2)))
+        d_v = merge(head_product(np.swapaxes(p, -1, -2), d_heads))
+        for a in (p, d_ctx):
+            arena.give(a)
+        dx_v, d_wv, d_bv = v_back(d_v)
+        d_k = merge(np.transpose(head_product(np.swapaxes(q, -1, -2), d_scores), (0, 1, 3, 2)))
+        dx_k, d_wk = k_back(d_k)
+        d_q = merge(head_product(d_scores, np.swapaxes(kt, -1, -2)))
+        dx_q, d_wq, d_bq = q_back(d_q)
+        for a in (d_v, d_k, d_q, d_scores, q2, k2, v2):
+            arena.give(a)
         # x feeds q, k, v and the residual: add in reverse order of use
-        return (((d_res + dx_v) + dx_k) + dx_q, d_wq, d_bq, d_wk, d_wv, d_bv,
-                d_wo, d_bo, d_gain, d_bias)
+        for dx in (dx_v, dx_k, dx_q):
+            np.add(d_res, dx, out=d_res)
+            arena.give(dx)
+        return (d_res, d_wq, d_bq, d_wk, d_wv, d_bv, d_wo, d_bo, d_gain, d_bias)
     return y, back
 
 
-def _ffn(x, w1, b1, w2, b2, gain, bias, activation, rate, rng):
+def _ffn(x, w1, b1, w2, b2, gain, bias, activation, rate, rng, *, arena=T.MALLOC):
     """Position-wise feed-forward over [B, S, d] ``x``: linear,
     ``activation``, linear, dropout, residual and layer norm."""
-    h, h_back = _linear(x, w1, b1)
-    a, act_back = _ACTIVATIONS[activation](h)
-    out, out_back = _linear(a, w2, b2)
-    out, drop_back = _dropout(out, rate, rng)
-    y, ln_back = _layer_norm(x + out, gain, bias)
+    h, h_back = _linear(x, w1, b1, arena=arena)
+    a, act_back = _ACTIVATIONS[activation](h, arena=arena)
+    o, o_back = _linear(a, w2, b2, arena=arena)
+    y, out_back = _sublayer_out(x, o, gain, bias, rate, rng, arena)
 
     def back(g):
-        d_res, d_gain, d_bias = ln_back(g)
-        d_a, d_w2, d_b2 = out_back(*drop_back(d_res))
-        dx, d_w1, d_b1 = h_back(*act_back(d_a))
-        return d_res + dx, d_w1, d_b1, d_w2, d_b2, d_gain, d_bias
+        d_res, d_o, d_gain, d_bias = out_back(g)
+        d_a, d_w2, d_b2 = o_back(d_o)
+        if d_o is not d_res:
+            arena.give(d_o)
+        (d_h,) = act_back(d_a)
+        arena.give(d_a)
+        arena.give(a)
+        dx, d_w1, d_b1 = h_back(d_h)
+        arena.give(d_h)
+        np.add(d_res, dx, out=d_res)
+        arena.give(dx)
+        return d_res, d_w1, d_b1, d_w2, d_b2, d_gain, d_bias
     return y, back
 
 
 def _block(fn, inputs, *args):
     """Run block ``fn`` on the arrays of ``inputs``, Tensors or bare
     arrays, then ``args``. Where a tape records an input, the result is
-    one tape op with ``fn``'s backward; otherwise it is the bare array."""
-    out, back = fn(*(t.data if isinstance(t, Tensor) else t for t in inputs), *args)
-    if not T._recording([t for t in inputs if isinstance(t, Tensor)]):
+    one tape op with ``fn``'s backward, and the block takes from the
+    tape's arena; otherwise it is the bare array, taken from malloc."""
+    record = T._recording(t for t in inputs if isinstance(t, Tensor))
+    out, back = fn(*[t.data if isinstance(t, Tensor) else t for t in inputs], *args,
+                   arena=T._active_tape().arena if record else T.MALLOC)
+    if not record:
         return out
     return T._make(tuple(t if isinstance(t, Tensor) else Tensor(t) for t in inputs),
                    out, back)
@@ -360,7 +512,12 @@ def encode(token_ids, segment_ids, attention_mask, params: dict[str, Tensor],
     padded positions are excluded as attention keys, so real positions
     are unaffected by padding, and a row with no real position is an
     error. Dropout runs exactly when an ``rng`` is given: that is a
-    training pass."""
+    training pass.
+
+    A recorded block takes its whole-batch arrays from its tape's arena
+    (``Tape.arena``), which is a model's only while that model's pass
+    records: ``Model.forward`` passes the last block's output gradient
+    from the same arena."""
     mask = np.asarray(attention_mask, dtype=bool)
     x = embed(token_ids, segment_ids, params, cfg, rng=rng)
     if mask.shape != x.shape[:2]:

@@ -41,6 +41,7 @@ import math
 import os
 import re
 import struct
+import weakref
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -75,7 +76,8 @@ from .span import (
     span_loss,
     valid_mask,
 )
-from .tensor import Tape, Tensor, backward, draw, zero_grads
+from . import tensor as T
+from .tensor import Arena, Tape, Tensor, backward, draw, zero_grads
 
 BERT_BASELINE = "bert_baseline"
 SEBERTNETS = "sebertnets"
@@ -128,6 +130,10 @@ def layout(cfg: ModelConfig, enc_cfg: EncoderConfig):
             yield pre + name, shape, init
 
 
+# weak references to the models that hold an idle arena
+_IDLE: set[weakref.ref] = set()
+
+
 class Model:
     """Owns all trainable parameters of one variant plus its configs."""
 
@@ -149,6 +155,10 @@ class Model:
         self.enc_cfg = enc_cfg
         self.vocab = vocab
         self.step = 0
+        # the idle arena, and while it is lent, a weak reference to the
+        # tape that holds it, with the arena
+        self._arena: Arena | None = None
+        self._loan: tuple[weakref.ref, Arena] | None = None
         params = self._params = make(layout(cfg, enc_cfg))
 
         def part(prefix):
@@ -177,20 +187,70 @@ class Model:
         """Span logits for a batch plus per-layer attention weights. With
         an ``rng`` the pass is a training pass: dropout runs. The weights
         are read-only, and a pass recorded on a tape returns ``[]`` for
-        them (see ``EncoderOutput``)."""
+        them (see ``EncoderOutput``).
+
+        A recorded pass takes its large arrays from the model's arena: the
+        tape holds it (``Tape.arena``) while this pass records, and gets it
+        from ``_lend``. A tape-free pass allocates as numpy does and drops
+        every model's idle arena: an eval pass, of this model or another,
+        runs between training passes, and it can use that memory."""
         if int(batch.token_ids.max(initial=0)) >= self.enc_cfg.vocab_size:
             raise CompatibilityError(
                 f"batch holds token id {int(batch.token_ids.max())} but the "
                 f"model vocabulary has {self.enc_cfg.vocab_size} entries"
             )
-        enc = encode(batch.token_ids, batch.segment_ids, batch.attention_mask,
-                     self.encoder_params, self.enc_cfg, rng=rng)
-        h = enc.hidden
-        if self.cfg.recurrent:
-            h = bidirectional_encode(h, batch.attention_mask, self.rnn_fwd, self.rnn_bwd)
-        valid = valid_mask(batch.token_ids.shape[1], batch.text_spans)
-        logits = score(h, self.head_params, valid)
+        tape = T._active_tape() if T._recording(self._params.values()) else None
+        if tape is not None:
+            tape.arena = self._lend(tape)
+        else:
+            while _IDLE:
+                model = _IDLE.pop()()
+                if model is not None:
+                    model._arena = None
+        try:
+            enc = encode(batch.token_ids, batch.segment_ids, batch.attention_mask,
+                         self.encoder_params, self.enc_cfg, rng=rng)
+            h = enc.hidden
+            if self.cfg.recurrent:
+                h = bidirectional_encode(h, batch.attention_mask, self.rnn_fwd, self.rnn_bwd)
+            valid = valid_mask(batch.token_ids.shape[1], batch.text_spans)
+            logits = score(h, self.head_params, valid)
+        finally:
+            # ops recorded after this pass, such as the loss, take from malloc
+            if tape is not None:
+                tape.arena = T.MALLOC
         return logits, enc.attentions
+
+    def _lend(self, tape: Tape):
+        """The arena a pass recorded on ``tape`` takes from. The model
+        lends its arena to one live tape at a time, and ``backward`` gives
+        it back (``_take_back``) once it has consumed that tape. Another
+        pass on that tape shares it; a pass on another live tape, or on a
+        tape another model has lent its arena to, takes ``T.MALLOC``. A tape
+        dropped without ``backward`` never returns it, and the next pass
+        gets a new one."""
+        if self._loan is not None:
+            borrower, arena = self._loan
+            if borrower() is tape:
+                return arena
+            if borrower() is not None:
+                return T.MALLOC
+        if tape.give_back is not None:
+            return T.MALLOC
+        arena, self._arena = self._arena or Arena(), None
+        self._loan = weakref.ref(tape), arena
+        tape.give_back = self._take_back
+        return arena
+
+    def _take_back(self) -> None:
+        """Keep the lent arena, idle, unless a block of it is still taken:
+        the backward of a record whose output got no gradient never ran
+        and never gives its blocks back, so such an arena is dropped
+        rather than grown."""
+        arena, self._loan = self._loan[1], None
+        if arena.taken_bytes == 0:
+            self._arena = arena
+            _IDLE.add(weakref.ref(self))
 
     # ------------------------------------------------------------ decode
 
@@ -229,6 +289,7 @@ class Model:
             loss = span_loss(logits, golds)
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):
+            self._loan = None  # the pass is abandoned, and its arena with it
             raise DivergenceError(
                 f"loss became {loss_val} at training step {self.step + 1}"
             )

@@ -126,7 +126,9 @@ def _checked(params: dict[str, Tensor], grads: dict[str, np.ndarray]):
 def _adam_apply(params: dict[str, Tensor], grads: dict[str, np.ndarray],
                 st: AdamState) -> dict[str, np.ndarray]:
     """One Adam update on every param, in place; returns the applied
-    deltas. Moment buffers are created as zeros on first touch."""
+    deltas. Moment buffers are created as zeros on first touch. The
+    moments and the weights are updated in their own arrays, by the same
+    operations, so a step reallocates no parameter-sized array."""
     steps = _checked(params, grads)
     st.k += 1
     k = st.k
@@ -140,12 +142,14 @@ def _adam_apply(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         if m is None:
             m = np.zeros_like(p.data)
             v = np.zeros_like(p.data)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
+        np.multiply(m, b1, out=m)
+        np.add(m, (1.0 - b1) * g, out=m)
+        np.multiply(v, b2, out=v)
+        np.add(v, (1.0 - b2) * (g * g), out=v)
         st.m[name] = m
         st.v[name] = v
         delta = (-st.lr * (m / bc1)) / (np.sqrt(v / bc2) + st.eps)
-        p.data = p.data + delta
+        np.add(p.data, delta, out=p.data)
         deltas[name] = delta
     return deltas
 

@@ -26,6 +26,14 @@ BPTT recomputes the two others bit for bit, the LSTM's ``tanh(c')`` from
 forms each step's ``_local`` factors inside its loop. Its whole-sequence
 arrays are the gate pre-activation gradients, that ``r*h`` and the input
 and weight gradients.
+
+A recorded layer takes its [S, B, ...] arrays from its tape's arena (as
+``encoder`` does): the kept activations, given back once their
+direction's BPTT has run, and the time-major input copy once both have;
+the gate gradients, that ``r*h`` and the output gradient's halves,
+given back once read; and its input gradient, which the encoder's last
+block gives back. Its output and the per-step [B, H] arrays come from
+malloc, and a tape-free pass takes nothing from an arena.
 """
 
 from __future__ import annotations
@@ -171,20 +179,22 @@ def _step_back(cell: str, u_t: np.ndarray, local, dh: np.ndarray,
 
 
 def _param_grads(cell: str, w: dict[str, np.ndarray], x: np.ndarray, acts,
-                 d_pre: np.ndarray):
+                 d_pre: np.ndarray, arena=T.MALLOC):
     """Input and weight gradients from the gate pre-activation gradients
     of any number of steps, each one GEMM or sum over all leading rows.
 
     ``x`` is [..., d], ``acts`` the matching kept ``_step`` activations
-    and ``d_pre`` [..., G, H]. Returns ``d x`` and a weight-name ->
-    gradient dict.
+    and ``d_pre`` [..., G, H]. Returns ``d x``, taken from ``arena``, and
+    a weight-name -> gradient dict.
     """
     hid = d_pre.shape[-1]
     a = d_pre.reshape(-1, d_pre.shape[-2] * hid)
     h2 = acts[0].reshape(-1, hid)
     if cell == GRU:  # the candidate's recurrent input is r*h, recomputed
-        rh = (acts[2] * acts[0]).reshape(-1, hid)
-        du = np.concatenate([h2.T @ a[:, :2 * hid], rh.T @ a[:, 2 * hid:]], axis=1)
+        rh = np.multiply(acts[2], acts[0], out=arena.take(acts[0].shape, acts[0].dtype))
+        du = np.concatenate([h2.T @ a[:, :2 * hid], rh.reshape(-1, hid).T @ a[:, 2 * hid:]],
+                            axis=1)
+        arena.give(rh)
     else:
         du = h2.T @ a
     dw = x.reshape(-1, x.shape[-1]).T @ a
@@ -193,7 +203,8 @@ def _param_grads(cell: str, w: dict[str, np.ndarray], x: np.ndarray, acts,
     for k, g in enumerate(_gates_for(cell)):
         cols = slice(k * hid, (k + 1) * hid)
         grads[f"w_{g}"], grads[f"u_{g}"], grads[f"b_{g}"] = dw[:, cols], du[:, cols], db[cols]
-    return (a @ _cat(w, "w", cell).T).reshape(x.shape), grads
+    dx = np.matmul(a, _cat(w, "w", cell).T, out=arena.take((a.shape[0], x.shape[-1]), a.dtype))
+    return dx.reshape(x.shape), grads
 
 
 def _eval_step(l_t: Tensor, h: Tensor, c: Tensor | None, p: RecurrentParams):
@@ -224,7 +235,8 @@ def gru_step(l_t: Tensor, prev_h: Tensor, p: RecurrentParams) -> Tensor:
 
 
 def _sweep(p: RecurrentParams, x: np.ndarray, keep: np.ndarray,
-           keep_f: np.ndarray, reverse: bool, out: np.ndarray, record: bool):
+           keep_f: np.ndarray, reverse: bool, out: np.ndarray, record: bool,
+           arena=T.MALLOC):
     """One direction's forward sweep over time-major ``x`` [S, B, d]:
     writes the [S, B, H] states into ``out``, zero at masked steps, where
     the carried state is frozen. Returns the direction's BPTT, a function
@@ -236,7 +248,9 @@ def _sweep(p: RecurrentParams, x: np.ndarray, keep: np.ndarray,
     keeps none. The BPTT runs per step only the ``_local`` factors of
     that step and the recurrent ``dh @ U.T`` products, and collects the
     gate pre-activation gradients, from which ``_param_grads`` forms the
-    input and weight gradients over all B*S rows at once.
+    input and weight gradients over all B*S rows at once. The kept
+    activations and the gate gradients come from ``arena`` and are given
+    back once the BPTT has run; ``d x`` comes from it too.
     """
     cell = p.cell
     w = {k: t.data for k, t in p.weights.items()}
@@ -249,7 +263,7 @@ def _sweep(p: RecurrentParams, x: np.ndarray, keep: np.ndarray,
         h_new, c_new, acts = _step(cell, w, x[t], h, c)
         if record:
             if saved is None:
-                saved = [np.empty(out.shape, dtype=x.dtype) for _ in acts]
+                saved = [arena.take(out.shape, x.dtype) for _ in acts]
             for buf, a in zip(saved, acts):
                 buf[t] = a
         h = np.where(keep[t], h_new, h)
@@ -261,7 +275,7 @@ def _sweep(p: RecurrentParams, x: np.ndarray, keep: np.ndarray,
         u_t = np.ascontiguousarray(_cat(w, "u", cell).T)
         dh = np.zeros_like(h)
         dc = None if c is None else np.zeros_like(c)
-        d_pre = np.empty((s, b, len(_gates_for(cell)), p.hidden_size), dtype=x.dtype)
+        d_pre = arena.take((s, b, len(_gates_for(cell)), p.hidden_size), x.dtype)
         for t in reversed(steps):
             k = keep[t]
             dh = dh + dy[t]
@@ -271,7 +285,9 @@ def _sweep(p: RecurrentParams, x: np.ndarray, keep: np.ndarray,
             dh = np.where(k, dh_prev, dh)
             if dc is not None:
                 dc = np.where(k, dc_prev, dc)
-        dx, grads = _param_grads(cell, w, x, saved, d_pre)
+        dx, grads = _param_grads(cell, w, x, saved, d_pre, arena)
+        for a in (*saved, d_pre):
+            arena.give(a)
         return dx, [grads[k] for k in w]
 
     return bptt
@@ -288,6 +304,13 @@ def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
     one time-major copy of ``seq`` and write the two halves of one
     output, and the backward returns the sum of the two directions'
     input gradients. Both directions must hold the same cell type.
+
+    A recorded op takes its time-major copy of ``seq``, the sweeps' kept
+    activations and every whole-sequence array of its backward from its
+    tape's arena (as in ``encoder.encode``): it gives back the output
+    gradient it is handed once it has split it into the two directions'
+    halves, each half once its direction's BPTT has run, and returns its
+    input gradient from the arena.
     """
     if fwd.cell != bwd.cell:
         raise ContractError(f"directions hold different cells ({fwd.cell!r}, {bwd.cell!r})")
@@ -306,31 +329,44 @@ def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
     if not m.any(axis=1).all():
         raise DegenerateMaskError("bidirectional_encode: a sequence is fully masked")
 
-    # time-major: every per-step slice is contiguous
-    x = np.ascontiguousarray(data.transpose(1, 0, 2))
-    keep = m.T[:, :, None]
-    keep_f = keep.astype(x.dtype)
-    s, b, _ = x.shape
-    hf = fwd.hidden_size
-    out = np.empty((s, b, hf + bwd.hidden_size), dtype=x.dtype)
     inputs = (seq, *fwd.weights.values(), *bwd.weights.values())
     record = T._recording(inputs)
-    sweeps = [_sweep(fwd, x, keep, keep_f, False, out[..., :hf], record),
-              _sweep(bwd, x, keep, keep_f, True, out[..., hf:], record)]
+    arena = T._active_tape().arena if record else T.MALLOC
+    # time-major: every per-step slice is contiguous
+    b, s, d = data.shape
+    x = np.positive(data.transpose(1, 0, 2), out=arena.take((s, b, d), data.dtype) if arena
+                    else None, order="C")
+    keep = m.T[:, :, None]
+    keep_f = keep.astype(x.dtype)
+    hf = fwd.hidden_size
+    # batch-major and C-contiguous, as the layers after it expect; each
+    # sweep writes a time-major view of its half
+    y = np.empty((b, s, hf + bwd.hidden_size), x.dtype)
+    sweeps = [_sweep(fwd, x, keep, keep_f, False, y[..., :hf].transpose(1, 0, 2), record,
+                     arena),
+              _sweep(bwd, x, keep, keep_f, True, y[..., hf:].transpose(1, 0, 2), record,
+                     arena)]
 
     def backward(dy):
-        dy = dy.reshape(b, s, -1).transpose(1, 0, 2)
+        t_dy = dy.reshape(b, s, -1).transpose(1, 0, 2)
         # each direction's time-major half of the output gradient
-        halves = [np.multiply(dy[..., cols], keep_f, order="C")
-                  for cols in (slice(None, hf), slice(hf, None))]
-        del dy
+        halves = [np.multiply(t_dy[..., cols], keep_f, out=arena.take((s, b, n), dy.dtype))
+                  for cols, n in ((slice(None, hf), hf), (slice(hf, None), bwd.hidden_size))]
+        arena.give(dy)
+        del dy, t_dy
         # popped into the call: a direction's BPTT, with its kept
         # activations, and its half die once it has run
-        dx_f, g_f = sweeps.pop(0)(halves.pop(0))
-        dx_b, g_b = sweeps.pop(0)(halves.pop(0))
-        dx = np.ascontiguousarray((dx_b + dx_f).transpose(1, 0, 2))
+        dxs = []
+        for _ in range(2):
+            half = halves.pop(0)
+            dxs.append(sweeps.pop(0)(half))
+            arena.give(half)
+        (dx_f, g_f), (dx_b, g_b) = dxs
+        total = np.add(dx_b, dx_f, out=dx_b)
+        dx = np.positive(total.transpose(1, 0, 2), out=arena.take((b, s, d), total.dtype),
+                         order="C")
+        for a in (total, dx_f, x):
+            arena.give(a)
         return (dx.reshape(seq.shape), *g_f, *g_b)
 
-    # batch-major and C-contiguous, as the layers after it expect
-    y = np.ascontiguousarray(out.transpose(1, 0, 2))
     return T._make(inputs, y.reshape(seq.shape[:-1] + (-1,)), backward)

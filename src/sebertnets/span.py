@@ -1,6 +1,11 @@
 """Span head: start/end position scoring over the text region, the
 training loss, and decoding.
 
+The two scorers are one tape op (``_head``) whose [2, ..., S] output
+holds the start and end logits as rows, and the loss records onto that
+output. The head's input gradient comes from its tape's arena, and the
+layer before gives it back once read.
+
 The loss and the decoder read one fp64 masked log-softmax
 (``_log_probs``). The loss is -(log p_start + log p_end) at the gold
 span, averaged over the batch, as a single tape op; it stays finite
@@ -19,7 +24,7 @@ identically. One call decodes one example or a whole batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -37,16 +42,22 @@ _PREFIX = 4
 @dataclass
 class SpanLogits:
     """Per-position start/end scores plus the validity mask (True exactly
-    on text-region positions). Fields are [S] for one example or [B, S]
-    for a batch."""
-    start_logits: Tensor
-    end_logits: Tensor
+    on text-region positions). ``scores`` is [2, S] for one example or
+    [2, B, S] for a batch: its rows are the start and end logits, and the
+    loss records onto it. ``start_logits`` and ``end_logits`` ([S] or
+    [B, S], like ``valid``) are detached Tensors viewing its rows: they
+    read and write its values but carry no gradient."""
+    scores: Tensor
     valid: np.ndarray
+    start_logits: Tensor = field(init=False, repr=False, compare=False)
+    end_logits: Tensor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.start_logits.shape != self.end_logits.shape:
-            raise ShapeError(f"start logits {self.start_logits.shape} and end logits "
-                             f"{self.end_logits.shape} do not match")
+        if self.scores.ndim not in (2, 3) or self.scores.shape[0] != 2:
+            raise ShapeError(f"span scores must be [2, S] or [2, B, S], "
+                             f"got shape {self.scores.shape}")
+        data = self.scores.data
+        self.start_logits, self.end_logits = Tensor(data[0]), Tensor(data[1])
         self.valid = np.asarray(self.valid, dtype=bool)
         if self.valid.shape != self.start_logits.shape:
             raise ShapeError(f"valid mask {self.valid.shape} does not match logits "
@@ -54,8 +65,7 @@ class SpanLogits:
 
     def example(self, i: int) -> "SpanLogits":
         """Detached single-example view of a batched SpanLogits."""
-        return SpanLogits(Tensor(self.start_logits.data[i]),
-                          Tensor(self.end_logits.data[i]), self.valid[i])
+        return SpanLogits(Tensor(self.scores.data[:, i]), self.valid[i])
 
 
 @dataclass(frozen=True)
@@ -99,18 +109,56 @@ def head_layout(width: int):
     return [("w_start", (width, 1), bound), ("w_end", (width, 1), bound)]
 
 
+def _head(h, w_start, w_end, *, arena=T.MALLOC):
+    """The two linear position scorers over [..., S, width] states ``h``:
+    ``h @ w_start`` and ``h @ w_end`` as the rows of one [2, ..., S]
+    array. The input gradient, taken from ``arena``, is the two sides'
+    outer products ``g * w[:, 0]`` summed; the weight gradients are
+    ``swapaxes(h) @ g``, summed over the batch."""
+    out = np.empty((2,) + h.shape[:-1], h.dtype)
+    for side, w in zip(_columns(out), (w_start, w_end)):
+        np.matmul(h, w, out=side)
+
+    def weight(g):
+        prod = np.swapaxes(h, -1, -2) @ g
+        return prod.sum(axis=0) if h.ndim == 3 else prod
+
+    def back(g):
+        g_start, g_end = _columns(g)
+        # the temporary first, so that the gradient's block lies above it
+        part = np.multiply(g_start, w_start[:, 0], out=arena.take(h.shape, g.dtype))
+        dh = np.multiply(g_end, w_end[:, 0], out=arena.take(h.shape, g.dtype))
+        np.add(dh, part, out=dh)
+        arena.give(part)
+        # a product with one term, as g @ w.T, adds it to +0.0: the same
+        # bits, but a sum of two -0.0 ends as +0.0
+        np.add(dh, 0.0, out=dh)
+        return dh, weight(g_start), weight(g_end)
+    return out, back
+
+
+def _columns(a):
+    """The two rows of [2, ..., S] ``a`` as [..., S, 1] views, strided as
+    a reshape of each row (a size-1 axis of stride 0 would take numpy's
+    matmul off BLAS)."""
+    return [side.reshape(side.shape + (1,)) for side in a]
+
+
 def score(h: Tensor, params: dict[str, Tensor], valid: np.ndarray) -> SpanLogits:
-    """Apply the two linear position scorers to [.., S, width] states."""
+    """Apply the two linear position scorers to [.., S, width] states, as
+    one op (``_head``) whose input gradient, where it records, comes from
+    its tape's arena."""
+    w_start, w_end = params["w_start"], params["w_end"]
     if h.ndim not in (2, 3):
         raise ShapeError(f"span head input must be [S, width] or [B, S, width], "
                          f"got shape {h.shape}")
-    width = params["w_start"].shape[0]
-    if h.shape[-1] != width:
-        raise ShapeError(f"span head width {width} does not match input {h.shape}")
-    lead = h.shape[:-1]
-    def linear(which):
-        return T.reshape(T.matmul(h, params[f"w_{which}"]), lead)
-    return SpanLogits(linear("start"), linear("end"), valid)
+    if h.shape[-1] != w_start.shape[0] or w_end.shape != w_start.shape:
+        raise ShapeError(f"span head weights {w_start.shape} and {w_end.shape} "
+                         f"do not fit input {h.shape}")
+    inputs = (h, w_start, w_end)
+    out, back = _head(h.data, w_start.data, w_end.data,
+                      arena=T._active_tape().arena if T._recording(inputs) else T.MALLOC)
+    return SpanLogits(T._make(inputs, out, back), valid)
 
 
 def _gold_log_probs(logits: SpanLogits, gold):
@@ -143,17 +191,16 @@ def span_loss(logits: SpanLogits, gold) -> Tensor:
     """-(log p_start(gold start) + log p_end(gold end)), read off the
     masked log-softmax that decoding ranks by; the batched form averages
     over the batch. ``gold`` is (start, end) for a single example or an
-    integer array [B, 2]. One tape op, whose gradient per logit row is
-    (softmax - one_hot(gold)) / B."""
+    integer array [B, 2]. One tape op on ``logits.scores``, whose gradient
+    per logit row is (softmax - one_hot(gold)) / B."""
     lps, golds, picked = _gold_log_probs(logits, gold)
-    sides = (logits.start_logits, logits.end_logits)
-    dtype = sides[0].dtype
+    dtype = logits.scores.dtype
     def bwd(grad):
         pos = np.arange(logits.valid.shape[-1])
         scale = grad.astype(np.float64) / picked.size
-        return tuple(((np.exp(lp) - (pos == gi)) * scale).astype(dtype)
-                     for lp, gi in zip(lps, golds))
-    return T._make(sides, np.asarray(-picked.mean(), dtype=dtype), bwd)
+        return (np.stack([((np.exp(lp) - (pos == gi)) * scale).astype(dtype)
+                          for lp, gi in zip(lps, golds)]),)
+    return T._make((logits.scores,), np.asarray(-picked.mean(), dtype=dtype), bwd)
 
 
 def _log_probs(logits: np.ndarray, valid: np.ndarray) -> np.ndarray:

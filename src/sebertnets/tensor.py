@@ -1,4 +1,5 @@
-"""Dense tensors with tape-based reverse-mode differentiation.
+"""Dense tensors with tape-based reverse-mode differentiation, and the
+arena a recorded pass takes its large arrays from.
 
 Values are numpy arrays, float32 by default; every op preserves the dtype
 of its inputs, so whole graphs can run at float64 for verification against
@@ -9,24 +10,28 @@ have ``requires_grad=True``; intermediate gradients live in a transient
 dict owned by the call. Gradients accumulate across calls until
 ``zero_grad``.
 
-There is no implicit broadcasting: ``matmul``'s shared 2-D operand is
-the one broadcast, and its gradient sums over the batch axes, so every
-backward rule stays auditable.
+The module holds one primitive, ``sum_all``, the scalar reducer that
+gradient checks end in. Each encoder block, the recurrent layer, the span
+head and the span loss is a hand-written op of its own module, built on
+``_make`` over array kernels.
 
-The module holds 3 primitives: ``matmul`` and ``reshape``, the span
-head's ops, and ``sum_all``, the scalar reducer that gradient checks end
-in. Each encoder block, the recurrent layer and the span loss is a
-hand-written op of its own module, built on ``_make`` over array kernels.
+While a model's pass records onto a tape, the tape holds the model's
+``Arena`` (``Tape.arena``): the ops of that pass take their whole-batch
+temporaries, kept activations and inter-op gradients from it and give
+each back at its known death, and ``backward`` calls the tape's
+``give_back`` once the tape is consumed. Every other op, recorded or
+not, takes from ``MALLOC``, which allocates and frees as numpy does.
 """
 
 from __future__ import annotations
 
+import math
 import threading
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 
 DEFAULT_DTYPE = np.float32
 _FLOAT_DTYPES = (np.float32, np.float64)
@@ -83,6 +88,96 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
 
 
+class Arena:
+    """Reusable memory for the large arrays of one recorded pass at a time.
+
+    Chunks of at least ``CHUNK`` bytes are carved by address-ordered
+    first fit into blocks aligned to ``ALIGN`` bytes. ``take`` returns a
+    C-contiguous view of a free block; ``give`` finds a block by its
+    data address (not by ``id()``, which a freed view's successor can
+    reuse) and merges it with its free neighbours. A chunk is added when
+    no free block fits, so a pass that repeats an earlier pass's takes and
+    gives reuses its blocks and reserves nothing new. Views keep their
+    chunk alive, so dropping an arena with blocks still taken is safe.
+
+    ``CHUNK`` is 32 MiB, glibc's cap on its dynamic mmap threshold, so
+    malloc maps each chunk alone and unmaps it whole. A smaller chunk,
+    once glibc has seen one freed, comes from the heap, where a dropped
+    arena leaves holes that the next one may not fit in.
+    """
+
+    CHUNK = 32 << 20
+    ALIGN = 64
+
+    def __init__(self):
+        # per chunk: its byte buffer and its free [start, end) offsets in
+        # address order
+        self._chunks: list[tuple[np.ndarray, list[list[int]]]] = []
+        self._taken: dict[int, tuple[int, int, int]] = {}  # address -> chunk, start, end
+        self.taken_bytes = 0
+        self.high_water = 0
+
+    @property
+    def reserved_bytes(self) -> int:
+        return sum(buf.size for buf, _ in self._chunks)
+
+    def take(self, shape, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        size = max(self.ALIGN, -(-nbytes // self.ALIGN) * self.ALIGN)
+        for ci, (buf, free) in enumerate(self._chunks):
+            j = next((j for j, (lo, hi) in enumerate(free) if hi - lo >= size), None)
+            if j is not None:
+                break
+        else:
+            ci, buf = len(self._chunks), np.empty(max(self.CHUNK, size) + self.ALIGN,
+                                                  np.uint8)
+            lo = -buf.__array_interface__["data"][0] % self.ALIGN
+            free, j = [[lo, lo + (buf.size - self.ALIGN)]], 0
+            self._chunks.append((buf, free))
+        start = free[j][0]
+        if free[j][1] - start == size:
+            del free[j]
+        else:
+            free[j][0] += size
+        view = buf[start:start + nbytes].view(dtype).reshape(shape)
+        self._taken[view.__array_interface__["data"][0]] = (ci, start, start + size)
+        self.taken_bytes += size
+        self.high_water = max(self.high_water, self.taken_bytes)
+        return view
+
+    def give(self, a: np.ndarray) -> None:
+        ci, lo, hi = self._taken.pop(a.__array_interface__["data"][0])
+        self.taken_bytes -= hi - lo
+        free = self._chunks[ci][1]
+        j = next((j for j, (start, _) in enumerate(free) if start > lo), len(free))
+        if j < len(free) and free[j][0] == hi:
+            hi = free.pop(j)[1]
+        if j and free[j - 1][1] == lo:
+            free[j - 1][1] = hi
+        else:
+            free.insert(j, [lo, hi])
+
+
+class _Malloc:
+    """The arena of a pass that has none: ``take`` allocates and ``give``
+    leaves the array to numpy. It is falsy, so a kernel passes
+    ``out=arena.take(shape, dtype) if arena else None`` to a ufunc, which
+    then allocates its own output, and builds no shape for it."""
+
+    take = staticmethod(np.empty)
+
+    def __bool__(self) -> bool:
+        return False
+
+    @staticmethod
+    def give(a: np.ndarray) -> None:
+        pass
+
+
+MALLOC = _Malloc()
+
+
 class _Record:
     """One op on the tape: inputs, output, and the vjp closure."""
 
@@ -101,11 +196,18 @@ class Tape:
     Use as a context manager; ops executed inside record themselves when
     any input requires grad. Tapes nest, with the innermost one active.
     Distinct tapes on distinct threads share no state.
+
+    ``arena`` is what the ops recorded now take from: a model's
+    ``Arena`` while that model's pass records, else ``MALLOC``.
+    ``give_back``, set by the model that lent an arena, is called once
+    ``backward`` has run every record.
     """
 
     def __init__(self):
         self._records: list[_Record] = []
         self._produced: set[int] = set()
+        self.arena = MALLOC
+        self.give_back: Callable[[], None] | None = None
 
     def __enter__(self) -> "Tape":
         _STACKS.stack.append(self)
@@ -137,7 +239,7 @@ def _active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
-def _recording(inputs: Sequence[Tensor]) -> bool:
+def _recording(inputs: Iterable[Tensor]) -> bool:
     """Whether an op over ``inputs`` made now goes on a tape."""
     return _active_tape() is not None and any(t.requires_grad for t in inputs)
 
@@ -164,7 +266,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
     is the number of records. A gradient lives only until its record has
     run: each record's output gradient leaves the pass's dict when its
     backward is called, and the input gradients it returns are dropped
-    once added.
+    once added. Once the last record has run, no block of an arena lent
+    to the tape is taken, and the tape's ``give_back`` is called.
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be a scalar, got shape {loss.shape}")
@@ -195,6 +298,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
                     t.grad += ig
         # the record, its closure and inputs, and its gradients die here
         rec = t = ig = prev = None
+    if tape.give_back is not None:
+        tape.give_back()
 
 
 def zero_grads(params) -> None:
@@ -212,39 +317,6 @@ def draw(layout, rng: np.random.Generator, dtype=DEFAULT_DTYPE) -> dict[str, Ten
                          else rng.uniform(-init, init, shape).astype(dtype),
                          requires_grad=True)
             for name, shape, init in layout}
-
-
-def _sum_leading(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    if g.shape != shape:
-        raise ShapeError(f"cannot reduce gradient of shape {g.shape} to {shape}")
-    return g
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: 2-D x 2-D, or batched with leading axes; a 2-D
-    operand against a batched one is shared across the batch and its
-    gradient sums over the leading axes."""
-    va, vb = a.data, b.data
-    if va.ndim < 2 or vb.ndim < 2:
-        raise ShapeError(f"matmul: unsupported ranks {va.shape} @ {vb.shape}")
-    if va.shape[-1] != vb.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions of {va.shape} and {vb.shape} do not match")
-    def bwd(g):
-        ga = g @ np.swapaxes(vb, -1, -2)
-        gb = np.swapaxes(va, -1, -2) @ g
-        return _sum_leading(ga, va.shape), _sum_leading(gb, vb.shape)
-    return _make((a, b), va @ vb, bwd)
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    old = x.shape
-    out = np.reshape(x.data, shape)
-    def bwd(g):
-        return (np.reshape(g, old),)
-    return _make((x,), out, bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -52,18 +52,21 @@ def numeric_grad_at(f, x: np.ndarray, coords, h: float = H) -> np.ndarray:
 
 
 def weighted_sum(out, w):
-    """sum(out * w) as a 0-d Tensor, built from ``matmul``, ``reshape`` and
-    ``sum_all``. ``out`` may be a bare array, as a block gives where no
-    tape records it; ``w`` is a constant array of its shape."""
+    """sum(out * w) as a 0-d Tensor, one test-side op over ``out``.
+    ``out`` may be a bare array, as a block gives where no tape records
+    it; ``w`` is a constant array of its size."""
     out = out if isinstance(out, T.Tensor) else T.Tensor(out)
-    w = T.Tensor(np.asarray(w, dtype=out.dtype).reshape(-1, 1))
-    return T.sum_all(T.matmul(T.reshape(out, (1, -1)), w))
+    w = np.asarray(w, dtype=out.dtype).reshape(out.shape)
+    return T._make((out,), np.asarray((out.data * w).sum(), dtype=out.dtype),
+                   lambda g: (g * w,))
 
 
 def square_sum(out):
     """sum(out * out) as a 0-d Tensor; ``out`` as in ``weighted_sum``."""
     out = out if isinstance(out, T.Tensor) else T.Tensor(out)
-    return T.sum_all(T.matmul(T.reshape(out, (1, -1)), T.reshape(out, (-1, 1))))
+    x = out.data
+    return T._make((out,), np.asarray((x * x).sum(), dtype=out.dtype),
+                   lambda g: (g * (x + x),))
 
 
 def kernel_op(kernel, *args):

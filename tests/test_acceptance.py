@@ -1,7 +1,7 @@
 """Acceptance suite: ten criteria, one test (and one pass/fail line) each.
 
-1.  Gradient suite: every tensor primitive and encoder block op plus
-    the composed 2-layer-encoder + 4-step-BiLSTM + span-loss graph
+1.  Gradient suite: every tensor primitive, encoder block op and span
+    head op plus the composed 2-layer-encoder + 4-step-BiLSTM + span-loss graph
     against fp64 central differences, rel err < 1e-5, 100 randomized
     trials each.
 2.  lstm_step / gru_step match straight-line fp64 references bit-exactly
@@ -37,6 +37,7 @@ import pytest
 from gradcheck import (REL_TOL, check_grads, grad_close, kernel_op, numeric_grad_at,
                        weighted_sum)
 from sebertnets import encoder as E
+from sebertnets import span as S
 from sebertnets import tensor as T
 from sebertnets.data import (
     SynthConfig,
@@ -102,13 +103,7 @@ def _elapsed_ok(t0: float, budget: float, label: str) -> None:
 def _primitive_trials(rng):
     """name -> (build, arrays): one randomized check per primitive."""
     n = rng.standard_normal
-    w_m2, w_m3, w_rsh = n((4, 2)), n((2, 3, 3)), n((3, 4))
     return {
-        "matmul_mat_mat": (lambda a, b: weighted_sum(T.matmul(a, b), w_m2),
-                           [n((4, 5)), n((5, 2))]),
-        "matmul_batched_shared": (lambda a, b: weighted_sum(T.matmul(a, b), w_m3),
-                                  [n((2, 3, 4)), n((4, 3))]),
-        "reshape": (lambda x: weighted_sum(T.reshape(x, (3, 4)), w_rsh), [n((2, 6))]),
         "sum_all": (lambda x: T.sum_all(x), [n((2, 3))]),
     }
 
@@ -116,7 +111,8 @@ def _primitive_trials(rng):
 def _block_trials(rng):
     """name -> (build, arrays): one randomized check per encoder block op,
     dropout on (a fixed mask per trial), over a ragged key mask and both
-    activations."""
+    activations, and per span head op, over one example's states and over
+    a batch's, whose scorers the batch shares."""
     n = rng.standard_normal
     b, s, d, heads, ff, rate = 2, 3, 4, 2, 5, 0.3
     ids = rng.integers(0, 6, size=(b, s))
@@ -139,6 +135,12 @@ def _block_trials(rng):
     def linear(n_in, n_out, bias=True):
         return [n((n_in, n_out)) / np.sqrt(n_in)] + ([0.1 * n(n_out)] if bias else [])
 
+    def head(w):
+        return lambda *tensors: weighted_sum(kernel_op(S._head)(*tensors), w)
+
+    def scorers():
+        return [n((d, 1)), n((d, 1))]
+
     return {
         "embedding": (block(E._embedding, ids, segs),
                       [n((6, d)), n((s, d)), n((2, d)), *ln()]),
@@ -149,6 +151,8 @@ def _block_trials(rng):
                      [n((b, s, d)), *linear(d, ff), *linear(ff, d), *ln()]),
         "ffn_gelu": (block(E._ffn, "gelu"),
                      [n((b, s, d)), *linear(d, ff), *linear(ff, d), *ln()]),
+        "span_head_mat": (head(n((2, s))), [n((s, d)), *scorers()]),
+        "span_head_batched_shared": (head(n((2, b, s))), [n((b, s, d)), *scorers()]),
     }
 
 
@@ -395,7 +399,7 @@ def test_criterion_04_decode_oracle():
         end = rng.standard_normal(n)
         msl = int(rng.integers(1, 8))
         text = "".join(chr(ord("一") + i) for i in range(last - first + 1))
-        logits = SpanLogits(Tensor(start), Tensor(end), valid)
+        logits = SpanLogits(Tensor(np.stack([start, end])), valid)
         cfg1 = RecallConfig(k=1, max_span_len=msl)
 
         got = decode_top1(logits, text, (first, last), cfg1)

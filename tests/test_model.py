@@ -341,10 +341,10 @@ def test_every_primitive_is_run_by_a_model_or_reduces_a_gradcheck():
     assert checked == prims
 
 
-def test_default_train_step_makes_eleven_tape_records(monkeypatch):
+def test_default_train_step_makes_eight_tape_records(monkeypatch):
     """A default ``sebertnets`` step records one op per encoder block (the
     embedding, then attention and feed-forward per layer), one for the
-    recurrent layer, a matmul and a reshape per span side, and the loss."""
+    recurrent layer, one for the span head and one for the loss."""
     import sebertnets.model as model_module
 
     examples = tiny_corpus(n=4)
@@ -363,7 +363,7 @@ def test_default_train_step_makes_eleven_tape_records(monkeypatch):
     monkeypatch.setattr(model_module, "backward", counting)
     model.train_step(b, make_state("adam"), np.random.default_rng(0))
     assert enc_cfg.n_layers == 2 and enc_cfg.dropout_rate > 0
-    assert lengths == [11]
+    assert lengths == [8]
 
 
 @pytest.mark.parametrize("variant, cell", [(SEBERTNETS, GRU), (HSEBERTNETS, LSTM)])
@@ -375,7 +375,13 @@ def test_train_step_peak_is_what_the_ops_keep(monkeypatch, variant, cell):
     ``tanh(c')``, a gradient held past its record, attention weights kept
     for the backward, or a record's arrays held once its gradient is
     taken lifts the peak past that. The optimizer runs after the tape is
-    consumed."""
+    consumed.
+
+    The peak is the arena's taken bytes plus the traced peak outside the
+    arena, whose chunks the first step reserved, added per stretch between
+    two arena events, where the taken bytes hold still: the arena holds
+    the kept activations and whole-batch temporaries, and traced memory
+    the block outputs, the gradients and what stays on malloc."""
     import sebertnets.model as model_module
 
     d, hid, ff, nh = 8, 48, 16, 2
@@ -395,30 +401,48 @@ def test_train_step_peak_is_what_the_ops_keep(monkeypatch, variant, cell):
             + n * s * d * (6 * f + 1)
             + n * s * (ff * f + d * (2 * f + 1))
             + n * s * (d + 2 * acts * hid + 2 * hid) * f)
-    # the backward peaks at the span head, while the recurrent output is
-    # alive: the two gradients of that [B, S, 2H] output and their sum.
-    # BPTT frees the output, then holds the output gradient's two
-    # time-major halves and one direction's gate gradients (4 LSTM gates,
-    # or 3 GRU gates and r*h): 2H less
+    # the backward peaks in the first direction's BPTT, once the span
+    # head's gradient of the recurrent output is split: the two time-major
+    # halves of that gradient and the direction's gate gradients (4 LSTM
+    # gates, or 3 GRU gates and r*h), 6H a position. The span head's
+    # backward holds 4H, its input gradient and one side's product
     work = 3 * n * s * 2 * hid * f
-    live = []
+    live, taken, peaks = [], [], []
     real_clip = model_module.clip_global_norm
+    arena = model._arena
+
+    def stretch_ends():
+        peaks.append(arena.taken_bytes + tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+    def at_event(fn):
+        def wrapped(*args):
+            stretch_ends()
+            return fn(*args)
+        return wrapped
 
     def clip(grads, max_norm):
         live.append(tracemalloc.get_traced_memory()[0])
+        taken.append(model._arena.taken_bytes)
         return real_clip(grads, max_norm)
 
     monkeypatch.setattr(model_module, "clip_global_norm", clip)
+    monkeypatch.setattr(arena, "take", at_event(arena.take))
+    monkeypatch.setattr(arena, "give", at_event(arena.give))
     tracemalloc.start()
     try:
         model.train_step(b, state, rng)
-        peak = tracemalloc.get_traced_memory()[1]
+        stretch_ends()
     finally:
         tracemalloc.stop()
+    peak = max(peaks)
+    assert model._arena is arena
     assert peak <= 1.05 * (kept + work)
-    # when clipping starts, the gradients are live and no activation is
+    # when clipping starts, the gradients are live, no activation is and
+    # no arena block is taken
     grad_bytes = sum(p.grad.nbytes for p in model.parameters().values())
     assert live[0] < grad_bytes + kept // 20
+    assert taken == [0]
 
 
 def test_tape_free_predict_builds_no_tensor_inside_encode():
@@ -511,6 +535,147 @@ def test_two_live_recorded_passes_backward_in_either_order(first):
         got = grads(*live[i])
         for n in params:
             assert got[n].tobytes() == alone[i][n].tobytes(), (i, n)
+
+
+# ------------------------------------------------------------- arena
+
+
+def step_grads(model, b, seed):
+    """The parameter gradients of one recorded pass, by name."""
+    T.zero_grads(model.parameters())
+    with Tape() as tape:
+        logits, _ = model.forward(b, rng=np.random.default_rng(seed))
+        loss = span_loss(logits, b.golds)
+    backward(tape, loss)
+    return {n: p.grad.tobytes() for n, p in model.parameters().items()}
+
+
+@pytest.mark.parametrize("variant, cell", [(BERT_BASELINE, GRU), (SEBERTNETS, GRU),
+                                           (HSEBERTNETS, LSTM)])
+def test_train_step_returns_every_arena_block(variant, cell):
+    """After each step the model holds its arena back with no block
+    taken, and at one batch shape a step reserves nothing new."""
+    model, _, _, b = build_setup(variant=variant, cell=cell, n_layers=2, dropout=0.1)
+    state, rng = make_state("adam"), np.random.default_rng(0)
+    reserved = []
+    for _ in range(5):
+        model.train_step(b, state, rng)
+        assert model._arena.taken_bytes == 0
+        reserved.append(model._arena.reserved_bytes)
+    assert reserved == reserved[:1] * 5 and reserved[0] >= T.Arena.CHUNK
+
+
+@pytest.mark.parametrize("variant, cell", [(BERT_BASELINE, GRU), (SEBERTNETS, GRU),
+                                           (HSEBERTNETS, LSTM)])
+def test_steady_step_allocates_only_what_it_hands_on(variant, cell):
+    """Once the arena exists, a step's traced peak above its starting
+    memory is the arrays it makes outside the arena: five block outputs
+    and the embedding's normed sum under dropout, the recurrent output,
+    each attention layer's per-row max and sum and each layer norm's
+    per-position scale, within 10%, plus numpy's ufunc buffers (8192
+    elements of float64, two at a time). A new [B, nh, S, S] or
+    [B, S, 2H] temporary outside the arena lifts it past that."""
+    d, hid, ff, nh, layers = 16, 16, 32, 4, 2
+    model, _, _, b = build_setup(variant=variant, cell=cell, n=32, d_model=d,
+                                 hidden=hid, n_heads=nh, d_ff=ff, n_layers=layers,
+                                 dropout=0.1)
+    state, rng = make_state("adam"), np.random.default_rng(0)
+    for _ in range(2):
+        model.train_step(b, state, rng)
+    (n, s), f = b.token_ids.shape, 4
+    made = (n * s * d * (2 + 2 * layers) + 2 * layers * n * nh * s
+            + (1 + 2 * layers) * n * s) * f
+    if model.cfg.recurrent:
+        made += n * s * 2 * hid * f
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        model.train_step(b, state, rng)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * made + 2 * 8192 * 8
+
+
+def test_divergent_step_drops_the_arena():
+    """A step whose loss is not finite never returns its arena; the next
+    step takes a new one, and its gradients are bit for bit those of a
+    model built from the same state."""
+    model, _, _, b = build_setup(n_layers=2, dropout=0.1)
+    twin, _, _, _ = build_setup(n_layers=2, dropout=0.1)
+    model.train_step(b, make_state("adam"), np.random.default_rng(0))
+    twin.train_step(b, make_state("adam"), np.random.default_rng(0))
+    arena = model._arena
+    w = model.head_params["w_start"].data
+    kept = w.copy()
+    w[:] = np.nan
+    try:
+        model.train_step(b, make_state("adam"), np.random.default_rng(1))
+    except DivergenceError:
+        pass
+    else:
+        raise AssertionError("a NaN loss did not raise")
+    assert model._arena is None
+    w[:] = kept
+    assert step_grads(model, b, 2) == step_grads(twin, b, 2)
+    assert model._arena is not None and model._arena is not arena
+    assert model._arena.taken_bytes == 0
+
+
+def test_a_second_live_recorded_pass_gets_no_arena():
+    """The model lends its arena to one live tape at a time: a second
+    tape recorded meanwhile takes from malloc, and the arena comes back
+    once the first tape's backward has run. A tape holds the arena only
+    while the model's pass records, so the loss takes from malloc."""
+    model, _, _, b = build_setup(n_layers=2, dropout=0.1)
+    model.train_step(b, make_state("adam"), np.random.default_rng(0))
+    arena = model._arena
+    tapes, taken = [], []
+    for seed in (1, 2):
+        with Tape() as tape:
+            logits, _ = model.forward(b, rng=np.random.default_rng(seed))
+            tapes.append((tape, span_loss(logits, b.golds)))
+        taken.append(arena.taken_bytes)
+    assert taken[0] > 0 and taken[1] == taken[0]
+    assert all(tape.arena is T.MALLOC for tape, _ in tapes)
+    assert model._arena is None
+    backward(*tapes[1])
+    assert model._arena is None
+    backward(*tapes[0])
+    assert model._arena is arena and arena.taken_bytes == 0
+
+
+def test_an_arena_with_a_block_left_taken_is_dropped():
+    """A backward that never reaches the model's records leaves their
+    blocks taken; the model then drops the arena instead of keeping it,
+    and the next step takes a new one and returns it whole."""
+    model, _, _, b = build_setup(n_layers=2, dropout=0.1)
+    state = make_state("adam")
+    model.train_step(b, state, np.random.default_rng(0))
+    with Tape() as tape:
+        model.forward(b, rng=np.random.default_rng(1))
+        loss = T.sum_all(model.head_params["w_start"])
+    assert model._arena is None
+    backward(tape, loss)
+    assert model._arena is None
+    model.train_step(b, state, np.random.default_rng(2))
+    assert model._arena.taken_bytes == 0
+
+
+def test_tape_free_forward_drops_the_idle_arena():
+    """A tape-free pass after training, of the model or of another, leaves
+    the model no arena, so eval passes between steps do not keep it; the
+    next step takes a new one."""
+    model, _, _, b = build_setup(n_layers=2, dropout=0.1)
+    other, _, _, _ = build_setup(n_layers=2, dropout=0.1)
+    state = make_state("adam")
+    for evaluated in (model, other):
+        model.train_step(b, state, np.random.default_rng(0))
+        assert isinstance(model._arena, T.Arena)
+        evaluated.predict(b)
+        assert model._arena is None
+    model.train_step(b, state, np.random.default_rng(1))
+    assert model._arena.taken_bytes == 0
 
 
 # ------------------------------------------------------------ checkpoint

@@ -348,22 +348,30 @@ class TestFusedPass:
         fwd = make_params(cell, 4, 16, rng, dtype=np.float32)
         bwd = make_params(cell, 4, 16, rng, dtype=np.float32)
         seq, mask = ragged_batch(rng, 4, np.float32)
-        seq, mask = np.tile(seq, (1, 8, 1)), np.tile(mask, (1, 8))
+        # long enough that an [S, B, H] array outweighs the per-step arrays
+        seq, mask = np.tile(seq, (1, 32, 1)), np.tile(mask, (1, 32))
         outs, peaks = [], []
         for taped in (False, True):
             tape = T.Tape()
+            arena = tape.arena = T.Arena()
             tracemalloc.start()
             with tape if taped else contextlib.nullcontext():
                 outs.append(R.bidirectional_encode(Tensor(seq), mask, fwd, bwd).data)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
             assert bool(len(tape)) == taped
+            assert bool(arena.taken_bytes) == taped
         assert np.array_equal(outs[0], outs[1])
-        # the taped pass keeps 4 (GRU) or 6 (LSTM) [S, B, H] arrays per
-        # direction, each half the size of the output; the untaped one
-        # none. One array more or fewer per direction falls outside.
-        acts = (4 if cell == R.GRU else 6) * outs[0].nbytes
-        assert 7 * acts // 8 < peaks[1] - peaks[0] < 9 * acts // 8
+        # the taped pass keeps, in its tape's arena, 4 (GRU) or 6 (LSTM)
+        # [S, B, H] arrays per direction, each half the size of the
+        # output, and its time-major input: one array more or fewer per
+        # direction falls outside. The untaped pass takes nothing from the
+        # arena, and its traced peak beyond its output and its time-major
+        # input stays under half of one such array.
+        act = outs[0].nbytes // 2
+        assert arena.taken_bytes == (4 if cell == R.GRU else 6) * 2 * act + seq.nbytes
+        assert act % T.Arena.ALIGN == seq.nbytes % T.Arena.ALIGN == 0
+        assert peaks[0] - outs[0].nbytes - seq.nbytes < act // 2
 
     @pytest.mark.parametrize("cell", [R.LSTM, R.GRU])
     def test_ragged_gradients(self, cell):

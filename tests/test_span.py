@@ -15,8 +15,7 @@ from gradcheck import check_grads
 
 
 def logits_1d(start, end, valid):
-    return S.SpanLogits(Tensor(np.asarray(start, dtype=np.float64)),
-                        Tensor(np.asarray(end, dtype=np.float64)),
+    return S.SpanLogits(Tensor(np.asarray([start, end], dtype=np.float64)),
                         np.asarray(valid, dtype=bool))
 
 
@@ -75,7 +74,7 @@ def random_decode_case(rng, dtype):
     first, last = np.flatnonzero(valid)[[0, -1]]
     alphabet = list("ab" if rng.random() < 0.5 else "abcdefghijklmnop")
     text = "".join(rng.choice(alphabet, last - first + 1))
-    lg = S.SpanLogits(Tensor(start.astype(dtype)), Tensor(end.astype(dtype)), valid)
+    lg = S.SpanLogits(Tensor(np.stack([start, end]).astype(dtype)), valid)
     return lg, text, (int(first), int(last))
 
 
@@ -93,7 +92,7 @@ def random_decode_batch(rng, dtype):
     end = stacked(lambda lg: lg.end_logits.data, 50.0)
     rounded = rng.random(len(cases)) < 0.2
     start[rounded], end[rounded] = np.round(start[rounded]), np.round(end[rounded])
-    lg = S.SpanLogits(Tensor(start), Tensor(end), stacked(lambda lg: lg.valid, False))
+    lg = S.SpanLogits(Tensor(np.stack([start, end])), stacked(lambda lg: lg.valid, False))
     return lg, [text for _, text, _ in cases], np.array([span for _, _, span in cases])
 
 
@@ -209,23 +208,23 @@ class TestSpanLoss:
             want -= lp[[0, 1], gold].sum() / 2
             want_grads.append((np.exp(lp) - np.eye(8)[gold]) / 2)
         for dtype, tol in ((np.float32, 1e-6), (np.float64, 1e-12)):
-            lg = S.SpanLogits(Tensor(start.astype(dtype), requires_grad=True),
-                              Tensor(end.astype(dtype), requires_grad=True), valid)
+            lg = S.SpanLogits(Tensor(np.stack([start, end]).astype(dtype),
+                                     requires_grad=True), valid)
             with T.Tape() as tape:
                 loss = S.span_loss(lg, golds)
             assert len(tape) == 1
             T.backward(tape, loss)
             assert loss.dtype == dtype
             np.testing.assert_allclose(float(loss.data), want, rtol=tol)
-            for t, grad in zip((lg.start_logits, lg.end_logits), want_grads):
-                assert t.grad.dtype == dtype
-                np.testing.assert_allclose(t.grad, grad, rtol=tol, atol=tol / 10)
+            assert lg.scores.grad.dtype == dtype
+            for got, grad in zip(lg.scores.grad, want_grads):
+                np.testing.assert_allclose(got, grad, rtol=tol, atol=tol / 10)
 
     def test_batched_is_mean(self):
         valid = np.array([[False, True, True], [False, True, True]])
         start = np.array([[0.0, 1.0, 2.0], [0.0, -1.0, 0.5]])
         end = np.array([[0.0, 0.3, 0.1], [0.0, 2.0, -0.2]])
-        lb = S.SpanLogits(Tensor(start), Tensor(end), valid)
+        lb = S.SpanLogits(Tensor(np.stack([start, end])), valid)
         golds = np.array([[1, 2], [2, 2]])
         batched = float(S.span_loss(lb, golds).data)
         singles = [float(S.span_loss(lb.example(i), tuple(golds[i])).data)
@@ -239,7 +238,7 @@ class TestSpanLoss:
 
     def test_batched_gold_outside_valid_raises(self):
         valid = np.array([[False, True, True], [False, True, False]])
-        lb = S.SpanLogits(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), valid)
+        lb = S.SpanLogits(Tensor(np.zeros((2, 2, 3))), valid)
         S.span_loss(lb, np.array([[1, 2], [1, 1]]))
         with pytest.raises(ContractError):
             S.span_loss(lb, np.array([[1, 2], [1, 2]]))
@@ -468,8 +467,7 @@ class TestDecodeMultichannel:
         assert as_tuples(got) == [(s, e, t, sc.hex()) for s, e, t, sc in want]
 
     def test_batch_needs_one_text_and_span_per_row(self):
-        lg = S.SpanLogits(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))),
-                          np.ones((2, 4), dtype=bool))
+        lg = S.SpanLogits(Tensor(np.zeros((2, 2, 4))), np.ones((2, 4), dtype=bool))
         cfg = S.RecallConfig()
         with pytest.raises(ContractError):
             S.decode_multichannel(lg, ["abcd"], np.array([[0, 3], [0, 3]]), cfg)
@@ -487,16 +485,17 @@ class TestDecodeMultichannel:
         """A non-finite score at a valid position of row 1 is a DecodeError
         naming that row, not a list with a missing row; one at a masked
         position does not matter."""
-        logits = {"start": np.zeros((3, 5)), "end": np.zeros((3, 5))}
+        scores = np.zeros((2, 3, 5))
+        side = scores[["start", "end"].index(which)]
         valid = np.ones((3, 5), dtype=bool)
         valid[0, 4] = False
-        logits[which][0, 4] = value
-        logits[which][1, 2] = value
-        lg = S.SpanLogits(Tensor(logits["start"]), Tensor(logits["end"]), valid)
+        side[0, 4] = value
+        side[1, 2] = value
+        lg = S.SpanLogits(Tensor(scores), valid)
         spans = np.array([[0, 4]] * 3)
         with pytest.raises(DecodeError, match="row 1"):
             S.decode_multichannel(lg, ["abcde"] * 3, spans, S.RecallConfig(k=2))
-        logits[which][1, 2] = 0.0
+        side[1, 2] = 0.0
         got = S.decode_multichannel(lg, ["abcde"] * 3, spans, S.RecallConfig(k=2))
         assert [len(c) for c in got] == [2, 2, 2]
 

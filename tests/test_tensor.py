@@ -1,5 +1,5 @@
-"""Tensor core and the encoder's array kernels: forward values, tape
-mechanics, and gradients vs finite differences."""
+"""Tensor core, the encoder's array kernels and the span head op:
+forward values, tape mechanics, and gradients vs finite differences."""
 
 import threading
 import weakref
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sebertnets import encoder as E
+from sebertnets import span as S
 from sebertnets import tensor as T
 from sebertnets.errors import ContractError, DegenerateMaskError, ShapeError
 from sebertnets.recurrent import GRU, LSTM, _sigmoid, _step, direction_layout
@@ -28,6 +29,17 @@ def key_bias(mask, dtype=np.float64):
     return np.where(mask, dtype(0), dtype(-np.inf))
 
 
+def head(h, w_start, w_end):
+    """The span head over Tensors: its [2, ..., S] output as a Tensor."""
+    weights = {"w_start": w_start, "w_end": w_end}
+    return S.score(h, weights, np.ones(h.shape[:-1], dtype=bool)).scores
+
+
+def product(a, b):
+    """a * b elementwise, a test-side op."""
+    return T._make((a, b), a.data * b.data, lambda g: (g * b.data, g * a.data))
+
+
 def encode_tiny(mask, ids_shape=(2, 4)):
     cfg = E.EncoderConfig(vocab_size=5, d_model=4, n_layers=1, n_heads=2, d_ff=4,
                           max_len=8, dropout_rate=0.0)
@@ -37,28 +49,37 @@ def encode_tiny(mask, ids_shape=(2, 4)):
 
 
 class TestForwardValues:
+    """The span head is the model's one matmul: [.., S, width] states
+    times each [width, 1] scorer, reshaped into a row of its output."""
+
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError) as e:
-            T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 2))))
-        assert "(2, 3)" in str(e.value) and "(2, 2)" in str(e.value)
+            head(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 1))),
+                 T.Tensor(np.zeros((2, 1))))
+        assert "(2, 3)" in str(e.value) and "(2, 1)" in str(e.value)
 
     def test_matmul_values(self):
-        a = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = T.Tensor([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(T.matmul(a, b).data, [[19, 22], [43, 50]])
+        h = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
+        out = head(h, T.Tensor([[5.0], [7.0]]), T.Tensor([[6.0], [8.0]]))
+        np.testing.assert_array_equal(out.data, [[19, 43], [22, 50]])
 
     def test_matmul_inner_dim_check(self):
+        w = T.Tensor(np.zeros((2, 1)))
         with pytest.raises(ShapeError):
-            T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))))
-        with pytest.raises(ShapeError):  # a vector left operand has no rule
-            T.matmul(T.Tensor(np.zeros(3)), T.Tensor(np.zeros((3, 2))))
+            head(T.Tensor(np.zeros((2, 3))), w, w)
+        with pytest.raises(ShapeError):  # the two scorers must match
+            head(T.Tensor(np.zeros((2, 2))), w, T.Tensor(np.zeros((3, 1))))
+        with pytest.raises(ShapeError):  # a vector input has no rule
+            head(T.Tensor(np.zeros(2)), w, w)
 
     def test_dtype_preserved(self, randn):
         for dt in (np.float32, np.float64):
             x = T.Tensor(randn(3, 3).astype(dt))
-            y = T.Tensor(randn(3, 3).astype(dt))
-            for out in (T.matmul(x, y), T.reshape(x, (9,)), T.sum_all(x)):
+            w = T.Tensor(randn(3, 1).astype(dt))
+            for out in (head(x, w, w), T.sum_all(x)):
                 assert out.dtype == dt
+            out, back = S._head(x.data, w.data, w.data)
+            assert all(d.dtype == dt for d in back(out))
             v = randn(2, 3, 3).astype(dt)
             g = np.ones(3, dtype=dt)
             for out, back in (E._relu(v), E._gelu(v), E._layer_norm(v, g, g),
@@ -162,7 +183,7 @@ class TestTapeMechanics:
     def test_loss_must_be_scalar(self, randn):
         x = T.Tensor(randn(3, 3), requires_grad=True)
         with T.Tape() as tape:
-            y = T.matmul(x, x)
+            y = kernel_op(E._relu)(x)
         with pytest.raises(ContractError):
             T.backward(tape, y)
 
@@ -233,13 +254,14 @@ class TestTapeMechanics:
         np.testing.assert_array_equal(x.grad, np.full(4, 16.0))
 
     def test_no_grad_for_non_requiring_leaf(self, randn):
-        x = T.Tensor(randn(3), requires_grad=True)
-        c = T.Tensor(randn(3))
+        x = T.Tensor(randn(1, 3), requires_grad=True)
+        c = T.Tensor(randn(3, 1))
+        zero = T.Tensor(np.zeros((3, 1)))
         with T.Tape() as tape:
-            loss = T.sum_all(T.matmul(T.reshape(x, (1, 3)), T.reshape(c, (3, 1))))
+            loss = T.sum_all(head(x, c, zero))
         T.backward(tape, loss)
-        assert c.grad is None
-        np.testing.assert_array_equal(x.grad, c.data)
+        assert c.grad is None and zero.grad is None
+        np.testing.assert_array_equal(x.grad, c.data.T)
 
     def test_no_tape_means_no_recording(self, randn):
         x = T.Tensor(randn(3), requires_grad=True)
@@ -254,8 +276,8 @@ class TestTapeMechanics:
         # so dloss/dx = 4 * y * x
         x = T.Tensor(np.array([[1.0, 2.0]], dtype=np.float64), requires_grad=True)
         with T.Tape() as tape:
-            y = T.matmul(x, T.reshape(x, (2, 1)))
-            loss = T.sum_all(T.matmul(y, y))
+            y = square_sum(x)
+            loss = T.sum_all(product(y, y))
         T.backward(tape, loss)
         np.testing.assert_allclose(x.grad, 4 * 5.0 * x.data)
 
@@ -289,14 +311,26 @@ class TestGradientsAgainstFiniteDifferences:
                     [randn(2, 3, 4), randn(4, 4), randn(4)])
 
     def test_matmul_2d(self, randn):
-        check_grads(lambda a, b: T.sum_all(T.matmul(a, b)), [randn(3, 4), randn(4, 2)])
+        # the span head over one example's [S, width] states
+        w = randn(2, 3)
+        check_grads(lambda h, a, b: weighted_sum(head(h, a, b), w),
+                    [randn(3, 4), randn(4, 1), randn(4, 1)])
 
     def test_matmul_batched(self, randn):
-        check_grads(lambda a, b: T.sum_all(T.matmul(a, b)),
-                    [randn(2, 3, 4), randn(2, 4, 2)])
+        w = randn(2, 2, 3)
+        check_grads(lambda h, a, b: weighted_sum(head(h, a, b), w),
+                    [randn(2, 3, 4), randn(4, 1), randn(4, 1)])
 
     def test_matmul_shared_weight(self, randn):
-        check_grads(lambda a, b: T.sum_all(T.matmul(a, b)), [randn(2, 3, 4), randn(4, 2)])
+        # the scorers are shared across the batch: their gradient is the
+        # sum of each example's
+        h, a, b, g = randn(3, 5, 4), randn(4, 1), randn(4, 1), randn(2, 3, 5)
+        _, back = S._head(h, a, b)
+        whole = back(g)
+        rows = [S._head(h[i], a, b)[1](g[:, i]) for i in range(3)]
+        for k in (1, 2):
+            np.testing.assert_allclose(whole[k], sum(r[k] for r in rows), rtol=1e-12)
+        np.testing.assert_array_equal(whole[0], np.stack([r[0] for r in rows]))
 
     def test_sigmoid_tanh_relu_gelu(self, randn):
         x = randn(3, 4) + np.sign(randn(3, 4)) * 0.05  # keep away from relu kink
@@ -305,7 +339,13 @@ class TestGradientsAgainstFiniteDifferences:
         check_grads(lambda t: weighted_sum(kernel_op(E._gelu)(t), w), [x])
 
     def test_reshape(self, randn):
-        check_grads(lambda x: square_sum(T.reshape(x, (2, 3, 4))), [randn(6, 4)])
+        # the head reshapes each [.., S, 1] product into a row of its output
+        h, a, b = randn(2, 3, 4), randn(4, 1), randn(4, 1)
+        out = head(T.Tensor(h), T.Tensor(a), T.Tensor(b)).data
+        assert out.shape == (2, 2, 3)
+        assert out[0].tobytes() == (h @ a).reshape(2, 3).tobytes()
+        assert out[1].tobytes() == (h @ b).reshape(2, 3).tobytes()
+        check_grads(lambda h, a, b: square_sum(head(h, a, b)), [h, a, b])
 
     def test_embedding_lookup_accumulates_repeats(self, randn):
         ids, segs = np.array([[0, 2, 2, 1]]), np.zeros((1, 4), dtype=np.int64)
@@ -368,3 +408,56 @@ class TestNumericOracleHelpers:
         x = randn(3)
         num = numeric_grad(lambda v: float((v ** 2).sum()), x)
         assert grad_close(2 * x, num)
+
+
+class TestArena:
+    def test_take_is_an_aligned_c_contiguous_view(self):
+        arena = T.Arena()
+        a = arena.take((3, 5), np.float32)
+        b = arena.take((7,), bool)
+        for x, shape, dtype in ((a, (3, 5), np.float32), (b, (7,), bool)):
+            assert x.shape == shape and x.dtype == dtype and x.flags.c_contiguous
+            assert x.__array_interface__["data"][0] % T.Arena.ALIGN == 0
+        a[:] = 1.0
+        b[:] = False
+        assert (a == 1.0).all()  # the blocks do not overlap
+        assert arena.taken_bytes == 2 * T.Arena.ALIGN == arena.high_water
+
+    def test_give_finds_the_block_by_address_not_identity(self):
+        arena = T.Arena()
+        a = arena.take((4, 16), np.float64)
+        start = a.__array_interface__["data"][0]
+        arena.give(a.reshape(-1))  # another view of the same block
+        assert arena.taken_bytes == 0
+        again = arena.take((4, 16), np.float64)
+        assert again.__array_interface__["data"][0] == start
+        with pytest.raises(KeyError):
+            arena.give(np.zeros(3))
+        arena.give(again)
+        with pytest.raises(KeyError):  # a block goes back once
+            arena.give(again)
+
+    def test_free_neighbours_merge_and_first_fit_reuses_them(self):
+        arena = T.Arena()
+        a, b, c = (arena.take((16,), np.float32) for _ in range(3))
+        start = a.__array_interface__["data"][0]
+        arena.give(b)
+        arena.give(a)
+        ab = arena.take((32,), np.float32)  # fits only where a and b were
+        assert ab.__array_interface__["data"][0] == start
+        arena.give(c)
+        arena.give(ab)
+        assert arena.taken_bytes == 0 and arena.reserved_bytes == T.Arena.CHUNK + T.Arena.ALIGN
+        whole = arena.take((T.Arena.CHUNK,), np.uint8)
+        assert whole.__array_interface__["data"][0] == start
+
+    def test_a_take_that_fits_nowhere_adds_a_chunk(self):
+        arena = T.Arena()
+        small = arena.take((8,), np.float32)
+        big = arena.take((T.Arena.CHUNK + 1,), np.uint8)
+        # the big block rounds up to CHUNK + ALIGN; each chunk keeps ALIGN
+        # bytes of slack to align its first block
+        assert arena.reserved_bytes == 2 * T.Arena.CHUNK + 3 * T.Arena.ALIGN
+        for x in (small, big):
+            arena.give(x)
+        assert arena.taken_bytes == 0

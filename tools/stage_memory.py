@@ -4,10 +4,14 @@ Runs one ``sebertnets`` GRU ``train_step`` shaped like the ``train_long``
 benchmark workload (hidden 200, batch 32, rows of about 120 tokens, the
 default two-layer encoder, dropout on) under ``tracemalloc``, and prints
 one Markdown table row per stage: the traced memory live at the end of
-the stage, the traced peak within it, both in MB (1e6 bytes), and the
-process resident set size at its end, in MiB. A warm-up step runs first,
-so the optimizer state exists before tracing. The last lines give the
-step's traced peak and the process's peak RSS.
+the stage, the traced peak within it, both in MB (1e6 bytes), the
+process resident set size at its end, in MiB, the minor page faults
+within it (the ``getrusage`` ``ru_minflt`` delta), and the bytes taken
+from and reserved by the model's arena at its end, in MB. Two warm-up
+steps run first, so the optimizer state and the arena exist before
+tracing and the traced step is a steady-state one. The last lines give
+the step's totals: traced peak, minor faults, the arena's taken
+high-water and reserved bytes, and the process's peak RSS.
 
 Stages are found by wrapping the encoder blocks, the recurrent sweeps
 and their backwards, ``backward``, clipping and the optimizer step at
@@ -53,16 +57,28 @@ def _rss_mib() -> float | None:
     return pages * os.sysconf("SC_PAGE_SIZE") / 2 ** 20
 
 
-class Stages:
-    """Rows of (stage, live bytes, peak bytes, RSS MiB), one per ``mark``."""
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-    def __init__(self):
-        self.rows: list[tuple[str, int, int, float | None]] = []
+
+class Stages:
+    """Rows of (stage, live bytes, peak bytes, RSS MiB, minor faults,
+    arena taken bytes, arena reserved bytes), one per ``mark``. ``arena``
+    is the model's arena, or None where the model has none."""
+
+    def __init__(self, arena):
+        self.arena = arena
+        self.rows: list[tuple] = []
         self.counts: dict[str, int] = {}
+        self.faults = _minflt()
 
     def mark(self, stage: str) -> None:
         live, peak = tracemalloc.get_traced_memory()
-        self.rows.append((stage, live, peak, _rss_mib()))
+        faults, self.faults = _minflt() - self.faults, _minflt()
+        arena = self.arena
+        self.rows.append((stage, live, peak, _rss_mib(), faults,
+                          None if arena is None else arena.taken_bytes,
+                          None if arena is None else arena.reserved_bytes))
         tracemalloc.reset_peak()
 
     def numbered(self, kind: str) -> str:
@@ -83,9 +99,9 @@ class Stages:
 
     def block(self, kind: str, fn):
         """Encoder block ``fn``, marking its forward and its backward."""
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             stage = kind if kind == "embedding" else self.numbered(kind)
-            out, back = fn(*args)
+            out, back = fn(*args, **kwargs)
             self.mark(f"{stage} forward")
             return out, self.after_backward(f"{stage} backward", back)
         return wrapped
@@ -127,9 +143,13 @@ def main(argv=None) -> int:
 
     model, b = build(args.seed)
     state, rng = make_state("adam", lr=1e-3), np.random.default_rng(args.seed)
-    model.train_step(b, state, rng)
+    for _ in range(2):
+        model.train_step(b, state, rng)
 
-    stages = Stages()
+    arena = getattr(model, "_arena", None)
+    if arena is not None:
+        arena.high_water = arena.taken_bytes
+    stages = Stages(arena)
     patches = [(E, "_embedding", stages.block("embedding", E._embedding)),
                (E, "_attention", stages.block("attention", E._attention)),
                (E, "_ffn", stages.block("FFN", E._ffn)),
@@ -143,8 +163,10 @@ def main(argv=None) -> int:
     for mod, name, fn in patches:
         setattr(mod, name, fn)
     tracemalloc.start()
+    start = _minflt()
     try:
         model.train_step(b, state, rng)
+        faults = _minflt() - start
     finally:
         tracemalloc.stop()
         for mod, name, fn in saved:
@@ -153,13 +175,21 @@ def main(argv=None) -> int:
     print(f"# sebertnets/GRU hidden 200, batch {b.token_ids.shape[0]}, "
           f"{b.token_ids.shape[1]} tokens, seed {args.seed}; Python "
           f"{sys.version.split()[0]}, numpy {np.__version__}, nproc {os.cpu_count()}")
-    print("| stage | live MB | peak MB | RSS MiB |")
-    print("|---|---:|---:|---:|")
-    for stage, live, peak, rss in stages.rows:
-        rss_s = "-" if rss is None else f"{rss:.1f}"
-        print(f"| {stage} | {live / MB:.1f} | {peak / MB:.1f} | {rss_s} |")
+    print("| stage | live MB | peak MB | RSS MiB | minor faults | arena taken MB "
+          "| arena reserved MB |")
+    print("|---|---:|---:|---:|---:|---:|---:|")
+
+    def mb(value, scale=MB):
+        return "-" if value is None else f"{value / scale:.1f}"
+    for stage, live, peak, rss, stage_faults, taken, reserved in stages.rows:
+        print(f"| {stage} | {mb(live)} | {mb(peak)} | {mb(rss, 1)} | {stage_faults} "
+              f"| {mb(taken)} | {mb(reserved)} |")
     print(f"step traced peak: {max(r[2] for r in stages.rows) / MB:.1f} MB")
-    print(f"process peak RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MiB")
+    print(f"step minor faults: {faults}")
+    print(f"arena taken high-water: {mb(arena and arena.high_water)} MB, "
+          f"reserved: {mb(arena and arena.reserved_bytes)} MB")
+    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"process peak RSS: {peak_rss:.1f} MiB")
     return 0
 
 
