@@ -16,30 +16,53 @@ references, and raise ``ContractError`` where a tape would need their
 gradient. ``bidirectional_encode`` records the whole layer, both
 directions, as the one tape op of this module, whose backward is
 hand-written BPTT per direction, with the weight gradients formed after
-the sweep as one GEMM over all timesteps (Appleyard et al.,
+the time loop as one GEMM over all timesteps (Appleyard et al.,
 arXiv:1604.01946).
 
-A recorded sweep keeps, per step, only what BPTT cannot recompute
-cheaply: ``h, z, r, cand`` for GRU and ``h, c, f, i, o, g`` for LSTM.
-BPTT recomputes the two others bit for bit, the LSTM's ``tanh(c')`` from
-``f*c + i*g`` per step and the GRU's ``r*h`` for the ``dU`` GEMM, and
-forms each step's ``_local`` factors inside its loop. Its whole-sequence
-arrays are the gate pre-activation gradients, that ``r*h`` and the input
-and weight gradients.
+Threads. With more than one row and more than one usable CPU, the two
+directions of a pass run at once, as the layer-level parallelism of the
+same paper: the left-to-right one on one persistent worker thread,
+started on first use, and the right-to-left one on the calling thread,
+in the sweeps (recorded or not) and in BPTT. The call returns once both
+have finished, and only then raises an error either raised. At one row
+the hand-off costs more than it saves, so both run on the calling
+thread, in the same functions. Each direction writes only its own
+arrays, and the results are bit for bit those of the calling thread
+alone. Everything the worker writes is made on the calling thread
+before the hand-off: the worker takes nothing from an arena, touches no
+tape and mallocs only per-step [B, H] arrays.
+
+Memory. A recorded sweep keeps, per direction, only what BPTT cannot
+recompute cheaply: ``h`` [S, B, H] and, for LSTM, ``c``, and the gates
+in one [S, B, G, H] block in gate-gradient order (GRU ``z, r, cand``;
+LSTM ``f, i, o, g``): 4 (GRU) or 6 (LSTM) [S, B, H] arrays. BPTT
+recomputes the LSTM's ``tanh(c')`` per step and forms each step's
+``_local`` factors inside its loop; it then writes the step's gate
+gradients over its kept gates, and the GRU's ``r*h`` over the step of
+the output gradient it has read. After the loop the block is the gate
+gradients ``d_pre`` and the output gradient's half is ``r*h``, so a
+direction's BPTT takes no whole-sequence array beyond its half of the
+output gradient and its input gradient.
 
 A recorded layer takes its [S, B, ...] arrays from its tape's arena (as
-``encoder`` does): the kept activations, given back once their
-direction's BPTT has run, and the time-major input copy once both have;
-the gate gradients, that ``r*h`` and the output gradient's halves,
-given back once read; and its input gradient, which the encoder's last
-block gives back. Its output and the per-step [B, H] arrays come from
-malloc, and a tape-free pass takes nothing from an arena.
+``encoder`` does), all on the calling thread: the time-major input copy
+and the kept activations, given back once both directions' BPTT has
+run; the output gradient's two halves, given back with them; and both
+directions' input gradients, of which the sum is written over one and
+copied batch-major into the layer's input gradient, which the encoder's
+last block gives back. Its output, its weight gradients and the
+per-step [B, H] arrays come from malloc, and a tape-free pass takes
+nothing from an arena.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -159,7 +182,9 @@ def _step_back(cell: str, u_t: np.ndarray, local, dh: np.ndarray,
     ``u_t`` is ``_cat(w, "u", cell).T`` (a C-contiguous copy multiplies
     faster) and ``local`` comes from ``_local``. Writes the gate
     pre-activation gradients into ``d_pre`` [..., G, H] in gate order and
-    returns the gradients of the previous ``h`` and ``c``.
+    returns the gradients of the previous ``h`` and ``c``. ``d_pre`` may
+    hold the step's kept gate activations: the GRU's ``r`` and the LSTM's
+    ``f`` in ``local`` are read before their slot is written.
     """
     flat = d_pre.shape[:-2] + (-1,)
     if cell == GRU:
@@ -167,44 +192,57 @@ def _step_back(cell: str, u_t: np.ndarray, local, dh: np.ndarray,
         hid = dh.shape[-1]
         d_cand = np.multiply(dh, a_cand, out=d_pre[..., 2, :])
         d_rh = d_cand @ u_t[2 * hid:]
+        dh_prev = dh * keep_z + d_rh * r
         np.multiply(dh, a_z, out=d_pre[..., 0, :])
         np.multiply(d_rh, a_r, out=d_pre[..., 1, :])
-        d_zr = d_pre[..., :2, :].reshape(flat)
-        return dh * keep_z + d_rh * r + d_zr @ u_t[:2 * hid], None
+        return dh_prev + d_pre[..., :2, :].reshape(flat) @ u_t[:2 * hid], None
     a_c, a_f, a_i, a_o, a_g, f = local
     dc = dc + dh * a_c
+    dc_prev = dc * f
     for k, (grad, a) in enumerate(((dc, a_f), (dc, a_i), (dh, a_o), (dc, a_g))):
         np.multiply(grad, a, out=d_pre[..., k, :])
-    return d_pre.reshape(flat) @ u_t, dc * f
+    return d_pre.reshape(flat) @ u_t, dc_prev
 
 
-def _param_grads(cell: str, w: dict[str, np.ndarray], x: np.ndarray, acts,
-                 d_pre: np.ndarray, arena=T.MALLOC):
+def _grad_arrays(cell: str, input_size: int, hid: int, dtype):
+    """The arrays ``_param_grads`` writes one direction's weight gradients
+    into: ``dU`` as its GEMMs form it (for GRU, the update and reset
+    gates' apart from the candidate's, whose recurrent input is ``r*h``),
+    ``dW`` and ``db``, each in gate order. Returns them and the
+    weight-name -> gradient views over them."""
+    gates = _gates_for(cell)
+    du = ([np.empty((hid, 2 * hid), dtype), np.empty((hid, hid), dtype)] if cell == GRU
+          else [np.empty((hid, len(gates) * hid), dtype)])
+    dw = np.empty((input_size, len(gates) * hid), dtype)
+    db = np.empty(len(gates) * hid, dtype)
+    du_gates = [a[:, j:j + hid] for a in du for j in range(0, a.shape[1], hid)]
+    views = {}
+    for k, g in enumerate(gates):
+        cols = slice(k * hid, (k + 1) * hid)
+        views[f"w_{g}"], views[f"u_{g}"], views[f"b_{g}"] = dw[:, cols], du_gates[k], db[cols]
+    return (du, dw, db), views
+
+
+def _param_grads(w_x: np.ndarray, x: np.ndarray, h: np.ndarray, rh: np.ndarray | None,
+                 d_pre: np.ndarray, dx: np.ndarray, du, dw: np.ndarray, db: np.ndarray):
     """Input and weight gradients from the gate pre-activation gradients
-    of any number of steps, each one GEMM or sum over all leading rows.
+    of any number of steps, each one GEMM or sum over all leading rows,
+    written into ``dx`` [rows, d] and the ``_grad_arrays`` ``du``, ``dw``
+    and ``db``.
 
-    ``x`` is [..., d], ``acts`` the matching kept ``_step`` activations
-    and ``d_pre`` [..., G, H]. Returns ``d x``, taken from ``arena``, and
-    a weight-name -> gradient dict.
+    ``x`` is [..., d], ``h`` the matching kept states, ``rh`` the GRU's
+    ``r*h`` (None for LSTM), ``d_pre`` [..., G, H] and ``w_x``
+    ``_cat(w, "w", cell)``.
     """
     hid = d_pre.shape[-1]
     a = d_pre.reshape(-1, d_pre.shape[-2] * hid)
-    h2 = acts[0].reshape(-1, hid)
-    if cell == GRU:  # the candidate's recurrent input is r*h, recomputed
-        rh = np.multiply(acts[2], acts[0], out=arena.take(acts[0].shape, acts[0].dtype))
-        du = np.concatenate([h2.T @ a[:, :2 * hid], rh.reshape(-1, hid).T @ a[:, 2 * hid:]],
-                            axis=1)
-        arena.give(rh)
-    else:
-        du = h2.T @ a
-    dw = x.reshape(-1, x.shape[-1]).T @ a
-    db = a.sum(axis=0)
-    grads = {}
-    for k, g in enumerate(_gates_for(cell)):
-        cols = slice(k * hid, (k + 1) * hid)
-        grads[f"w_{g}"], grads[f"u_{g}"], grads[f"b_{g}"] = dw[:, cols], du[:, cols], db[cols]
-    dx = np.matmul(a, _cat(w, "w", cell).T, out=arena.take((a.shape[0], x.shape[-1]), a.dtype))
-    return dx.reshape(x.shape), grads
+    zr = du[0].shape[1]
+    np.matmul(h.reshape(-1, hid).T, a[:, :zr], out=du[0])
+    if rh is not None:
+        np.matmul(rh.reshape(-1, hid).T, a[:, zr:], out=du[1])
+    np.matmul(x.reshape(-1, x.shape[-1]).T, a, out=dw)
+    np.sum(a, axis=0, out=db)
+    np.matmul(a, w_x.T, out=dx)
 
 
 def _eval_step(l_t: Tensor, h: Tensor, c: Tensor | None, p: RecurrentParams):
@@ -234,63 +272,127 @@ def gru_step(l_t: Tensor, prev_h: Tensor, p: RecurrentParams) -> Tensor:
     return _eval_step(l_t, prev_h, None, p)[0]
 
 
-def _sweep(p: RecurrentParams, x: np.ndarray, keep: np.ndarray,
-           keep_f: np.ndarray, reverse: bool, out: np.ndarray, record: bool,
-           arena=T.MALLOC):
+def _threaded(b: int) -> bool:
+    """Whether a pass over ``b`` rows runs its two directions on two
+    threads: not for one row, where handing a direction over costs more
+    than the second core saves, nor where the process may use one CPU."""
+    if b < 2:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+_WORKER = None
+_WORKER_LOCK = threading.Lock()
+
+
+def _worker():
+    """The one thread the left-to-right directions run on, started on
+    first use; a forked child starts its own."""
+    global _WORKER
+    with _WORKER_LOCK:
+        if _WORKER is None:
+            # imported here, so that a process that never runs two
+            # directions at once (bert_baseline, B=1) does not load it
+            from concurrent.futures import ThreadPoolExecutor
+            _WORKER = ThreadPoolExecutor(1, thread_name_prefix="sebertnets-recurrent")
+        return _WORKER
+
+
+def _forget_worker() -> None:
+    # in a forked child: the parent's worker thread does not exist there,
+    # and another parent thread may have held the lock
+    global _WORKER, _WORKER_LOCK
+    _WORKER, _WORKER_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _both(b: int, left, right):
+    """``(left(), right())``, the two directions of one pass over ``b``
+    rows. When ``_threaded(b)``, ``left`` runs on the worker thread, in
+    the caller's context (numpy's error state), while ``right`` runs
+    here; else both run here, ``left`` first. Returns once both have
+    finished, and only then raises an exception either raised."""
+    if not _threaded(b):
+        return left(), right()
+    future = _worker().submit(contextvars.copy_context().run, left)
+    try:
+        out = right()
+    finally:
+        future.exception()  # waits until the worker's direction has finished
+    return future.result(), out
+
+
+def _kept(cell: str, s: int, b: int, hid: int, dtype, arena):
+    """A direction's kept activations, taken from ``arena``: ``h``, for
+    LSTM ``c``, each [S, B, H], and the gates in ``d_pre`` order in one
+    [S, B, G, H] block, which its BPTT overwrites with their gradients."""
+    return [*(arena.take((s, b, hid), dtype) for _ in range(1 if cell == GRU else 2)),
+            arena.take((s, b, len(_gates_for(cell)), hid), dtype)]
+
+
+def _at(kept, t: int):
+    """Step ``t``'s views of ``_kept`` arrays, in ``_step`` order."""
+    return (*(a[t] for a in kept[:-1]), *kept[-1][t].swapaxes(0, 1))
+
+
+def _sweep(p: RecurrentParams, x: np.ndarray, keep: np.ndarray, keep_f: np.ndarray,
+           reverse: bool, out: np.ndarray, kept=None) -> None:
     """One direction's forward sweep over time-major ``x`` [S, B, d]:
     writes the [S, B, H] states into ``out``, zero at masked steps, where
-    the carried state is frozen. Returns the direction's BPTT, a function
-    from the [S, B, H] output gradient to ``d x`` and the weight
-    gradients.
-
-    When ``record`` is set the sweep keeps each step's ``_step``
-    activations, 4 [S, B, H] arrays for GRU and 6 for LSTM; otherwise it
-    keeps none. The BPTT runs per step only the ``_local`` factors of
-    that step and the recurrent ``dh @ U.T`` products, and collects the
-    gate pre-activation gradients, from which ``_param_grads`` forms the
-    input and weight gradients over all B*S rows at once. The kept
-    activations and the gate gradients come from ``arena`` and are given
-    back once the BPTT has run; ``d x`` comes from it too.
-    """
+    the carried state is frozen. With ``kept`` (from ``_kept``), writes
+    each step's ``_step`` activations into it; otherwise keeps none."""
     cell = p.cell
     w = {k: t.data for k, t in p.weights.items()}
     s, b, _ = x.shape
     h = np.zeros((b, p.hidden_size), dtype=x.dtype)
     c = np.zeros_like(h) if cell == LSTM else None
-    steps = range(s - 1, -1, -1) if reverse else range(s)
-    saved = None
-    for t in steps:
+    for t in range(s - 1, -1, -1) if reverse else range(s):
         h_new, c_new, acts = _step(cell, w, x[t], h, c)
-        if record:
-            if saved is None:
-                saved = [arena.take(out.shape, x.dtype) for _ in acts]
-            for buf, a in zip(saved, acts):
-                buf[t] = a
+        if kept is not None:
+            for buf, a in zip(_at(kept, t), acts):
+                buf[...] = a
         h = np.where(keep[t], h_new, h)
         if c is not None:
             c = np.where(keep[t], c_new, c)
         out[t] = h * keep_f[t]
+        del h_new, c_new, acts  # not held through the next step
 
-    def bptt(dy):
-        u_t = np.ascontiguousarray(_cat(w, "u", cell).T)
-        dh = np.zeros_like(h)
-        dc = None if c is None else np.zeros_like(c)
-        d_pre = arena.take((s, b, len(_gates_for(cell)), p.hidden_size), x.dtype)
-        for t in reversed(steps):
-            k = keep[t]
-            dh = dh + dy[t]
-            dh_prev, dc_prev = _step_back(
-                cell, u_t, _local(cell, [a[t] for a in saved]), np.where(k, dh, 0.0),
-                None if dc is None else np.where(k, dc, 0.0), d_pre[t])
-            dh = np.where(k, dh_prev, dh)
-            if dc is not None:
-                dc = np.where(k, dc_prev, dc)
-        dx, grads = _param_grads(cell, w, x, saved, d_pre, arena)
-        for a in (*saved, d_pre):
-            arena.give(a)
-        return dx, [grads[k] for k in w]
 
-    return bptt
+def _bptt(cell: str, u_t: np.ndarray, w_x: np.ndarray, x: np.ndarray, keep: np.ndarray,
+          reverse: bool, kept, dy: np.ndarray, dx: np.ndarray, grads) -> None:
+    """One direction's BPTT from its time-major [S, B, H] output gradient
+    ``dy``, writing ``d x`` into ``dx`` and the weight gradients into the
+    ``_grad_arrays`` ``grads``.
+
+    Each step forms only its ``_local`` factors and its recurrent
+    ``dh @ U.T`` products. It writes the gate gradients over the step's
+    kept gates, and the GRU's ``r*h`` over ``dy[t]``, which it has read,
+    so that after the loop the gate block is ``d_pre`` and ``dy`` is
+    ``r*h``, from which ``_param_grads`` forms the input and weight
+    gradients over all S*B rows at once. ``u_t`` is
+    ``_cat(w, "u", cell).T`` as a C-contiguous copy and ``w_x``
+    ``_cat(w, "w", cell)``."""
+    dh = np.zeros(dy.shape[1:], dy.dtype)
+    dc = np.zeros_like(dh) if cell == LSTM else None
+    block = kept[-1]
+    for t in range(x.shape[0]) if reverse else range(x.shape[0] - 1, -1, -1):
+        k = keep[t]
+        dh = dh + dy[t]
+        acts = _at(kept, t)
+        local = _local(cell, acts)
+        if cell == GRU:
+            np.multiply(acts[2], acts[0], out=dy[t])
+        dh_prev, dc_prev = _step_back(cell, u_t, local, np.where(k, dh, 0.0),
+                                      None if dc is None else np.where(k, dc, 0.0), block[t])
+        dh = np.where(k, dh_prev, dh)
+        if dc is not None:
+            dc = np.where(k, dc_prev, dc)
+    _param_grads(w_x, x, kept[0], dy if cell == GRU else None, block, dx, *grads)
 
 
 def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
@@ -305,12 +407,18 @@ def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
     output, and the backward returns the sum of the two directions'
     input gradients. Both directions must hold the same cell type.
 
+    With more than one row and more than one usable CPU, the
+    left-to-right direction runs on a worker thread while the calling
+    thread runs the right-to-left one, in the sweeps and in BPTT; the
+    results are bit for bit those of running both on the calling thread.
+
     A recorded op takes its time-major copy of ``seq``, the sweeps' kept
     activations and every whole-sequence array of its backward from its
-    tape's arena (as in ``encoder.encode``): it gives back the output
-    gradient it is handed once it has split it into the two directions'
-    halves, each half once its direction's BPTT has run, and returns its
-    input gradient from the arena.
+    tape's arena (as in ``encoder.encode``), on the calling thread: it
+    gives back the output gradient it is handed once it has split it
+    into the two directions' halves, the halves and the activations once
+    both directions' BPTT has run, and returns its input gradient from
+    the arena.
     """
     if fwd.cell != bwd.cell:
         raise ContractError(f"directions hold different cells ({fwd.cell!r}, {bwd.cell!r})")
@@ -342,31 +450,39 @@ def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
     # batch-major and C-contiguous, as the layers after it expect; each
     # sweep writes a time-major view of its half
     y = np.empty((b, s, hf + bwd.hidden_size), x.dtype)
-    sweeps = [_sweep(fwd, x, keep, keep_f, False, y[..., :hf].transpose(1, 0, 2), record,
-                     arena),
-              _sweep(bwd, x, keep, keep_f, True, y[..., hf:].transpose(1, 0, 2), record,
-                     arena)]
+    dirs = ((fwd, False, slice(None, hf)), (bwd, True, slice(hf, None)))
+    kept = [_kept(p.cell, s, b, p.hidden_size, x.dtype, arena) if record else None
+            for p, _, _ in dirs]
+    _both(b, *(partial(_sweep, p, x, keep, keep_f, reverse, y[..., cols].transpose(1, 0, 2),
+                       kept_p) for (p, reverse, cols), kept_p in zip(dirs, kept)))
 
     def backward(dy):
         t_dy = dy.reshape(b, s, -1).transpose(1, 0, 2)
         # each direction's time-major half of the output gradient
-        halves = [np.multiply(t_dy[..., cols], keep_f, out=arena.take((s, b, n), dy.dtype))
-                  for cols, n in ((slice(None, hf), hf), (slice(hf, None), bwd.hidden_size))]
+        halves = [np.multiply(t_dy[..., cols], keep_f, out=arena.take((s, b, p.hidden_size),
+                                                                      dy.dtype))
+                  for p, _, cols in dirs]
         arena.give(dy)
         del dy, t_dy
-        # popped into the call: a direction's BPTT, with its kept
-        # activations, and its half die once it has run
-        dxs = []
-        for _ in range(2):
-            half = halves.pop(0)
-            dxs.append(sweeps.pop(0)(half))
-            arena.give(half)
-        (dx_f, g_f), (dx_b, g_b) = dxs
+        # what the two directions write, made here: the worker thread
+        # takes nothing from the arena and mallocs only per-step arrays
+        dxs = [arena.take((s * b, d), x.dtype) for _ in dirs]
+        grads = [_grad_arrays(p.cell, d, p.hidden_size, x.dtype) for p, _, _ in dirs]
+        jobs = []
+        for (p, reverse, _), kept_p, half, dx, (arrays, _) in zip(dirs, kept, halves, dxs, grads):
+            w = {k: t.data for k, t in p.weights.items()}
+            jobs.append(partial(_bptt, p.cell, np.ascontiguousarray(_cat(w, "u", p.cell).T),
+                                _cat(w, "w", p.cell), x, keep, reverse, kept_p, half, dx, arrays))
+        _both(b, *jobs)
+        for a in (*kept[0], *kept[1], *halves):
+            arena.give(a)
+        dx_f, dx_b = dxs
         total = np.add(dx_b, dx_f, out=dx_b)
-        dx = np.positive(total.transpose(1, 0, 2), out=arena.take((b, s, d), total.dtype),
-                         order="C")
+        dx = np.positive(total.reshape(s, b, d).transpose(1, 0, 2),
+                         out=arena.take((b, s, d), total.dtype), order="C")
         for a in (total, dx_f, x):
             arena.give(a)
-        return (dx.reshape(seq.shape), *g_f, *g_b)
+        return (dx.reshape(seq.shape), *(views[k] for (p, _, _), (_, views) in zip(dirs, grads)
+                                         for k in p.weights))
 
     return T._make(inputs, y.reshape(seq.shape[:-1] + (-1,)), backward)

@@ -1,8 +1,16 @@
 """Recurrent cells vs straight-line fp64 references (bit-level), masked
-bidirectional encoding vs a truncation oracle, and gradient checks."""
+bidirectional encoding vs a truncation oracle, gradient checks, and the
+two directions on two threads vs both on the calling thread."""
 
 import contextlib
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -350,6 +358,9 @@ class TestFusedPass:
         seq, mask = ragged_batch(rng, 4, np.float32)
         # long enough that an [S, B, H] array outweighs the per-step arrays
         seq, mask = np.tile(seq, (1, 32, 1)), np.tile(mask, (1, 32))
+        # the worker thread the two directions share exists before tracing:
+        # starting it is once per process, not memory a pass keeps
+        R.bidirectional_encode(Tensor(seq), mask, fwd, bwd)
         outs, peaks = [], []
         for taped in (False, True):
             tape = T.Tape()
@@ -418,3 +429,178 @@ class TestFusedPass:
             out = R.bidirectional_encode(seq, np.ones(shape[:-1], dtype=bool), fwd, bwd)
         assert len(tape) == 1
         assert out.shape == shape[:-1] + (4,)
+
+
+def arena_loss(out, w, arena):
+    """sum(out * w) as one test-side op whose gradient, like the span
+    head's, comes from ``arena``, which the layer's backward gives it to."""
+    w = np.asarray(w, dtype=out.dtype)
+    return T._make((out,), np.asarray((out.data * w).sum(), dtype=out.dtype),
+                   lambda g: (np.multiply(g, w, out=arena.take(w.shape, w.dtype)),))
+
+
+def recorded_pass(cell, seq, mask, w_out, fwd, bwd, arena):
+    """One forward and backward of the layer recorded on a tape lent a
+    fresh ``arena``, from copies of the inputs: the output, the input
+    gradient and every weight gradient, fwd's then bwd's, in layout
+    order."""
+    seq_t = Tensor(seq.copy(), requires_grad=True)
+    params = [R.RecurrentParams(cell, p.input_size, p.hidden_size,
+                                {k: Tensor(t.data.copy(), requires_grad=True)
+                                 for k, t in p.weights.items()}) for p in (fwd, bwd)]
+    with T.Tape() as tape:
+        tape.arena = arena
+        out = R.bidirectional_encode(seq_t, mask, *params)
+        tape.arena = T.MALLOC
+        loss = arena_loss(out, w_out, arena)
+    T.backward(tape, loss)
+    # only the input gradient, which the layer below gives back, is taken
+    assert arena.taken_bytes == -(-seq.nbytes // T.Arena.ALIGN) * T.Arena.ALIGN
+    return [out.data, seq_t.grad, *(t.grad for p in params for t in p.weights.values())]
+
+
+def ragged_rows(rng, b, s, d, dtype):
+    """``b`` rows padded to ``s``: random lengths from 1 to ``s`` and, in
+    every row of more than two real steps, one masked interior step."""
+    seq = rng.standard_normal((b, s, d)).astype(dtype)
+    mask = np.zeros((b, s), dtype=bool)
+    for row, n in enumerate(rng.integers(1, s + 1, size=b)):
+        mask[row, :n] = True
+        if n > 2:
+            mask[row, rng.integers(1, n - 1)] = False
+    return seq, mask
+
+
+class TestTwoThreads:
+    """The left-to-right direction runs on a worker thread and the
+    right-to-left one on the calling thread (``_threaded``); the results
+    are those of running both on the calling thread, bit for bit."""
+
+    @pytest.mark.parametrize("cell", [R.LSTM, R.GRU])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b", [1, 32])
+    def test_threaded_equals_inline_bit_for_bit(self, monkeypatch, cell, dtype, b):
+        rng = np.random.default_rng(50)
+        fwd = make_params(cell, 5, 7, rng, dtype=dtype, scale=2.0)
+        bwd = make_params(cell, 5, 7, rng, dtype=dtype, scale=2.0)
+        seq, mask = ragged_rows(rng, b, 9, 5, dtype)
+        w_out = rng.standard_normal((b, 9, 14))
+        runs = []
+        for threaded in (False, True):
+            monkeypatch.setattr(R, "_threaded", lambda rows, on=threaded: on)
+            runs.append(recorded_pass(cell, seq, mask, w_out, fwd, bwd, T.Arena()))
+            # a tape-free pass, through the same sweeps
+            runs[-1].append(R.bidirectional_encode(Tensor(seq), mask, fwd, bwd).data)
+        assert len(runs[0]) == 3 + 2 * len(fwd.weights)
+        for inline, threaded in zip(*runs):
+            assert inline.dtype == threaded.dtype and inline.shape == threaded.shape
+            assert inline.tobytes() == threaded.tobytes()
+
+    @pytest.mark.parametrize("cell", [R.LSTM, R.GRU])
+    def test_every_arena_call_is_on_the_calling_thread(self, monkeypatch, cell):
+        rng = np.random.default_rng(51)
+        fwd = make_params(cell, 4, 6, rng, dtype=np.float32)
+        bwd = make_params(cell, 4, 6, rng, dtype=np.float32)
+        seq, mask = ragged_rows(rng, 8, 10, 4, np.float32)
+        calls, sweeps = [], []
+        monkeypatch.setattr(R, "_threaded", lambda rows: True)
+        for name in ("_sweep", "_bptt"):
+            def spy(*args, real=getattr(R, name), name=name):
+                sweeps.append((name, threading.get_ident()))
+                return real(*args)
+            monkeypatch.setattr(R, name, spy)
+        arena = T.Arena()
+        for name in ("take", "give"):
+            def on_thread(*args, real=getattr(arena, name), name=name):
+                calls.append((name, threading.get_ident()))
+                return real(*args)
+            monkeypatch.setattr(arena, name, on_thread)
+        recorded_pass(cell, seq, mask, rng.standard_normal((8, 10, 12)), fwd, bwd, arena)
+        here = threading.get_ident()
+        # each stage ran one direction on another thread
+        for name in ("_sweep", "_bptt"):
+            assert sorted(t == here for n, t in sweeps if n == name) == [False, True]
+        assert {n for n, _ in calls} == {"take", "give"}
+        assert {t for _, t in calls} == {here}
+
+    @pytest.mark.parametrize("stage", ["_sweep", "_bptt"])
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_an_error_surfaces_once_both_directions_have_finished(self, monkeypatch, stage,
+                                                                  failing):
+        rng = np.random.default_rng(52)
+        fwd = make_params(R.GRU, 3, 4, rng)
+        bwd = make_params(R.GRU, 3, 4, rng)
+        seq, mask = ragged_rows(rng, 4, 6, 3, np.float64)
+        monkeypatch.setattr(R, "_threaded", lambda rows: True)
+        here, finished = threading.get_ident(), threading.Event()
+
+        def direction(*args, real=getattr(R, stage)):
+            if (threading.get_ident() == here) == (failing == "caller"):
+                raise DegenerateMaskError("a direction failed")
+            time.sleep(0.2)  # the other direction is still running
+            real(*args)
+            finished.set()
+        monkeypatch.setattr(R, stage, direction)
+        seq_t = Tensor(seq, requires_grad=True)
+        with pytest.raises(DegenerateMaskError, match="a direction failed"):
+            with T.Tape() as tape:
+                loss = square_sum(R.bidirectional_encode(seq_t, mask, fwd, bwd))
+            T.backward(tape, loss)
+        assert finished.is_set()
+
+    def test_one_row_or_one_cpu_runs_both_directions_here(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        fwd = make_params(R.LSTM, 3, 4, rng)
+        bwd = make_params(R.LSTM, 3, 4, rng)
+        threads = []
+
+        def sweep(*args, real=R._sweep):
+            threads.append(threading.get_ident())
+            real(*args)
+        monkeypatch.setattr(R, "_sweep", sweep)
+        R.bidirectional_encode(Tensor(rng.standard_normal((1, 5, 3))),
+                               np.ones((1, 5), dtype=bool), fwd, bwd)
+        R.bidirectional_encode(Tensor(rng.standard_normal((5, 3))),
+                               np.ones(5, dtype=bool), fwd, bwd)
+        assert threads == [threading.get_ident()] * 4
+        assert not R._threaded(1)
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert not R._threaded(32)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            assert R._threaded(32)
+
+    def test_importing_the_package_starts_no_thread(self):
+        code = ("import threading, sebertnets.cli, sebertnets.model, sebertnets.recurrent; "
+                "print(threading.active_count())")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout
+        assert out.strip() == "1"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_worker(self, monkeypatch):
+        rng = np.random.default_rng(54)
+        fwd = make_params(R.GRU, 3, 4, rng)
+        bwd = make_params(R.GRU, 3, 4, rng)
+        seq, mask = rng.standard_normal((4, 5, 3)), np.ones((4, 5), dtype=bool)
+        monkeypatch.setattr(R, "_threaded", lambda rows: True)
+        want = R.bidirectional_encode(Tensor(seq), mask, fwd, bwd).data  # the worker runs
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on forking a process with threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the child: a pass through the worker, then out
+            code = 1
+            try:
+                got = R.bidirectional_encode(Tensor(seq), mask, fwd, bwd).data
+                code = 0 if got.tobytes() == want.tobytes() else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0

@@ -13,11 +13,12 @@ tracing and the traced step is a steady-state one. The last lines give
 the step's totals: traced peak, minor faults, the arena's taken
 high-water and reserved bytes, and the process's peak RSS.
 
-Stages are found by wrapping the encoder blocks, the recurrent sweeps
+Stages are found by wrapping the encoder blocks, the recurrent layer
 and their backwards, ``backward``, clipping and the optimizer step at
-run time; nothing in the library changes. Each backward wrapper hands
-its gradient on without holding it, so a backward that drops its input
-frees it as it would unwrapped.
+run time; nothing in the library changes. The recurrent layer is one
+stage each way, since its two directions run at once on two threads.
+Each backward wrapper hands its gradient on without holding it, so a
+backward that drops its input frees it as it would unwrapped.
 
 Run from the root of a checkout::
 
@@ -40,6 +41,7 @@ import numpy as np
 from sebertnets import encoder as E
 from sebertnets import model as M
 from sebertnets import recurrent as R
+from sebertnets import tensor as T
 from sebertnets.data import SynthConfig, Vocabulary, batch, encode_example, generate_synthetic
 from sebertnets.encoder import EncoderConfig
 from sebertnets.model import SEBERTNETS, Model, ModelConfig
@@ -106,13 +108,17 @@ class Stages:
             return out, self.after_backward(f"{stage} backward", back)
         return wrapped
 
-    def sweep(self, fn):
-        """Recurrent ``_sweep``, marking the sweep and its BPTT."""
-        def wrapped(p, x, keep, keep_f, reverse, *rest):
-            way = "right to left" if reverse else "left to right"
-            bptt = fn(p, x, keep, keep_f, reverse, *rest)
-            self.mark(f"recurrent sweep, {way}")
-            return self.after_backward(f"BPTT, {way}", bptt)
+    def recurrent(self, fn):
+        """``bidirectional_encode``, marking its forward and, through the
+        tape record it makes, its backward: both directions at once, since
+        they run on two threads."""
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            self.mark("recurrent layer forward")
+            rec = T._active_tape()._records[-1]
+            rec.backward = self.after_backward("recurrent layer backward (both directions)",
+                                               rec.backward)
+            return out
         return wrapped
 
     def around(self, fn, before: str | None, after: str):
@@ -153,7 +159,7 @@ def main(argv=None) -> int:
     patches = [(E, "_embedding", stages.block("embedding", E._embedding)),
                (E, "_attention", stages.block("attention", E._attention)),
                (E, "_ffn", stages.block("FFN", E._ffn)),
-               (R, "_sweep", stages.sweep(R._sweep)),
+               (M, "bidirectional_encode", stages.recurrent(M.bidirectional_encode)),
                (M, "backward", stages.around(M.backward, "span head and loss",
                                              "end of backward")),
                (M, "clip_global_norm", stages.around(M.clip_global_norm, None,
