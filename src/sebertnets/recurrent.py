@@ -19,18 +19,20 @@ hand-written BPTT per direction, with the weight gradients formed after
 the time loop as one GEMM over all timesteps (Appleyard et al.,
 arXiv:1604.01946).
 
-Threads. With more than one row and more than one usable CPU, the two
-directions of a pass run at once, as the layer-level parallelism of the
-same paper: the left-to-right one on one persistent worker thread,
-started on first use, and the right-to-left one on the calling thread,
-in the sweeps (recorded or not) and in BPTT. The call returns once both
-have finished, and only then raises an error either raised. At one row
-the hand-off costs more than it saves, so both run on the calling
-thread, in the same functions. Each direction writes only its own
-arrays, and the results are bit for bit those of the calling thread
-alone. Everything the worker writes is made on the calling thread
-before the hand-off: the worker takes nothing from an arena, touches no
-tape and mallocs only per-step [B, H] arrays.
+Threads. Where ``threads.threaded`` allows it (more than one row, more
+than one usable CPU, one BLAS thread), the two directions of a pass run
+at once, as the layer-level parallelism of the same paper: the
+left-to-right one on the worker thread the encoder's blocks also use,
+and the right-to-left one on the calling thread, in the sweeps (recorded
+or not) and in BPTT (``threads.both``). The call returns once both have
+finished, and only then raises an error either raised. Otherwise both
+run on the calling thread, in the same functions. Each direction writes
+only its own arrays, and the results are bit for bit those of the
+calling thread alone. What stays whole, on the calling thread: every
+arena take and give, the split of the output gradient into the two
+halves and the sum of the two input gradients. Everything the worker
+writes is made before the hand-off: the worker takes nothing from an
+arena, touches no tape and mallocs only per-step [B, H] arrays.
 
 Memory. A recorded sweep keeps, per direction, only what BPTT cannot
 recompute cheaply: ``h`` [S, B, H] and, for LSTM, ``c``, and the gates
@@ -57,16 +59,14 @@ nothing from an arena.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import tensor as T
+from . import threads
 from .errors import ContractError, DegenerateMaskError, ShapeError
 from .tensor import Tensor
 
@@ -272,61 +272,6 @@ def gru_step(l_t: Tensor, prev_h: Tensor, p: RecurrentParams) -> Tensor:
     return _eval_step(l_t, prev_h, None, p)[0]
 
 
-def _threaded(b: int) -> bool:
-    """Whether a pass over ``b`` rows runs its two directions on two
-    threads: not for one row, where handing a direction over costs more
-    than the second core saves, nor where the process may use one CPU."""
-    if b < 2:
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
-
-
-_WORKER = None
-_WORKER_LOCK = threading.Lock()
-
-
-def _worker():
-    """The one thread the left-to-right directions run on, started on
-    first use; a forked child starts its own."""
-    global _WORKER
-    with _WORKER_LOCK:
-        if _WORKER is None:
-            # imported here, so that a process that never runs two
-            # directions at once (bert_baseline, B=1) does not load it
-            from concurrent.futures import ThreadPoolExecutor
-            _WORKER = ThreadPoolExecutor(1, thread_name_prefix="sebertnets-recurrent")
-        return _WORKER
-
-
-def _forget_worker() -> None:
-    # in a forked child: the parent's worker thread does not exist there,
-    # and another parent thread may have held the lock
-    global _WORKER, _WORKER_LOCK
-    _WORKER, _WORKER_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _both(b: int, left, right):
-    """``(left(), right())``, the two directions of one pass over ``b``
-    rows. When ``_threaded(b)``, ``left`` runs on the worker thread, in
-    the caller's context (numpy's error state), while ``right`` runs
-    here; else both run here, ``left`` first. Returns once both have
-    finished, and only then raises an exception either raised."""
-    if not _threaded(b):
-        return left(), right()
-    future = _worker().submit(contextvars.copy_context().run, left)
-    try:
-        out = right()
-    finally:
-        future.exception()  # waits until the worker's direction has finished
-    return future.result(), out
-
-
 def _kept(cell: str, s: int, b: int, hid: int, dtype, arena):
     """A direction's kept activations, taken from ``arena``: ``h``, for
     LSTM ``c``, each [S, B, H], and the gates in ``d_pre`` order in one
@@ -407,10 +352,10 @@ def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
     output, and the backward returns the sum of the two directions'
     input gradients. Both directions must hold the same cell type.
 
-    With more than one row and more than one usable CPU, the
-    left-to-right direction runs on a worker thread while the calling
-    thread runs the right-to-left one, in the sweeps and in BPTT; the
-    results are bit for bit those of running both on the calling thread.
+    Where ``threads.threaded`` allows it, the left-to-right direction
+    runs on the worker thread while the calling thread runs the
+    right-to-left one, in the sweeps and in BPTT; the results are bit for
+    bit those of running both on the calling thread.
 
     A recorded op takes its time-major copy of ``seq``, the sweeps' kept
     activations and every whole-sequence array of its backward from its
@@ -453,8 +398,9 @@ def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
     dirs = ((fwd, False, slice(None, hf)), (bwd, True, slice(hf, None)))
     kept = [_kept(p.cell, s, b, p.hidden_size, x.dtype, arena) if record else None
             for p, _, _ in dirs]
-    _both(b, *(partial(_sweep, p, x, keep, keep_f, reverse, y[..., cols].transpose(1, 0, 2),
-                       kept_p) for (p, reverse, cols), kept_p in zip(dirs, kept)))
+    threads.both(b, *(partial(_sweep, p, x, keep, keep_f, reverse,
+                              y[..., cols].transpose(1, 0, 2), kept_p)
+                      for (p, reverse, cols), kept_p in zip(dirs, kept)))
 
     def backward(dy):
         t_dy = dy.reshape(b, s, -1).transpose(1, 0, 2)
@@ -473,7 +419,7 @@ def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
             w = {k: t.data for k, t in p.weights.items()}
             jobs.append(partial(_bptt, p.cell, np.ascontiguousarray(_cat(w, "u", p.cell).T),
                                 _cat(w, "w", p.cell), x, keep, reverse, kept_p, half, dx, arrays))
-        _both(b, *jobs)
+        threads.both(b, *jobs)
         for a in (*kept[0], *kept[1], *halves):
             arena.give(a)
         dx_f, dx_b = dxs

@@ -8,6 +8,7 @@ import pytest
 
 from sebertnets import encoder as E
 from sebertnets import tensor as T
+from sebertnets import threads
 from sebertnets.errors import ContractError, ShapeError
 from sebertnets.tensor import Tensor
 
@@ -168,24 +169,30 @@ class TestRecordedPass:
         mask = np.arange(9) < np.array([[9], [4], [9], [1], [6]])
         plain = E.encode(ids, np.zeros_like(ids), mask, params, cfg,
                          rng=np.random.default_rng(8)).attentions
-        rebuilt, real = [], E._softmax_back
+        real = E._softmax_back
 
-        def spy(p, g, **arena):
+        def spy(p, g, *, rows):
+            d = real(p, g, rows=rows)
+            rows.sync()  # split, the rebuild waits in the queue until here
             rebuilt.append(p.copy())
-            return real(p, g, **arena)
+            return d
 
         monkeypatch.setattr(E, "_softmax_back", spy)
-        with T.Tape() as tape:
-            out = E.encode(ids, np.zeros_like(ids), mask, params, cfg,
-                           rng=np.random.default_rng(8))
-            loss = T.sum_all(out.hidden)
-        assert out.attentions == [] and rebuilt == []
-        T.backward(tape, loss)
-        assert len(plain) == len(rebuilt) == 2
-        assert (plain[0][1, ..., 4:] == 0.0).all()  # masked keys
-        for a, p in zip(plain, reversed(rebuilt)):  # the backward runs last layer first
-            assert a.dtype == p.dtype == dtype
-            assert a.tobytes() == p.tobytes()
+        # whole, and on two batch halves
+        for split in (False, True):
+            monkeypatch.setattr(threads, "threaded", lambda rows, on=split: on)
+            rebuilt = []
+            with T.Tape() as tape:
+                out = E.encode(ids, np.zeros_like(ids), mask, params, cfg,
+                               rng=np.random.default_rng(8))
+                loss = T.sum_all(out.hidden)
+            assert out.attentions == [] and rebuilt == []
+            T.backward(tape, loss)
+            assert len(plain) == len(rebuilt) == 2
+            assert (plain[0][1, ..., 4:] == 0.0).all()  # masked keys
+            for a, p in zip(plain, reversed(rebuilt)):  # the backward runs last layer first
+                assert a.dtype == p.dtype == dtype
+                assert a.tobytes() == p.tobytes()
 
     def test_position_gradient_is_the_scatter_bit_for_bit(self, monkeypatch):
         """The position table's gradient, a sum over the batch, equals

@@ -15,8 +15,10 @@ import warnings
 import numpy as np
 import pytest
 
+from sebertnets import encoder as E
 from sebertnets import recurrent as R
 from sebertnets import tensor as T
+from sebertnets import threads
 from sebertnets.errors import ContractError, DegenerateMaskError, ShapeError
 from sebertnets.tensor import Tensor
 
@@ -472,9 +474,10 @@ def ragged_rows(rng, b, s, d, dtype):
 
 
 class TestTwoThreads:
-    """The left-to-right direction runs on a worker thread and the
-    right-to-left one on the calling thread (``_threaded``); the results
-    are those of running both on the calling thread, bit for bit."""
+    """The left-to-right direction runs on the worker thread and the
+    right-to-left one on the calling thread (``threads.threaded``); the
+    results are those of running both on the calling thread, bit for
+    bit."""
 
     @pytest.mark.parametrize("cell", [R.LSTM, R.GRU])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -487,7 +490,7 @@ class TestTwoThreads:
         w_out = rng.standard_normal((b, 9, 14))
         runs = []
         for threaded in (False, True):
-            monkeypatch.setattr(R, "_threaded", lambda rows, on=threaded: on)
+            monkeypatch.setattr(threads, "threaded", lambda rows, on=threaded: on)
             runs.append(recorded_pass(cell, seq, mask, w_out, fwd, bwd, T.Arena()))
             # a tape-free pass, through the same sweeps
             runs[-1].append(R.bidirectional_encode(Tensor(seq), mask, fwd, bwd).data)
@@ -503,7 +506,7 @@ class TestTwoThreads:
         bwd = make_params(cell, 4, 6, rng, dtype=np.float32)
         seq, mask = ragged_rows(rng, 8, 10, 4, np.float32)
         calls, sweeps = [], []
-        monkeypatch.setattr(R, "_threaded", lambda rows: True)
+        monkeypatch.setattr(threads, "threaded", lambda rows: True)
         for name in ("_sweep", "_bptt"):
             def spy(*args, real=getattr(R, name), name=name):
                 sweeps.append((name, threading.get_ident()))
@@ -523,6 +526,31 @@ class TestTwoThreads:
         assert {n for n, _ in calls} == {"take", "give"}
         assert {t for _, t in calls} == {here}
 
+        # a recorded encoder pass: each attention and FFN block runs its
+        # per-row work on two batch halves, one on the worker thread
+        cfg = E.EncoderConfig(vocab_size=11, d_model=8, n_heads=2, d_ff=16, dropout_rate=0.1,
+                              activation="gelu" if cell == R.LSTM else "relu")
+        params = T.draw(E.encoder_layout(cfg), rng)
+        ids = rng.integers(0, 11, (8, 10))
+        keys = np.arange(10) < rng.integers(1, 11, (8, 1))
+        halves, calls[:] = [], []
+
+        def run(queue, r, real=E._run):
+            halves.append(threading.get_ident())
+            real(queue, r)
+        monkeypatch.setattr(E, "_run", run)
+        with T.Tape() as tape:
+            tape.arena = arena
+            out = E.encode(ids, np.zeros_like(ids), keys, params, cfg,
+                           rng=np.random.default_rng(0))
+            tape.arena = T.MALLOC
+            loss = arena_loss(out.hidden, rng.standard_normal((8, 10, 8)), arena)
+        T.backward(tape, loss)
+        assert sorted(set(t == here for t in halves)) == [False, True]
+        assert halves.count(here) == len(halves) // 2
+        assert {n for n, _ in calls} == {"take", "give"}
+        assert {t for _, t in calls} == {here}
+
     @pytest.mark.parametrize("stage", ["_sweep", "_bptt"])
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_an_error_surfaces_once_both_directions_have_finished(self, monkeypatch, stage,
@@ -531,7 +559,7 @@ class TestTwoThreads:
         fwd = make_params(R.GRU, 3, 4, rng)
         bwd = make_params(R.GRU, 3, 4, rng)
         seq, mask = ragged_rows(rng, 4, 6, 3, np.float64)
-        monkeypatch.setattr(R, "_threaded", lambda rows: True)
+        monkeypatch.setattr(threads, "threaded", lambda rows: True)
         here, finished = threading.get_ident(), threading.Event()
 
         def direction(*args, real=getattr(R, stage)):
@@ -552,23 +580,24 @@ class TestTwoThreads:
         rng = np.random.default_rng(53)
         fwd = make_params(R.LSTM, 3, 4, rng)
         bwd = make_params(R.LSTM, 3, 4, rng)
-        threads = []
+        idents = []
 
         def sweep(*args, real=R._sweep):
-            threads.append(threading.get_ident())
+            idents.append(threading.get_ident())
             real(*args)
         monkeypatch.setattr(R, "_sweep", sweep)
         R.bidirectional_encode(Tensor(rng.standard_normal((1, 5, 3))),
                                np.ones((1, 5), dtype=bool), fwd, bwd)
         R.bidirectional_encode(Tensor(rng.standard_normal((5, 3))),
                                np.ones(5, dtype=bool), fwd, bwd)
-        assert threads == [threading.get_ident()] * 4
-        assert not R._threaded(1)
+        assert idents == [threading.get_ident()] * 4
+        assert not threads.threaded(1)
         if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(threads, "blas_threads", lambda: 1)
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-            assert not R._threaded(32)
+            assert not threads.threaded(32)
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-            assert R._threaded(32)
+            assert threads.threaded(32)
 
     def test_importing_the_package_starts_no_thread(self):
         code = ("import threading, sebertnets.cli, sebertnets.model, sebertnets.recurrent; "
@@ -584,7 +613,7 @@ class TestTwoThreads:
         fwd = make_params(R.GRU, 3, 4, rng)
         bwd = make_params(R.GRU, 3, 4, rng)
         seq, mask = rng.standard_normal((4, 5, 3)), np.ones((4, 5), dtype=bool)
-        monkeypatch.setattr(R, "_threaded", lambda rows: True)
+        monkeypatch.setattr(threads, "threaded", lambda rows: True)
         want = R.bidirectional_encode(Tensor(seq), mask, fwd, bwd).data  # the worker runs
         with warnings.catch_warnings():
             # Python 3.12+ warns on forking a process with threads

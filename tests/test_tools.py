@@ -2,12 +2,14 @@
 
 Each wraps library internals (``bitdump.py`` the recorded pass and the
 CLI, ``stage_memory.py`` the encoder blocks and the recurrent layer and
-their backwards), so a change to those can break a script that no
-other test runs.
+their backwards, ``bench_encoder.py`` the attention and FFN blocks and
+their rows), so a change to those can break a script that no other test
+runs.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -53,3 +55,18 @@ def test_stage_memory_prints_every_stage():
         for cell in row[1:]:
             float(cell)
     assert "arena taken high-water:" in proc.stdout
+
+
+def test_bench_encoder_times_both_placements(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = run_tool("tools/bench_encoder.py", "--quick", "--out", str(out))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    with open(out, encoding="utf-8") as fh:
+        record = json.load(fh)
+    rows = record["rows"]
+    assert [(r["block"], r["placement"]) for r in rows] == [
+        ("attention", "whole"), ("attention", "split"), ("FFN", "whole"), ("FFN", "split")]
+    for row in rows:
+        for key in ("tape_free_forward_ms", "recorded_forward_ms", "backward_ms"):
+            assert row[key] > 0
+    assert record["environment"]["blas_thread_env"]["OPENBLAS_NUM_THREADS"] == "1"

@@ -49,6 +49,7 @@ import numpy as np  # noqa: E402
 
 from sebertnets import recurrent as R  # noqa: E402
 from sebertnets import tensor as T  # noqa: E402
+from sebertnets import threads  # noqa: E402
 from sebertnets.tensor import Tensor  # noqa: E402
 
 INPUT, HIDDEN = 64, 200
@@ -75,11 +76,11 @@ def measure(cell: str, s: int, b: int, repeats: int) -> dict[str, dict[str, floa
     dy_values = rng.standard_normal((b, s, 2 * HIDDEN)).astype(np.float32)
     times = {name: {"tape_free_forward": [], "recorded_forward": [], "backward": []}
              for name in PLACEMENTS}
-    real = R._threaded
+    real = threads.threaded
     try:
         for rep in range(repeats + 1):
             for name, threaded in PLACEMENTS.items():
-                R._threaded = lambda rows, on=threaded: on
+                threads.threaded = lambda rows, on=threaded: on
                 tape_free = _timed(lambda: R.bidirectional_encode(Tensor(seq), mask, fwd, bwd))
                 seq_t = Tensor(seq, requires_grad=True)
                 with T.Tape() as tape:
@@ -97,7 +98,7 @@ def measure(cell: str, s: int, b: int, repeats: int) -> dict[str, dict[str, floa
                                     ("recorded_forward", recorded), ("backward", backward)):
                         times[name][key].append(ms)
     finally:
-        R._threaded = real
+        threads.threaded = real
     if arena.taken_bytes:
         raise RuntimeError(f"{arena.taken_bytes} arena bytes left taken")
     return {name: {key: statistics.median(v) for key, v in per.items()}
@@ -120,7 +121,7 @@ def main(argv=None) -> int:
             for b in BATCHES:
                 for name, ms in measure(cell, s, b, args.repeats).items():
                     row = {"cell": cell, "seq_len": s, "batch": b, "placement": name,
-                           "default": R._threaded(b) == PLACEMENTS[name],
+                           "default": threads.threaded(b) == PLACEMENTS[name],
                            **{f"{k}_ms": round(v, 3) for k, v in ms.items()}}
                     rows.append(row)
                     print(f"| {cell} | {s} | {b} | {name} | {'yes' if row['default'] else ''} "

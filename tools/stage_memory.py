@@ -16,7 +16,9 @@ high-water and reserved bytes, and the process's peak RSS.
 Stages are found by wrapping the encoder blocks, the recurrent layer
 and their backwards, ``backward``, clipping and the optimizer step at
 run time; nothing in the library changes. The recurrent layer is one
-stage each way, since its two directions run at once on two threads.
+stage each way, since its two directions run at once on two threads. An
+attention or FFN block split over two batch halves is one stage each
+way too: it returns once both halves are done.
 Each backward wrapper hands its gradient on without holding it, so a
 backward that drops its input frees it as it would unwrapped.
 
