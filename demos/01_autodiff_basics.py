@@ -1,11 +1,12 @@
-"""A tour of the tape-based autodiff core.
+"""A tour of the chain of stages that gradients run through.
 
-Records a tiny one-layer encoder plus the span head, runs the backward
-pass, and checks one gradient against central finite differences. Each
-encoder block (embedding, attention, feed-forward) and the span head is
-one tape op with a hand-written backward; the loss sums the head's
-scores with ``sum_all``, the one tensor primitive. The full model
-records onto the same tape.
+Records a tiny one-layer encoder, the span head and the span loss on a
+chain, runs its backward, and checks one gradient against central
+finite differences. Each encoder block (embedding, attention,
+feed-forward), the span head and the loss is one stage with a
+hand-written backward; ``backward`` runs the stages last to first and
+writes every parameter gradient into one name -> array dict. A training
+step records the full model on a chain the same way.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from sebertnets import encoder as E
 from sebertnets import span as S
 from sebertnets import tensor as T
-from sebertnets.tensor import Tape, backward
+from sebertnets.tensor import Chain, backward
 
 rng = np.random.default_rng(0)
 cfg = E.EncoderConfig(vocab_size=8, d_model=4, n_layers=1, n_heads=2, d_ff=6,
@@ -23,22 +24,25 @@ head = T.draw(S.head_layout(4), rng, np.float64)
 ids = rng.integers(0, 8, size=(1, 5))
 segs = np.zeros_like(ids)
 mask = np.ones((1, 5), dtype=bool)
+valid = S.valid_mask(5, np.array([[1, 3]]))
+golds = np.array([[1, 3]])
 
 
-def loss_fn():
-    hidden = E.encode(ids, segs, mask, params, cfg).hidden
-    return T.sum_all(S.score(hidden, head, mask).scores)
+def loss_fn(chain=None):
+    hidden = E.encode(ids, segs, mask, params, cfg, chain=chain).hidden
+    logits = S.score(hidden, head, valid, chain=chain)
+    return S.span_loss(logits, golds, chain=chain)
 
 
-with Tape() as tape:
-    loss = loss_fn()
-records = len(tape)  # the backward consumes the tape
-backward(tape, loss)
+chain = Chain({**{"encoder." + k: p for k, p in params.items()},
+               **{"head." + k: p for k, p in head.items()}})
+loss = loss_fn(chain)
+print(f"chain stages  : {[stage for stage, _, _ in chain]}")
+grads = {}
+backward(chain, grads)  # consumes the chain
 
-print(f"tape records  : {records} (embedding, attention, feed-forward, "
-      f"span head, sum)")
 print(f"loss          : {float(loss.data):.6f}")
-print(f"dL/dw_start   : {head['w_start'].grad.ravel()}")
+print(f"dL/dw_start   : {grads['head.w_start'].ravel()}")
 
 # check one feed-forward weight numerically: nudge it, recompute, difference
 w1 = params["layer0.ffn.w1"]
@@ -50,10 +54,12 @@ w1.data[0, 0] = base - h_step
 down = float(loss_fn().data)
 w1.data[0, 0] = base
 numeric = (up - down) / (2 * h_step)
+analytic = grads["encoder.layer0.ffn.w1"][0, 0]
 
-print(f"dL/dw1[0,0]   : analytic {w1.grad[0, 0]:+.8f}  numeric {numeric:+.8f}")
+print(f"dL/dw1[0,0]   : analytic {analytic:+.8f}  numeric {numeric:+.8f}")
+assert abs(analytic - numeric) <= 1e-6 * max(1.0, abs(numeric))
 
-# blocks preserve dtype, so the same graph runs at float32 for training
+# stages preserve dtype, so the same chain runs at float32 for training
 # and at float64 when a higher-precision reference is needed
 params32 = T.draw(E.encoder_layout(cfg), np.random.default_rng(0))
 print(f"float32 params -> {E.encode(ids, segs, mask, params32, cfg).hidden.dtype} "

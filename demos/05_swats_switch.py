@@ -11,8 +11,7 @@ import numpy as np
 from sebertnets.optim import AdamState, SwatsState, swats_step
 from sebertnets.tensor import Tensor
 
-theta = Tensor(np.random.default_rng(0).standard_normal(10),
-               requires_grad=True)
+theta = Tensor(np.random.default_rng(0).standard_normal(10))
 state = SwatsState(adam=AdamState(lr=0.01), eps_switch=1e-4)
 
 print(f"{'step':>5}  {'phase':<5}  {'|theta|':>9}  {'lam':>10}")

@@ -14,12 +14,13 @@ norm, dropout), the attention sublayer (q/k/v/o projections, scaled
 masked softmax, dropout, residual, layer norm) and the feed-forward
 sublayer (two linears, activation, dropout, residual, layer norm). Each
 is an array function that returns its output and its hand-written
-backward, built from the kernels below it. Where a tape records a
-block's inputs the block is one tape op; elsewhere it runs on bare
-arrays and builds no Tensor, so a tape-free pass builds only its output.
+backward, built from the kernels below it. Called with a chain
+(``tensor.Chain``), a block appends itself as one stage; without one the
+pass is tape-free. Blocks run on bare arrays either way, so a pass
+builds one Tensor, its output.
 Training and inference run the same functions. Each backward adds the
 gradients of an input used several times in reverse order of use, as a
-tape of the separate operations would, so gradients are bit for bit
+backward of the separate operations would, so gradients are bit for bit
 those of the composed operations.
 
 A recorded block keeps, besides its output, only what its backward
@@ -34,14 +35,14 @@ statistics by the forward's own operations in the forward's order, so
 they are bit for bit the weights of the forward (the recompute of
 FlashAttention's backward, Dao et al., 2022).
 
-While a model's pass records, its tape holds the model's ``Arena``
-(``tensor.Arena``); each recorded block writes every whole-batch array
-into blocks of it with ``out=`` and gives each back at its known death.
+A recorded block takes from its chain's ``Arena`` (``Chain.arena``): it
+writes every whole-batch array into blocks of it with ``out=`` and gives
+each back at its known death.
 A kernel's temporaries go back when the kernel returns, the arrays a
 block keeps once its backward has run, and a block's input gradient
 once the block before has read it: each backward gives back the
 gradient it is handed. A block's output, the attention maps handed out
-and the parameter gradients come from malloc. Any other pass takes
+and the parameter gradients come from malloc. A tape-free pass takes
 from ``T.MALLOC`` and allocates as numpy does.
 
 Threads. A recorded attention or FFN block over more than one row,
@@ -666,33 +667,29 @@ def _ffn(x, w1, b1, w2, b2, gain, bias, activation, rate, rng, *, rows=_WHOLE):
     return y, back
 
 
-def _block(fn, inputs, *args, halves: bool = False):
-    """Run block ``fn`` on the arrays of ``inputs``, Tensors or bare
-    arrays, then ``args``. Where a tape records an input, the result is
-    one tape op with ``fn``'s backward, and the block takes from the
-    tape's arena; with ``halves``, its per-row work runs on two batch
-    halves when ``threads.threaded`` allows for its first input's rows.
-    Otherwise the result is the bare array, taken from malloc."""
-    record = T._recording(t for t in inputs if isinstance(t, Tensor))
-    arrays = [t.data if isinstance(t, Tensor) else t for t in inputs]
-    if record:
-        b = arrays[0].shape[0]
-        rows = _Rows(T._active_tape().arena, b, halves and threads.threaded(b))
-    else:
-        rows = _WHOLE
-    out, back = fn(*arrays, *args, rows=rows)
-    if not record:
-        return out
-    return T._make(tuple(t if isinstance(t, Tensor) else Tensor(t) for t in inputs),
-                   out, back)
+def _block(chain, stage, fn, x, params, *args, halves: bool = False):
+    """Block ``fn``'s output array from ``x`` (None for the embedding), the
+    arrays of the Tensors ``params`` and then ``args``. With a ``chain``,
+    the block takes from its arena and appends itself as ``stage``; with
+    ``halves``, its per-row work runs on two batch halves when
+    ``threads.threaded`` allows for its first array's rows."""
+    arrays = [p.data for p in params]
+    if x is not None:
+        arrays.insert(0, x)
+    if chain is None:
+        return fn(*arrays, *args)[0]
+    b = arrays[0].shape[0]
+    out, back = fn(*arrays, *args, rows=_Rows(chain.arena, b, halves and threads.threaded(b)))
+    chain.add(stage, back, params)
+    return out
 
 
 def embed(token_ids, segment_ids, params: dict[str, Tensor], cfg: EncoderConfig,
-          *, rng: np.random.Generator | None = None) -> Tensor | np.ndarray:
-    """Token + learned position + segment embedding, layer-normed.
-    Inputs are [B, S] integer arrays. With an ``rng``, dropout follows.
-    The [B, S, d] result is one tape op where a tape records the tables,
-    and a bare array elsewhere."""
+          *, rng: np.random.Generator | None = None, chain=None) -> np.ndarray:
+    """Token + learned position + segment embedding, layer-normed, as a
+    [B, S, d] array. Inputs are [B, S] integer arrays. With an ``rng``,
+    dropout follows. With a ``chain``, the block is its stage
+    "embedding"."""
     ids = np.asarray(token_ids)
     segs = np.asarray(segment_ids)
     if ids.ndim != 2 or segs.shape != ids.shape:
@@ -707,25 +704,26 @@ def embed(token_ids, segment_ids, params: dict[str, Tensor], cfg: EncoderConfig,
         if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise IndexError(f"embedding id out of range [0, {n}): "
                              f"min {idx.min()}, max {idx.max()}")
-    return _block(_embedding, [params[name] for name in _EMBEDDING], ids, segs,
-                  cfg.dropout_rate, rng)
+    return _block(chain, "embedding", _embedding, None, [params[name] for name in _EMBEDDING],
+                  ids, segs, cfg.dropout_rate, rng)
 
 
 def encode(token_ids, segment_ids, attention_mask, params: dict[str, Tensor],
-           cfg: EncoderConfig, *,
-           rng: np.random.Generator | None = None) -> EncoderOutput:
+           cfg: EncoderConfig, *, rng: np.random.Generator | None = None,
+           chain=None) -> EncoderOutput:
     """Full encoder pass over a batch. ``attention_mask`` is [B, S] bool;
     padded positions are excluded as attention keys, so real positions
     are unaffected by padding, and a row with no real position is an
     error. Dropout runs exactly when an ``rng`` is given: that is a
     training pass.
 
-    A recorded block takes its whole-batch arrays from its tape's arena
-    (``Tape.arena``), which is a model's only while that model's pass
-    records: ``Model.forward`` passes the last block's output gradient
-    from the same arena."""
+    With a ``chain``, each block appends itself to it as a stage:
+    "embedding", then "layer<i>.attention" and "layer<i>.ffn" per layer.
+    The blocks take their whole-batch arrays from the chain's arena, from
+    which the stage after the encoder takes the last block's output
+    gradient."""
     mask = np.asarray(attention_mask, dtype=bool)
-    x = embed(token_ids, segment_ids, params, cfg, rng=rng)
+    x = embed(token_ids, segment_ids, params, cfg, rng=rng, chain=chain)
     if mask.shape != x.shape[:2]:
         raise ShapeError(f"attention mask {mask.shape} does not match ids {x.shape[:2]}")
     if not mask.any(axis=-1).all():
@@ -733,12 +731,12 @@ def encode(token_ids, segment_ids, attention_mask, params: dict[str, Tensor],
     dtype = params["tok_emb"].dtype.type
     neg = np.where(mask, dtype(0), dtype(-np.inf))[:, None, None, :]
     # a recorded pass hands out no maps: each layer's weights die with its forward
-    maps = None if T._recording(params.values()) else []
+    maps = [] if chain is None else None
     for i in range(cfg.n_layers):
         pre = f"layer{i}."
-        x = _block(_attention, [x, *(params[pre + name] for name in _ATTENTION)],
-                   neg, cfg.n_heads, maps, cfg.dropout_rate, rng, halves=True)
-        x = _block(_ffn, [x, *(params[pre + name] for name in _FFN)],
+        x = _block(chain, pre + "attention", _attention, x,
+                   [params[pre + name] for name in _ATTENTION], neg, cfg.n_heads, maps,
+                   cfg.dropout_rate, rng, halves=True)
+        x = _block(chain, pre + "ffn", _ffn, x, [params[pre + name] for name in _FFN],
                    cfg.activation, cfg.dropout_rate, rng, halves=True)
-    return EncoderOutput(hidden=x if isinstance(x, Tensor) else Tensor(x),
-                         attentions=maps or [])
+    return EncoderOutput(hidden=Tensor(x), attentions=maps or [])

@@ -76,8 +76,7 @@ from .span import (
     span_loss,
     valid_mask,
 )
-from . import tensor as T
-from .tensor import Arena, Tape, Tensor, backward, draw, zero_grads
+from .tensor import Arena, Chain, Tensor, backward, draw
 
 BERT_BASELINE = "bert_baseline"
 SEBERTNETS = "sebertnets"
@@ -155,10 +154,8 @@ class Model:
         self.enc_cfg = enc_cfg
         self.vocab = vocab
         self.step = 0
-        # the idle arena, and while it is lent, a weak reference to the
-        # tape that holds it, with the arena
+        # the idle arena; a training step holds it while its chain runs
         self._arena: Arena | None = None
-        self._loan: tuple[weakref.ref, Arena] | None = None
         params = self._params = make(layout(cfg, enc_cfg))
 
         def part(prefix):
@@ -182,75 +179,36 @@ class Model:
 
     # ------------------------------------------------------------ forward
 
-    def forward(self, batch: Batch, *, rng: np.random.Generator | None = None
-                ) -> tuple[SpanLogits, list[np.ndarray]]:
+    def forward(self, batch: Batch, *, rng: np.random.Generator | None = None,
+                chain: Chain | None = None) -> tuple[SpanLogits, list[np.ndarray]]:
         """Span logits for a batch plus per-layer attention weights. With
         an ``rng`` the pass is a training pass: dropout runs. The weights
-        are read-only, and a pass recorded on a tape returns ``[]`` for
-        them (see ``EncoderOutput``).
+        are read-only, and a pass recorded on a ``chain`` returns ``[]``
+        for them (see ``EncoderOutput``).
 
-        A recorded pass takes its large arrays from the model's arena: the
-        tape holds it (``Tape.arena``) while this pass records, and gets it
-        from ``_lend``. A tape-free pass allocates as numpy does and drops
-        every model's idle arena: an eval pass, of this model or another,
-        runs between training passes, and it can use that memory."""
+        With a ``chain``, each layer appends its stages to it and takes
+        its large arrays from the chain's arena. A tape-free pass
+        allocates as numpy does and drops every model's idle arena: an
+        eval pass, of this model or another, runs between training
+        passes, and it can use that memory."""
         if int(batch.token_ids.max(initial=0)) >= self.enc_cfg.vocab_size:
             raise CompatibilityError(
                 f"batch holds token id {int(batch.token_ids.max())} but the "
                 f"model vocabulary has {self.enc_cfg.vocab_size} entries"
             )
-        tape = T._active_tape() if T._recording(self._params.values()) else None
-        if tape is not None:
-            tape.arena = self._lend(tape)
-        else:
+        if chain is None:
             while _IDLE:
                 model = _IDLE.pop()()
                 if model is not None:
                     model._arena = None
-        try:
-            enc = encode(batch.token_ids, batch.segment_ids, batch.attention_mask,
-                         self.encoder_params, self.enc_cfg, rng=rng)
-            h = enc.hidden
-            if self.cfg.recurrent:
-                h = bidirectional_encode(h, batch.attention_mask, self.rnn_fwd, self.rnn_bwd)
-            valid = valid_mask(batch.token_ids.shape[1], batch.text_spans)
-            logits = score(h, self.head_params, valid)
-        finally:
-            # ops recorded after this pass, such as the loss, take from malloc
-            if tape is not None:
-                tape.arena = T.MALLOC
-        return logits, enc.attentions
-
-    def _lend(self, tape: Tape):
-        """The arena a pass recorded on ``tape`` takes from. The model
-        lends its arena to one live tape at a time, and ``backward`` gives
-        it back (``_take_back``) once it has consumed that tape. Another
-        pass on that tape shares it; a pass on another live tape, or on a
-        tape another model has lent its arena to, takes ``T.MALLOC``. A tape
-        dropped without ``backward`` never returns it, and the next pass
-        gets a new one."""
-        if self._loan is not None:
-            borrower, arena = self._loan
-            if borrower() is tape:
-                return arena
-            if borrower() is not None:
-                return T.MALLOC
-        if tape.give_back is not None:
-            return T.MALLOC
-        arena, self._arena = self._arena or Arena(), None
-        self._loan = weakref.ref(tape), arena
-        tape.give_back = self._take_back
-        return arena
-
-    def _take_back(self) -> None:
-        """Keep the lent arena, idle, unless a block of it is still taken:
-        the backward of a record whose output got no gradient never ran
-        and never gives its blocks back, so such an arena is dropped
-        rather than grown."""
-        arena, self._loan = self._loan[1], None
-        if arena.taken_bytes == 0:
-            self._arena = arena
-            _IDLE.add(weakref.ref(self))
+        enc = encode(batch.token_ids, batch.segment_ids, batch.attention_mask,
+                     self.encoder_params, self.enc_cfg, rng=rng, chain=chain)
+        h = enc.hidden
+        if self.cfg.recurrent:
+            h = bidirectional_encode(h, batch.attention_mask, self.rnn_fwd, self.rnn_bwd,
+                                     chain=chain)
+        valid = valid_mask(batch.token_ids.shape[1], batch.text_spans)
+        return score(h, self.head_params, valid, chain=chain), enc.attentions
 
     # ------------------------------------------------------------ decode
 
@@ -283,23 +241,24 @@ class Model:
                 "the corpus before batching"
             )
         params = self.parameters()
-        zero_grads(params.values())
-        with Tape() as tape:
-            logits = self.forward(batch, rng=rng)[0]
-            loss = span_loss(logits, golds)
+        # the model's arena is lent to this step's chain, and a step that
+        # raises before its backward has run drops it
+        arena, self._arena = self._arena or Arena(), None
+        chain = Chain(params, arena)
+        logits = self.forward(batch, rng=rng, chain=chain)[0]
+        loss = span_loss(logits, golds, chain=chain)
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):
-            self._loan = None  # the pass is abandoned, and its arena with it
             raise DivergenceError(
                 f"loss became {loss_val} at training step {self.step + 1}"
             )
         if losses is not None:
             losses.extend(example_losses(logits, golds).tolist())
-        backward(tape, loss)  # consumes the tape and, with it, every activation
-        grads = {
-            name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-            for name, p in params.items()
-        }
+        # keyed in layout order, the order clipping sums the norm in
+        grads = dict.fromkeys(params)
+        backward(chain, grads)  # consumes the chain and, with it, every activation
+        self._arena = arena
+        _IDLE.add(weakref.ref(self))
         norm = clip_global_norm(grads, CLIP_NORM)
         if not np.isfinite(norm):
             raise DivergenceError(
@@ -428,7 +387,7 @@ def _payload_params(entries, arrays: dict[str, np.ndarray]) -> dict[str, Tensor]
             raise CheckpointError(
                 f"parameter {name!r} has shape {arrays[name].shape}, expected {shape}",
                 offset=12)
-        params[name] = Tensor(arrays[name], requires_grad=True)
+        params[name] = Tensor(arrays[name])
     return params
 
 

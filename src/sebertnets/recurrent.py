@@ -11,10 +11,9 @@ row, which makes running over a padded sequence provably equivalent to
 running over the truncated one.
 
 ``_step`` holds the gate equations once. ``lstm_step`` and ``gru_step``
-evaluate one step of it and record nothing: they are forward-only
-references, and raise ``ContractError`` where a tape would need their
-gradient. ``bidirectional_encode`` records the whole layer, both
-directions, as the one tape op of this module, whose backward is
+evaluate one step of it: they are forward-only references, and take no
+chain. ``bidirectional_encode`` records the whole layer, both
+directions, as the one stage of this module, whose backward is
 hand-written BPTT per direction, with the weight gradients formed after
 the time loop as one GEMM over all timesteps (Appleyard et al.,
 arXiv:1604.01946).
@@ -32,7 +31,7 @@ calling thread alone. What stays whole, on the calling thread: every
 arena take and give, the split of the output gradient into the two
 halves and the sum of the two input gradients. Everything the worker
 writes is made before the hand-off: the worker takes nothing from an
-arena, touches no tape and mallocs only per-step [B, H] arrays.
+arena, touches no chain and mallocs only per-step [B, H] arrays.
 
 Memory. A recorded sweep keeps, per direction, only what BPTT cannot
 recompute cheaply: ``h`` [S, B, H] and, for LSTM, ``c``, and the gates
@@ -46,7 +45,7 @@ gradients ``d_pre`` and the output gradient's half is ``r*h``, so a
 direction's BPTT takes no whole-sequence array beyond its half of the
 output gradient and its input gradient.
 
-A recorded layer takes its [S, B, ...] arrays from its tape's arena (as
+A recorded layer takes its [S, B, ...] arrays from its chain's arena (as
 ``encoder`` does), all on the calling thread: the time-major input copy
 and the kept activations, given back once both directions' BPTT has
 run; the output gradient's two halves, given back with them; and both
@@ -246,12 +245,7 @@ def _param_grads(w_x: np.ndarray, x: np.ndarray, h: np.ndarray, rh: np.ndarray |
 
 
 def _eval_step(l_t: Tensor, h: Tensor, c: Tensor | None, p: RecurrentParams):
-    """``_step`` on the tensors' data, recording nothing: the per-step
-    cells are forward-only references, so where a tape would need their
-    gradient they refuse rather than drop it."""
-    if T._recording((l_t, h, *(() if c is None else (c,)), *p.weights.values())):
-        raise ContractError(f"{p.cell}_step is forward-only and records no gradient; "
-                            "differentiate through bidirectional_encode")
+    """``_step`` on the tensors' data: the new ``h`` and ``c`` as Tensors."""
     h_new, c_new, _ = _step(p.cell, {k: t.data for k, t in p.weights.items()},
                             l_t.data, h.data, None if c is None else c.data)
     return Tensor(h_new), None if c_new is None else Tensor(c_new)
@@ -341,25 +335,26 @@ def _bptt(cell: str, u_t: np.ndarray, w_x: np.ndarray, x: np.ndarray, keep: np.n
 
 
 def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
-                         bwd: RecurrentParams) -> Tensor:
+                         bwd: RecurrentParams, *, chain=None) -> Tensor:
     """Run ``fwd`` left-to-right and ``bwd`` right-to-left over the real
     positions of ``seq`` and concatenate per-position hidden states.
 
     ``seq`` is [seq_len, d] or batched [B, seq_len, d]; ``mask`` is a
     boolean array of matching leading shape. Output rows at masked
-    positions are zero. The whole layer is one tape op: both sweeps read
-    one time-major copy of ``seq`` and write the two halves of one
-    output, and the backward returns the sum of the two directions'
-    input gradients. Both directions must hold the same cell type.
+    positions are zero. With a ``chain``, the whole layer is its stage
+    "recurrent": both sweeps read one time-major copy of ``seq`` and write
+    the two halves of one output, and the backward returns the sum of the
+    two directions' input gradients, then ``fwd``'s weight gradients and
+    ``bwd``'s. Both directions must hold the same cell type.
 
     Where ``threads.threaded`` allows it, the left-to-right direction
     runs on the worker thread while the calling thread runs the
     right-to-left one, in the sweeps and in BPTT; the results are bit for
     bit those of running both on the calling thread.
 
-    A recorded op takes its time-major copy of ``seq``, the sweeps' kept
+    A recorded layer takes its time-major copy of ``seq``, the sweeps' kept
     activations and every whole-sequence array of its backward from its
-    tape's arena (as in ``encoder.encode``), on the calling thread: it
+    chain's arena (as in ``encoder.encode``), on the calling thread: it
     gives back the output gradient it is handed once it has split it
     into the two directions' halves, the halves and the activations once
     both directions' BPTT has run, and returns its input gradient from
@@ -382,9 +377,7 @@ def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
     if not m.any(axis=1).all():
         raise DegenerateMaskError("bidirectional_encode: a sequence is fully masked")
 
-    inputs = (seq, *fwd.weights.values(), *bwd.weights.values())
-    record = T._recording(inputs)
-    arena = T._active_tape().arena if record else T.MALLOC
+    arena = T.MALLOC if chain is None else chain.arena
     # time-major: every per-step slice is contiguous
     b, s, d = data.shape
     x = np.positive(data.transpose(1, 0, 2), out=arena.take((s, b, d), data.dtype) if arena
@@ -396,7 +389,7 @@ def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
     # sweep writes a time-major view of its half
     y = np.empty((b, s, hf + bwd.hidden_size), x.dtype)
     dirs = ((fwd, False, slice(None, hf)), (bwd, True, slice(hf, None)))
-    kept = [_kept(p.cell, s, b, p.hidden_size, x.dtype, arena) if record else None
+    kept = [None if chain is None else _kept(p.cell, s, b, p.hidden_size, x.dtype, arena)
             for p, _, _ in dirs]
     threads.both(b, *(partial(_sweep, p, x, keep, keep_f, reverse,
                               y[..., cols].transpose(1, 0, 2), kept_p)
@@ -431,4 +424,6 @@ def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
         return (dx.reshape(seq.shape), *(views[k] for (p, _, _), (_, views) in zip(dirs, grads)
                                          for k in p.weights))
 
-    return T._make(inputs, y.reshape(seq.shape[:-1] + (-1,)), backward)
+    if chain is not None:
+        chain.add("recurrent", backward, [*fwd.weights.values(), *bwd.weights.values()])
+    return Tensor(y.reshape(seq.shape[:-1] + (-1,)))

@@ -1,16 +1,16 @@
 """Span head: start/end position scoring over the text region, the
 training loss, and decoding.
 
-The two scorers are one tape op (``_head``) whose [2, ..., S] output
-holds the start and end logits as rows, and the loss records onto that
-output. The head's input gradient comes from its tape's arena, and the
-layer before gives it back once read.
+The two scorers are one stage (``_head``) whose [2, ..., S] output
+holds the start and end logits as rows, and the loss is the stage after
+it, the last of a recorded pass. The head's input gradient comes from
+its chain's arena, and the layer before gives it back once read.
 
 The loss and the decoder read one fp64 masked log-softmax
 (``_log_probs``). The loss is -(log p_start + log p_end) at the gold
-span, averaged over the batch, as a single tape op; it stays finite
-however far the gold logits sit below the best. ``example_losses``
-gives the per-example values it averages, in fp64.
+span, averaged over the batch; it stays finite however far the gold
+logits sit below the best. ``example_losses`` gives the per-example
+values it averages, in fp64.
 
 Decoding is joint: a candidate (s, e) scores log p_start(s) + log
 p_end(e), maximized over valid pairs with s <= e and width below
@@ -43,10 +43,10 @@ _PREFIX = 4
 class SpanLogits:
     """Per-position start/end scores plus the validity mask (True exactly
     on text-region positions). ``scores`` is [2, S] for one example or
-    [2, B, S] for a batch: its rows are the start and end logits, and the
-    loss records onto it. ``start_logits`` and ``end_logits`` ([S] or
-    [B, S], like ``valid``) are detached Tensors viewing its rows: they
-    read and write its values but carry no gradient."""
+    [2, B, S] for a batch: its rows are the start and end logits, whose
+    gradient the loss's stage returns. ``start_logits`` and
+    ``end_logits`` ([S] or [B, S], like ``valid``) are Tensors viewing its
+    rows: they read and write its values."""
     scores: Tensor
     valid: np.ndarray
     start_logits: Tensor = field(init=False, repr=False, compare=False)
@@ -64,7 +64,7 @@ class SpanLogits:
                              f"{self.start_logits.shape}")
 
     def example(self, i: int) -> "SpanLogits":
-        """Detached single-example view of a batched SpanLogits."""
+        """Single-example view of a batched SpanLogits."""
         return SpanLogits(Tensor(self.scores.data[:, i]), self.valid[i])
 
 
@@ -144,10 +144,11 @@ def _columns(a):
     return [side.reshape(side.shape + (1,)) for side in a]
 
 
-def score(h: Tensor, params: dict[str, Tensor], valid: np.ndarray) -> SpanLogits:
+def score(h: Tensor, params: dict[str, Tensor], valid: np.ndarray, *,
+          chain=None) -> SpanLogits:
     """Apply the two linear position scorers to [.., S, width] states, as
-    one op (``_head``) whose input gradient, where it records, comes from
-    its tape's arena."""
+    one array function (``_head``). With a ``chain``, it is the stage
+    "head", and its input gradient comes from the chain's arena."""
     w_start, w_end = params["w_start"], params["w_end"]
     if h.ndim not in (2, 3):
         raise ShapeError(f"span head input must be [S, width] or [B, S, width], "
@@ -155,10 +156,11 @@ def score(h: Tensor, params: dict[str, Tensor], valid: np.ndarray) -> SpanLogits
     if h.shape[-1] != w_start.shape[0] or w_end.shape != w_start.shape:
         raise ShapeError(f"span head weights {w_start.shape} and {w_end.shape} "
                          f"do not fit input {h.shape}")
-    inputs = (h, w_start, w_end)
     out, back = _head(h.data, w_start.data, w_end.data,
-                      arena=T._active_tape().arena if T._recording(inputs) else T.MALLOC)
-    return SpanLogits(T._make(inputs, out, back), valid)
+                      arena=T.MALLOC if chain is None else chain.arena)
+    if chain is not None:
+        chain.add("head", back, (w_start, w_end))
+    return SpanLogits(Tensor(out), valid)
 
 
 def _gold_log_probs(logits: SpanLogits, gold):
@@ -187,20 +189,23 @@ def example_losses(logits: SpanLogits, gold) -> np.ndarray:
     return -_gold_log_probs(logits, gold)[2][..., 0]
 
 
-def span_loss(logits: SpanLogits, gold) -> Tensor:
+def span_loss(logits: SpanLogits, gold, *, chain=None) -> Tensor:
     """-(log p_start(gold start) + log p_end(gold end)), read off the
     masked log-softmax that decoding ranks by; the batched form averages
     over the batch. ``gold`` is (start, end) for a single example or an
-    integer array [B, 2]. One tape op on ``logits.scores``, whose gradient
-    per logit row is (softmax - one_hot(gold)) / B."""
+    integer array [B, 2]. With a ``chain``, the loss is its last stage,
+    "loss", whose backward, handed no gradient, returns that of
+    ``logits.scores``: per logit row, (softmax - one_hot(gold)) / B."""
     lps, golds, picked = _gold_log_probs(logits, gold)
     dtype = logits.scores.dtype
-    def bwd(grad):
-        pos = np.arange(logits.valid.shape[-1])
-        scale = grad.astype(np.float64) / picked.size
-        return (np.stack([((np.exp(lp) - (pos == gi)) * scale).astype(dtype)
-                          for lp, gi in zip(lps, golds)]),)
-    return T._make((logits.scores,), np.asarray(-picked.mean(), dtype=dtype), bwd)
+    if chain is not None:
+        def back(_):
+            pos = np.arange(logits.valid.shape[-1])
+            scale = 1.0 / picked.size
+            return (np.stack([((np.exp(lp) - (pos == gi)) * scale).astype(dtype)
+                              for lp, gi in zip(lps, golds)]),)
+        chain.add("loss", back, ())
+    return Tensor(np.asarray(-picked.mean(), dtype=dtype))
 
 
 def _log_probs(logits: np.ndarray, valid: np.ndarray) -> np.ndarray:

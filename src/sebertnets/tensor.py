@@ -1,37 +1,34 @@
-"""Dense tensors with tape-based reverse-mode differentiation, and the
-arena a recorded pass takes its large arrays from.
+"""Dense tensors, the arena a recorded pass takes its large arrays from,
+and the chain of stages a recorded pass appends to.
 
-Values are numpy arrays, float32 by default; every op preserves the dtype
-of its inputs, so whole graphs can run at float64 for verification against
-reference implementations. Ops record onto the innermost active ``Tape``
-(a context manager). ``backward(tape, loss)`` runs the tape in reverse,
-once, and accumulates gradients into the ``.grad`` of leaf tensors that
-have ``requires_grad=True``; intermediate gradients live in a transient
-dict owned by the call. Gradients accumulate across calls until
-``zero_grad``.
+Values are numpy arrays, float32 by default; every stage preserves the
+dtype of its inputs, so whole passes can run at float64 for verification
+against reference implementations.
 
-The module holds one primitive, ``sum_all``, the scalar reducer that
-gradient checks end in. Each encoder block, the recurrent layer, the span
-head and the span loss is a hand-written op of its own module, built on
-``_make`` over array kernels.
+A training pass is a fixed chain of stages, the layer list of Jia et
+al. (2014, "Caffe"): the encoder's embedding, attention and feed-forward
+blocks, the recurrent layer, the span head and the span loss. Each stage
+is an array function of its own module that returns its output and its
+hand-written backward. Called with a ``Chain``, a stage appends one entry
+to it: its name, its backward and the names of its parameters. Without
+one the pass is tape-free: the stage runs the same arrays and records
+nothing. ``backward`` runs the entries last to first, hands each stage's
+input gradient to the stage before it, and writes every parameter
+gradient into one name -> array dict.
 
-While a model's pass records onto a tape, the tape holds the model's
-``Arena`` (``Tape.arena``): the ops of that pass take their whole-batch
-temporaries, kept activations and inter-op gradients from it and give
-each back at its known death, and ``backward`` calls the tape's
-``give_back`` once the tape is consumed. Every other op, recorded or
-not, takes from ``MALLOC``, which allocates and frees as numpy does.
+A chain holds the ``Arena`` its stages take from (``Chain.arena``): their
+whole-batch temporaries, kept activations and inter-stage gradients,
+each given back at its known death. A model lends its arena to the chain
+of one training step; any other chain holds ``MALLOC`` unless it is
+given an arena. ``MALLOC`` allocates and frees as numpy does, and every
+tape-free pass takes from it.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from typing import Callable, Iterable
 
 import numpy as np
-
-from .errors import ContractError
 
 DEFAULT_DTYPE = np.float32
 _FLOAT_DTYPES = (np.float32, np.float64)
@@ -40,29 +37,16 @@ _FILLS = {"zeros": 0.0, "ones": 1.0}
 
 
 class Tensor:
-    """A numpy array plus gradient metadata.
+    """A float32 or float64 ndarray, ``data``: a parameter, whose array an
+    optimizer step may replace, or the output of a stage. Other input is
+    converted to ``DEFAULT_DTYPE``."""
 
-    ``data`` is the value, always a float32 or float64 ndarray. ``grad``
-    starts as None and is allocated on first accumulation. Tensors are
-    leaves unless produced by an op while a tape is active.
-    """
+    __slots__ = ("data",)
 
-    __slots__ = ("data", "requires_grad", "grad")
-
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if dtype is None:
-            # np.generic covers 0-d results like np.float64 scalars
-            if isinstance(data, (np.ndarray, np.generic)) and data.dtype in _FLOAT_DTYPES:
-                dtype = data.dtype
-            elif isinstance(data, Tensor):
-                dtype = data.data.dtype
-            else:
-                dtype = DEFAULT_DTYPE
-        if isinstance(data, Tensor):
-            data = data.data
-        self.data = np.asarray(data, dtype=dtype)
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
+    def __init__(self, data):
+        # np.generic covers 0-d results like np.float64 scalars
+        floating = isinstance(data, (np.ndarray, np.generic)) and data.dtype in _FLOAT_DTYPES
+        self.data = np.asarray(data, dtype=data.dtype if floating else DEFAULT_DTYPE)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -76,16 +60,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
 
 
 class Arena:
@@ -178,135 +154,54 @@ class _Malloc:
 MALLOC = _Malloc()
 
 
-class _Record:
-    """One op on the tape: inputs, output, and the vjp closure."""
+class Chain(list):
+    """The stages of one recorded pass, in the order they ran: one
+    ``(stage name, backward, parameter names)`` entry each.
 
-    __slots__ = ("inputs", "output", "backward")
-
-    def __init__(self, inputs: tuple[Tensor, ...], output: Tensor,
-                 backward: Callable[[np.ndarray], tuple]):
-        self.inputs = inputs
-        self.output = output
-        self.backward = backward
-
-
-class Tape:
-    """Ordered record of ops for one reverse pass.
-
-    Use as a context manager; ops executed inside record themselves when
-    any input requires grad. Tapes nest, with the innermost one active.
-    Distinct tapes on distinct threads share no state.
-
-    ``arena`` is what the ops recorded now take from: a model's
-    ``Arena`` while that model's pass records, else ``MALLOC``.
-    ``give_back``, set by the model that lent an arena, is called once
-    ``backward`` has run every record.
+    ``params`` maps names to the parameter Tensors the stages may read;
+    ``add`` names a stage's parameters by it. ``arena`` is what the stages
+    take from. A stage's backward takes the gradient of its output and
+    returns the gradient of its input, the output of the stage before it,
+    if it has one, then one gradient per parameter, in order. Only the
+    calling thread appends to a chain or runs it.
     """
 
-    def __init__(self):
-        self._records: list[_Record] = []
-        self._produced: set[int] = set()
-        self.arena = MALLOC
-        self.give_back: Callable[[], None] | None = None
+    def __init__(self, params: dict[str, Tensor], arena=MALLOC):
+        super().__init__()
+        self.arena = arena
+        self._names = {id(p): name for name, p in params.items()}
 
-    def __enter__(self) -> "Tape":
-        _STACKS.stack.append(self)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _STACKS.stack.pop()
-        if popped is not self:
-            raise ContractError("tape contexts exited out of order")
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def _record(self, rec: _Record) -> None:
-        self._records.append(rec)
-        self._produced.add(id(rec.output))
+    def add(self, stage: str, back, params) -> None:
+        self.append((stage, back, tuple(self._names[id(p)] for p in params)))
 
 
-class _TapeStacks(threading.local):
-    def __init__(self):
-        self.stack: list[Tape] = []
+def backward(tape: Chain, grads: dict[str, np.ndarray]) -> np.ndarray | None:
+    """Run the stages of ``tape`` last to first. The last stage's output is
+    the scalar the gradients are of, and its backward is handed None; each
+    other stage's is handed the input gradient of the stage after it.
+    Each parameter gradient goes into ``grads`` under its name, added to
+    +0.0 in place, as a sum into zeros would be: a -0.0 entry reads +0.0.
+    Returns the first stage's input gradient, None where it has none.
 
-
-_STACKS = _TapeStacks()
-
-
-def _active_tape() -> Tape | None:
-    stack = _STACKS.stack
-    return stack[-1] if stack else None
-
-
-def _recording(inputs: Iterable[Tensor]) -> bool:
-    """Whether an op over ``inputs`` made now goes on a tape."""
-    return _active_tape() is not None and any(t.requires_grad for t in inputs)
-
-
-def _make(inputs: tuple[Tensor, ...], out_data: np.ndarray,
-          backward: Callable[[np.ndarray], tuple]) -> Tensor:
-    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
-    if _recording(inputs):
-        _active_tape()._record(_Record(inputs, out, backward))
-    return out
-
-
-def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate d loss / d leaf into each leaf's ``.grad``.
-
-    ``loss`` must be a single-element tensor produced on ``tape``. The seed
-    gradient is 1. Leaves with ``requires_grad=False`` are skipped.
-
-    The call consumes the tape: it takes each record off the tape, drops
-    the record's output before calling its backward and the record, with
-    its closure and inputs, once its gradients are added, so each op's
-    saved arrays die as soon as its gradient is taken. A second call on
-    the tape raises ``ContractError``; ``len(tape)`` read before the call
-    is the number of records. A gradient lives only until its record has
-    run: each record's output gradient leaves the pass's dict when its
-    backward is called, and the input gradients it returns are dropped
-    once added. Once the last record has run, no block of an arena lent
-    to the tape is taken, and the tape's ``give_back`` is called.
+    The call consumes the chain: each entry, with its backward and the
+    arrays that closure keeps, dies once its gradients are taken, so
+    ``len(tape)`` read before the call is the number of stages. A
+    gradient lives only until its stage has run: the stage's backward
+    holds the only reference to the gradient it is handed, and gives it
+    back to the chain's arena if it came from there.
     """
-    if loss.data.size != 1:
-        raise ContractError(f"loss must be a scalar, got shape {loss.shape}")
-    if id(loss) not in tape._produced:
-        raise ContractError("loss was not produced on this tape, or the tape "
-                            "was already run backward")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    records, produced = tape._records, tape._produced
-    while records:
-        rec = records.pop()
-        # a released output's id leaves the set: the id of a freed object
-        # can be reused, and only live outputs may key the gradient dict
-        key = id(rec.output)
-        produced.discard(key)
-        rec.output = None
-        if key in grads:
-            # popped into the call, so the record's backward holds the
-            # only reference and can drop it once read
-            for t, ig in zip(rec.inputs, rec.backward(grads.pop(key))):
-                if ig is None or not t.requires_grad:
-                    continue
-                if id(t) in produced:
-                    prev = grads.get(id(t))
-                    grads[id(t)] = ig if prev is None else prev + ig
-                else:
-                    if t.grad is None:
-                        t.grad = np.zeros_like(t.data)
-                    t.grad += ig
-        # the record, its closure and inputs, and its gradients die here
-        rec = t = ig = prev = None
-    if tape.give_back is not None:
-        tape.give_back()
-
-
-def zero_grads(params) -> None:
-    """Clear ``.grad`` on every tensor in an iterable or name->Tensor dict."""
-    values = params.values() if hasattr(params, "values") else params
-    for t in values:
-        t.zero_grad()
+    held = [None]
+    while tape:
+        _, back, names = tape.pop()
+        # popped into the call, so the backward can drop it once read
+        out = back(held.pop())
+        back = None
+        k = len(out) - len(names)
+        held.append(out[0] if k else None)
+        for name, g in zip(names, out[k:]):
+            grads[name] = np.add(g, 0.0, out=g)
+        out = g = None
+    return held[0]
 
 
 def draw(layout, rng: np.random.Generator, dtype=DEFAULT_DTYPE) -> dict[str, Tensor]:
@@ -314,14 +209,5 @@ def draw(layout, rng: np.random.Generator, dtype=DEFAULT_DTYPE) -> dict[str, Ten
     (name, shape, init) entries, drawn in order. ``init`` is "zeros" or
     "ones", or a bound b for uniform values in [-b, b] from ``rng``."""
     return {name: Tensor(np.full(shape, _FILLS[init], dtype) if init in _FILLS
-                         else rng.uniform(-init, init, shape).astype(dtype),
-                         requires_grad=True)
+                         else rng.uniform(-init, init, shape).astype(dtype))
             for name, shape, init in layout}
-
-
-def sum_all(x: Tensor) -> Tensor:
-    """The sum of every element, as a 0-d tensor of ``x``'s dtype."""
-    def bwd(g):
-        return (np.broadcast_to(g, x.shape).astype(x.dtype, copy=True),)
-    return _make((x,), np.asarray(x.data.sum(), dtype=x.dtype), bwd)
-

@@ -13,7 +13,7 @@ products would then contend for the same cores and run slower than one
 part at a time.
 
 Whatever runs on the worker writes only arrays the calling thread made
-before the hand-off: it takes nothing from an arena, touches no tape and
+before the hand-off: it takes nothing from an arena, touches no chain and
 allocates no whole-batch array.
 """
 

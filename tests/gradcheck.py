@@ -51,49 +51,73 @@ def numeric_grad_at(f, x: np.ndarray, coords, h: float = H) -> np.ndarray:
     return out
 
 
-def weighted_sum(out, w):
-    """sum(out * w) as a 0-d Tensor, one test-side op over ``out``.
-    ``out`` may be a bare array, as a block gives where no tape records
-    it; ``w`` is a constant array of its size."""
-    out = out if isinstance(out, T.Tensor) else T.Tensor(out)
-    w = np.asarray(w, dtype=out.dtype).reshape(out.shape)
-    return T._make((out,), np.asarray((out.data * w).sum(), dtype=out.dtype),
-                   lambda g: (g * w,))
+def source(chain, t):
+    """``t`` as the first stage of ``chain``, an identity whose parameter
+    is ``t``: the gradient of a Tensor that a stage reads as its input is
+    then taken by name, as a weight's is."""
+    if chain is not None:
+        chain.add("source", lambda g: (g,), (t,))
+    return t
 
 
-def square_sum(out):
-    """sum(out * out) as a 0-d Tensor; ``out`` as in ``weighted_sum``."""
-    out = out if isinstance(out, T.Tensor) else T.Tensor(out)
-    x = out.data
-    return T._make((out,), np.asarray((x * x).sum(), dtype=out.dtype),
-                   lambda g: (g * (x + x),))
+def weighted_sum(chain, out, w):
+    """sum(out * w), as the last stage of ``chain``. ``out`` is a Tensor
+    or the bare array a block gives; ``w`` is a constant array of its
+    size."""
+    x = out.data if isinstance(out, T.Tensor) else out
+    w = np.asarray(w, dtype=x.dtype).reshape(x.shape)
+    if chain is not None:
+        chain.add("weighted_sum", lambda _: (w,), ())
+    return (x * w).sum()
+
+
+def square_sum(chain, out):
+    """sum(out * out), as the last stage of ``chain``; ``out`` as in
+    ``weighted_sum``."""
+    x = out.data if isinstance(out, T.Tensor) else out
+    if chain is not None:
+        chain.add("square_sum", lambda _: (x + x,), ())
+    return (x * x).sum()
 
 
 def kernel_op(kernel, *args):
-    """An array kernel, which returns its output and backward, as a tape
-    op over Tensor inputs, with ``args`` passed after their arrays."""
-    def op(*tensors):
-        out, back = kernel(*(t.data for t in tensors), *args)
-        return T._make(tensors, out, back)
+    """An array kernel, which returns its output and backward, as a stage
+    over its inputs, with ``args`` passed after their arrays: ``op(chain,
+    *inputs)``. Tensor inputs are the stage's parameters; an array input,
+    the output of the stage before, comes first."""
+    def op(chain, *inputs):
+        out, back = kernel(*(t.data if isinstance(t, T.Tensor) else t for t in inputs), *args)
+        if chain is not None:
+            chain.add(kernel.__name__, back, [t for t in inputs if isinstance(t, T.Tensor)])
+        return out
     return op
 
 
-def check_grads(build, arrays, tol: float = REL_TOL, h: float = H) -> None:
-    """Verify analytic grads of ``build(*tensors) -> scalar Tensor``
-    against full finite-difference Jacobians, input by input."""
-    bases = [np.asarray(a, dtype=np.float64) for a in arrays]
-    tensors = [T.Tensor(a, requires_grad=True) for a in bases]
-    with T.Tape() as tape:
-        loss = build(*tensors)
-    T.backward(tape, loss)
+def chain_grads(build, tensors):
+    """The gradient of ``build(chain, *tensors)`` for each tensor, by
+    ``backward`` over the chain it records; zeros for a tensor that no
+    stage reads."""
+    chain = T.Chain({str(i): t for i, t in enumerate(tensors)})
+    build(chain, *tensors)
+    grads = {}
+    T.backward(chain, grads)
+    return [grads.get(str(i), np.zeros_like(t.data)) for i, t in enumerate(tensors)]
 
-    for i, (t, base) in enumerate(zip(tensors, bases)):
+
+def check_grads(build, arrays, tol: float = REL_TOL, h: float = H) -> None:
+    """Verify the gradients of ``build(chain, *tensors)``, which records
+    its stages on ``chain`` (None for a tape-free pass) and returns the
+    scalar of its last, against full finite-difference Jacobians, input
+    by input."""
+    bases = [np.asarray(a, dtype=np.float64) for a in arrays]
+    analytic = chain_grads(build, [T.Tensor(a) for a in bases])
+
+    for i, (ana, base) in enumerate(zip(analytic, bases)):
         def f(x, i=i):
             vals = list(bases)
             vals[i] = x
-            return float(build(*[T.Tensor(v) for v in vals]).data)
+            return float(build(None, *[T.Tensor(v) for v in vals]))
         num = numeric_grad(f, base, h)
-        ana = t.grad if t.grad is not None else np.zeros_like(base)
         assert grad_close(ana, num, tol), (
             f"input {i}: analytic grad disagrees with finite differences\n"
             f"analytic:\n{ana}\nnumeric:\n{num}")

@@ -1,9 +1,10 @@
 """Acceptance suite: ten criteria, one test (and one pass/fail line) each.
 
-1.  Gradient suite: every tensor primitive, encoder block op and span
-    head op plus the composed 2-layer-encoder + 4-step-BiLSTM + span-loss graph
-    against fp64 central differences, rel err < 1e-5, 100 randomized
-    trials each.
+1.  Gradient suite: every kind of stage a training chain holds, each
+    encoder block, the span head and the span loss on its own and the
+    recurrent layer in the composed 2-layer-encoder + 4-step-BiLSTM/BiGRU
+    + span-loss chain, against fp64 central differences, rel err < 1e-5,
+    100 randomized trials each.
 2.  lstm_step / gru_step match straight-line fp64 references bit-exactly
     on 1000 random cases each.
 3.  Encoder and bidirectional outputs at real positions invariant to
@@ -35,10 +36,9 @@ import numpy as np
 import pytest
 
 from gradcheck import (REL_TOL, check_grads, grad_close, kernel_op, numeric_grad_at,
-                       weighted_sum)
+                       source, weighted_sum)
 from sebertnets import encoder as E
 from sebertnets import span as S
-from sebertnets import tensor as T
 from sebertnets.data import (
     SynthConfig,
     Vocabulary,
@@ -86,7 +86,7 @@ from sebertnets.span import (
     score,
     span_loss,
 )
-from sebertnets.tensor import Tape, Tensor, backward, draw
+from sebertnets.tensor import Chain, Tensor, backward, draw
 
 
 def _elapsed_ok(t0: float, budget: float, label: str) -> None:
@@ -100,19 +100,17 @@ def _elapsed_ok(t0: float, budget: float, label: str) -> None:
 # ---------------------------------------------------------------------
 
 
-def _primitive_trials(rng):
-    """name -> (build, arrays): one randomized check per primitive."""
-    n = rng.standard_normal
-    return {
-        "sum_all": (lambda x: T.sum_all(x), [n((2, 3))]),
-    }
+# the kind of stage that criterion 1 checks in its composed chain only
+COMPOSED_ONLY = "recurrent"
 
 
-def _block_trials(rng):
-    """name -> (build, arrays): one randomized check per encoder block op,
-    dropout on (a fixed mask per trial), over a ragged key mask and both
-    activations, and per span head op, over one example's states and over
-    a batch's, whose scorers the batch shares."""
+def _stage_trials(rng):
+    """name -> (build, arrays): one randomized check per kind of stage but
+    ``COMPOSED_ONLY``, named by its kind and a variant after "_". Encoder
+    blocks run with dropout on (a fixed mask per trial), over a ragged key
+    mask and both activations; the span head over one example's states
+    and over a batch's, whose scorers the batch shares; the span loss,
+    the scalar a chain ends in, over ragged valid positions."""
     n = rng.standard_normal
     b, s, d, heads, ff, rate = 2, 3, 4, 2, 5, 0.3
     ids = rng.integers(0, 6, size=(b, s))
@@ -122,11 +120,12 @@ def _block_trials(rng):
     neg = np.where(keys, 0.0, -np.inf)[:, None, None, :]
     drop_seed = int(rng.integers(0, 2 ** 31))
     w_out = n((b, s, d))
+    golds = np.array([rng.choice(np.flatnonzero(row), size=2) for row in keys])
 
     def block(fn, *args):
-        def build(*tensors):
+        def build(chain, *tensors):
             op = kernel_op(fn, *args, rate, np.random.default_rng(drop_seed))
-            return weighted_sum(op(*tensors), w_out)
+            return weighted_sum(chain, op(chain, *tensors), w_out)
         return build
 
     def ln():
@@ -136,10 +135,15 @@ def _block_trials(rng):
         return [n((n_in, n_out)) / np.sqrt(n_in)] + ([0.1 * n(n_out)] if bias else [])
 
     def head(w):
-        return lambda *tensors: weighted_sum(kernel_op(S._head)(*tensors), w)
+        return lambda chain, *tensors: weighted_sum(chain, kernel_op(S._head)(chain, *tensors),
+                                                    w)
 
     def scorers():
         return [n((d, 1)), n((d, 1))]
+
+    def loss(chain, scores):
+        logits = SpanLogits(source(chain, scores), keys)
+        return span_loss(logits, golds, chain=chain).data
 
     return {
         "embedding": (block(E._embedding, ids, segs),
@@ -151,16 +155,17 @@ def _block_trials(rng):
                      [n((b, s, d)), *linear(d, ff), *linear(ff, d), *ln()]),
         "ffn_gelu": (block(E._ffn, "gelu"),
                      [n((b, s, d)), *linear(d, ff), *linear(ff, d), *ln()]),
-        "span_head_mat": (head(n((2, s))), [n((s, d)), *scorers()]),
-        "span_head_batched_shared": (head(n((2, b, s))), [n((b, s, d)), *scorers()]),
+        "head_mat": (head(n((2, s))), [n((s, d)), *scorers()]),
+        "head_batched_shared": (head(n((2, b, s))), [n((b, s, d)), *scorers()]),
+        "loss": (loss, [n((2, b, s))]),
     }
 
 
-def _composed_loss(arrays, enc_cfg, cell, ids, segs, attn_mask, valid, golds,
-                   tape=False):
-    """Encoder -> bidirectional recurrent layer -> span loss, from a flat
-    name -> fp64 array dict. Returns (loss Tensor, name -> leaf Tensor)."""
-    leaves = {k: Tensor(v, requires_grad=tape) for k, v in arrays.items()}
+def _composed_loss(leaves, enc_cfg, cell, ids, segs, attn_mask, valid, golds,
+                   chain=None):
+    """Encoder -> bidirectional recurrent layer -> span loss over a flat
+    name -> fp64 Tensor dict, recorded on ``chain`` if one is given.
+    Returns the loss as a float."""
     enc_params = {k[len("enc."):]: v for k, v in leaves.items()
                   if k.startswith("enc.")}
     head = {k[len("head."):]: v for k, v in leaves.items()
@@ -173,12 +178,12 @@ def _composed_loss(arrays, enc_cfg, cell, ids, segs, attn_mask, valid, golds,
                                hidden_size=size_h, weights=weights)
 
     hidden = 3
-    out = encode(ids, segs, attn_mask, enc_params, enc_cfg)
+    out = encode(ids, segs, attn_mask, enc_params, enc_cfg, chain=chain)
     h = bidirectional_encode(out.hidden, attn_mask,
                              rnn("fwd.", enc_cfg.d_model, hidden),
-                             rnn("bwd.", enc_cfg.d_model, hidden))
-    logits = score(h, head, valid)
-    return span_loss(logits, golds), leaves
+                             rnn("bwd.", enc_cfg.d_model, hidden), chain=chain)
+    logits = score(h, head, valid, chain=chain)
+    return float(span_loss(logits, golds, chain=chain).data)
 
 
 def test_criterion_01_gradient_suite():
@@ -186,8 +191,7 @@ def test_criterion_01_gradient_suite():
     master = np.random.default_rng(1001)
     for trial in range(100):
         rng = np.random.default_rng(master.integers(0, 2 ** 63))
-        trials = {**_primitive_trials(rng), **_block_trials(rng)}
-        for name, (build, arrays) in trials.items():
+        for name, (build, arrays) in _stage_trials(rng).items():
             try:
                 check_grads(build, arrays)
             except AssertionError as exc:
@@ -217,10 +221,11 @@ def test_criterion_01_gradient_suite():
                           rng.integers(1, 4, size=2)], axis=1)
         golds = np.sort(golds, axis=1)
 
-        with Tape() as tape:
-            loss, leaves = _composed_loss(arrays, enc_cfg, cell, ids, segs,
-                                          attn_mask, valid, golds, tape=True)
-        backward(tape, loss)
+        leaves = {k: Tensor(v) for k, v in arrays.items()}
+        chain = Chain(leaves)
+        _composed_loss(leaves, enc_cfg, cell, ids, segs, attn_mask, valid, golds, chain)
+        grads = {}
+        backward(chain, grads)
 
         names = sorted(arrays)
         picks = [names[i] for i in rng.choice(len(names), size=6, replace=False)]
@@ -231,13 +236,11 @@ def test_criterion_01_gradient_suite():
             def loss_at(x, name=name):
                 vals = dict(arrays)
                 vals[name] = x
-                out, _ = _composed_loss(vals, enc_cfg, cell, ids, segs,
-                                        attn_mask, valid, golds)
-                return float(out.data)
+                return _composed_loss({k: Tensor(v) for k, v in vals.items()}, enc_cfg,
+                                      cell, ids, segs, attn_mask, valid, golds)
 
             num = numeric_grad_at(loss_at, base, [coord])[0]
-            grad = leaves[name].grad
-            ana = 0.0 if grad is None else float(grad.ravel()[coord])
+            ana = float(grads[name].ravel()[coord])
             assert grad_close(np.array(ana), np.array(num)), (
                 f"composed graph trial {trial}, {name}[{coord}]: "
                 f"analytic {ana} vs numeric {num}")
@@ -278,9 +281,9 @@ def _random_cell_params(cell, rng, d_in, d_h):
     b = {g: 3.0 * rng.standard_normal(d_h) for g in gates}
     weights = {}
     for g in gates:
-        weights[f"w_{g}"] = Tensor(W[g], requires_grad=True)
-        weights[f"u_{g}"] = Tensor(U[g], requires_grad=True)
-        weights[f"b_{g}"] = Tensor(b[g], requires_grad=True)
+        weights[f"w_{g}"] = Tensor(W[g])
+        weights[f"u_{g}"] = Tensor(U[g])
+        weights[f"b_{g}"] = Tensor(b[g])
     params = RecurrentParams(cell=cell, input_size=d_in, hidden_size=d_h,
                              weights=weights)
     return params, W, U, b
@@ -570,9 +573,9 @@ def test_criterion_08_swats_contract():
     t0 = time.monotonic()
     theta0 = np.random.default_rng(0).standard_normal(10)
 
-    swats = Tensor(theta0.copy(), requires_grad=True)
+    swats = Tensor(theta0.copy())
     st = SwatsState(adam=AdamState(lr=0.01), eps_switch=1e-4)
-    adam_ref = Tensor(theta0.copy(), requires_grad=True)
+    adam_ref = Tensor(theta0.copy())
     adam_st = AdamState(lr=0.01)
     sgd_ref = None
     sgd_st = None
@@ -585,7 +588,7 @@ def test_criterion_08_swats_contract():
                 f"pre-switch step {step} drifted from pure Adam")
             if st.phase == SGD_PHASE:
                 k_star = step
-                sgd_ref = Tensor(swats.data.copy(), requires_grad=True)
+                sgd_ref = Tensor(swats.data.copy())
                 sgd_st = SgdState(lr=st.sgd_lr)
         else:
             assert st.phase == SGD_PHASE, f"phase reverted at step {step}"

@@ -476,8 +476,8 @@ def test_nonfinite_logits_exit_2(trained, capsys, monkeypatch):
 
     real_score = model_module.score
 
-    def poisoned(h, params, valid):
-        logits = real_score(h, params, valid)
+    def poisoned(h, params, valid, **kwargs):
+        logits = real_score(h, params, valid, **kwargs)
         logits.start_logits.data[1, valid[1].argmax()] = np.nan
         return logits
 

@@ -12,6 +12,8 @@ from sebertnets import threads
 from sebertnets.errors import ContractError, ShapeError
 from sebertnets.tensor import Tensor
 
+from gradcheck import weighted_sum
+
 
 def small_cfg(**kw):
     base = dict(vocab_size=11, d_model=4, n_layers=1, n_heads=2, d_ff=8,
@@ -25,7 +27,7 @@ def fp64_params(cfg, seed=0):
 
 
 def embedded(*args, **kw):
-    """``E.embed``'s value as an array: a bare array where no tape records."""
+    """``E.embed``'s value, a bare array."""
     out = E.embed(*args, **kw)
     assert isinstance(out, np.ndarray)
     return out
@@ -91,10 +93,10 @@ class TestEmbed:
         ids = np.array([[1, 4, 4, 9]])
         segs = np.array([[0, 0, 1, 1]])
 
-        def build(*tensors):
+        def build(chain, *tensors):
             params = dict(zip(names, tensors))
-            out = E.embed(ids, segs, params, cfg)
-            return square_sum(out)
+            out = E.embed(ids, segs, params, cfg, chain=chain)
+            return square_sum(chain, out)
 
         check_grads(build, [proto[n].data for n in names])
 
@@ -182,12 +184,12 @@ class TestRecordedPass:
         for split in (False, True):
             monkeypatch.setattr(threads, "threaded", lambda rows, on=split: on)
             rebuilt = []
-            with T.Tape() as tape:
-                out = E.encode(ids, np.zeros_like(ids), mask, params, cfg,
-                               rng=np.random.default_rng(8))
-                loss = T.sum_all(out.hidden)
+            chain = T.Chain(params)
+            out = E.encode(ids, np.zeros_like(ids), mask, params, cfg,
+                           rng=np.random.default_rng(8), chain=chain)
+            weighted_sum(chain, out.hidden, np.ones(out.hidden.shape))
             assert out.attentions == [] and rebuilt == []
-            T.backward(tape, loss)
+            T.backward(chain, {})
             assert len(plain) == len(rebuilt) == 2
             assert (plain[0][1, ..., 4:] == 0.0).all()  # masked keys
             for a, p in zip(plain, reversed(rebuilt)):  # the backward runs last layer first
@@ -290,9 +292,9 @@ class TestEndToEndGradients:
         segs = np.array([[0, 0, 1, 1]])
         mask = np.array([[True, True, True, False]])
 
-        def build(*tensors):
+        def build(chain, *tensors):
             params = dict(zip(names, tensors))
-            out = E.encode(ids, segs, mask, params, cfg)
-            return square_sum(out.hidden)
+            out = E.encode(ids, segs, mask, params, cfg, chain=chain)
+            return square_sum(chain, out.hidden)
 
         check_grads(build, [proto[n].data for n in names])

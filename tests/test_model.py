@@ -1,7 +1,5 @@
 """Model assembly, training step, and checkpoint tests."""
 
-import contextlib
-import inspect
 import itertools
 import json
 import struct
@@ -41,7 +39,7 @@ from sebertnets.model import (
 from sebertnets.optim import AdamState, SgdState, SwatsState, make_state
 from sebertnets.recurrent import GRU, LSTM
 from sebertnets.span import decode_multichannel, decode_top1, span_loss
-from sebertnets.tensor import Tape, backward
+from sebertnets.tensor import Chain, backward
 
 MAX_LEN = 40
 
@@ -53,17 +51,17 @@ def tiny_corpus(n=16, seed=0, multi=0.0):
 
 def build_setup(variant=SEBERTNETS, n=16, seed=0, d_model=8, hidden=4,
                 n_layers=1, n_heads=2, d_ff=16, dropout=0.0, corpus=None, cell=GRU,
-                activation="relu"):
+                activation="relu", max_len=MAX_LEN):
     examples = corpus if corpus is not None else tiny_corpus(n=n, seed=seed)
     vocab = Vocabulary.from_corpus(examples)
     enc_cfg = EncoderConfig(vocab_size=vocab.size, d_model=d_model,
                             n_layers=n_layers, n_heads=n_heads, d_ff=d_ff,
-                            max_len=MAX_LEN, dropout_rate=dropout,
+                            max_len=max_len, dropout_rate=dropout,
                             activation=activation)
     cfg = ModelConfig(variant=variant, cell=cell, hidden_size=hidden)
     model = Model(cfg, enc_cfg, vocab, seed=seed)
     flat = flatten_for_training(examples)
-    encoded = [encode_example(ex, vocab, MAX_LEN) for ex in flat]
+    encoded = [encode_example(ex, vocab, max_len) for ex in flat]
     return model, vocab, enc_cfg, batch(encoded)
 
 
@@ -165,12 +163,12 @@ def test_every_parameter_gets_a_gradient(variant, cell):
     params = model.parameters()
     for p in params.values():
         p.data = p.data.astype(np.float64)
-    with Tape() as tape:
-        logits, _ = model.forward(b)
-        loss = span_loss(logits, b.golds)
-    backward(tape, loss)
-    dead = [name for name, p in params.items()
-            if p.grad is None or np.abs(p.grad).max() <= 1e-8]
+    chain = Chain(params)
+    logits, _ = model.forward(b, chain=chain)
+    span_loss(logits, b.golds, chain=chain)
+    grads = {}
+    backward(chain, grads)
+    dead = [name for name in params if np.abs(grads[name]).max() <= 1e-8]
     assert dead == (["encoder.layer0.ffn_ln.bias"] if variant == BERT_BASELINE else [])
 
 
@@ -305,46 +303,35 @@ def test_far_gold_logit_trains_with_finite_loss():
     np.testing.assert_allclose(loss, want, rtol=1e-6)
 
 
-def test_every_primitive_is_run_by_a_model_or_reduces_a_gradcheck():
-    """The tensor primitives, the public functions of ``sebertnets.tensor``
-    that make a Tensor, are exactly those that one dropout training step
-    of some model reaches, plus ``sum_all``, the scalar that gradient
-    checks end in; and criterion 1 gradchecks exactly them. So no
-    primitive outlives its last model caller unnoticed."""
-    from test_acceptance import _primitive_trials
+def test_every_primitive_is_run_by_a_model_or_reduces_a_gradcheck(monkeypatch):
+    """The kinds of stage, stage names without their layer, that one
+    dropout training step of some model records are exactly those that
+    criterion 1 gradchecks, the span loss that each chain ends in among
+    them. So no stage outlives its last model caller unnoticed."""
+    import sebertnets.model as model_module
+    from test_acceptance import COMPOSED_ONLY, _stage_trials
 
-    prims = {name for name, fn in vars(T).items()
-             if inspect.isfunction(fn) and not name.startswith("_")
-             and fn.__module__ == T.__name__
-             and inspect.signature(fn).return_annotation == "Tensor"}
-    names = {getattr(T, name).__code__: name for name in prims}
-    reached = set()
+    kinds = set()
+    real_backward = model_module.backward
 
-    def count(frame, event, arg):
-        if event == "call" and frame.f_code in names:
-            reached.add(names[frame.f_code])
+    def collect(tape, grads):
+        kinds.update(stage.split(".")[-1] for stage, _, _ in tape)
+        return real_backward(tape, grads)
 
+    monkeypatch.setattr(model_module, "backward", collect)
     for variant, cell, act in ((BERT_BASELINE, GRU, "gelu"), (SEBERTNETS, GRU, "relu"),
                                (HSEBERTNETS, LSTM, "relu")):
         model, _, _, b = build_setup(variant=variant, cell=cell, activation=act,
                                      dropout=0.1)
-        state = make_state("adam")
-        outer = sys.getprofile()
-        sys.setprofile(count)
-        try:
-            model.train_step(b, state, np.random.default_rng(0))
-        finally:
-            sys.setprofile(outer)
-    assert reached | {"sum_all"} == prims
-    checked = {"matmul" if name.startswith("matmul_") else name
-               for name in _primitive_trials(np.random.default_rng(0))}
-    assert checked == prims
+        model.train_step(b, make_state("adam"), np.random.default_rng(0))
+    checked = {name.split("_")[0] for name in _stage_trials(np.random.default_rng(0))}
+    assert kinds == checked | {COMPOSED_ONLY}
 
 
 def test_default_train_step_makes_eight_tape_records(monkeypatch):
-    """A default ``sebertnets`` step records one op per encoder block (the
-    embedding, then attention and feed-forward per layer), one for the
-    recurrent layer, one for the span head and one for the loss."""
+    """A default ``sebertnets`` step's chain holds one stage per encoder
+    block (the embedding, then attention and feed-forward per layer), one
+    for the recurrent layer, one for the span head and one for the loss."""
     import sebertnets.model as model_module
 
     examples = tiny_corpus(n=4)
@@ -356,9 +343,9 @@ def test_default_train_step_makes_eight_tape_records(monkeypatch):
     lengths = []
     real_backward = model_module.backward
 
-    def counting(tape, loss):
+    def counting(tape, grads):
         lengths.append(len(tape))
-        real_backward(tape, loss)
+        real_backward(tape, grads)
 
     monkeypatch.setattr(model_module, "backward", counting)
     model.train_step(b, make_state("adam"), np.random.default_rng(0))
@@ -440,7 +427,7 @@ def test_train_step_peak_is_what_the_ops_keep(monkeypatch, variant, cell):
     assert peak <= 1.05 * (kept + work)
     # when clipping starts, the gradients are live, no activation is and
     # no arena block is taken
-    grad_bytes = sum(p.grad.nbytes for p in model.parameters().values())
+    grad_bytes = sum(p.data.nbytes for p in model.parameters().values())
     assert live[0] < grad_bytes + kept // 20
     assert taken == [0]
 
@@ -471,7 +458,7 @@ def test_tape_free_predict_builds_no_tensor_inside_encode():
 
 @pytest.mark.parametrize("variant", [BERT_BASELINE, SEBERTNETS, HSEBERTNETS])
 def test_encode_is_one_path_with_and_without_a_tape(variant):
-    """The same blocks run on a recording tape and without one: hidden
+    """The same blocks run recorded on a chain and without one: hidden
     states and logits are bit-identical, with dropout off and on. The
     tape-free pass returns read-only attention maps, and the recorded
     pass, from both ``encode`` and ``Model.forward``, returns none."""
@@ -489,11 +476,11 @@ def test_encode_is_one_path_with_and_without_a_tape(variant):
 
             runs = []
             for taped in (False, True):
-                with Tape() if taped else contextlib.nullcontext():
-                    out = encode(b.token_ids, b.segment_ids, b.attention_mask,
-                                 model.encoder_params, model.enc_cfg, rng=rng())
-                    logits, maps = model.forward(b, rng=rng())
-                assert out.hidden.requires_grad is taped
+                chain = Chain(params) if taped else None
+                out = encode(b.token_ids, b.segment_ids, b.attention_mask,
+                             model.encoder_params, model.enc_cfg, rng=rng(), chain=chain)
+                logits, maps = model.forward(b, rng=rng(), chain=chain)
+                assert bool(chain) is taped
                 runs.append((out, logits, maps))
             (plain, plain_logits, plain_maps), (taped, taped_logits, taped_maps) = runs
             assert plain.hidden.dtype == dtype
@@ -509,9 +496,9 @@ def test_encode_is_one_path_with_and_without_a_tape(variant):
 
 @pytest.mark.parametrize("first", [0, 1])
 def test_two_live_recorded_passes_backward_in_either_order(first):
-    """Two tapes recorded on two batches, dropout on, both alive: each
+    """Two chains recorded on two batches, dropout on, both alive: each
     backward gives bit for bit the gradients of its pass run alone,
-    whichever runs first. The block ops own their saved activations."""
+    whichever runs first. The stages own their saved activations."""
     model, vocab, _, _ = build_setup(variant=SEBERTNETS, n=16, n_layers=2, dropout=0.1)
     encoded = [encode_example(ex, vocab, MAX_LEN)
                for ex in flatten_for_training(tiny_corpus(n=16))]
@@ -519,20 +506,20 @@ def test_two_live_recorded_passes_backward_in_either_order(first):
     params = model.parameters()
 
     def record(i):
-        with Tape() as tape:
-            logits, _ = model.forward(batches[i], rng=np.random.default_rng(10 + i))
-            loss = span_loss(logits, batches[i].golds)
-        return tape, loss
+        chain = Chain(params)
+        logits, _ = model.forward(batches[i], rng=np.random.default_rng(10 + i), chain=chain)
+        span_loss(logits, batches[i].golds, chain=chain)
+        return chain
 
-    def grads(tape, loss):
-        T.zero_grads(params)
-        backward(tape, loss)
-        return {n: p.grad.copy() for n, p in params.items()}
+    def grads(chain):
+        got = {}
+        backward(chain, got)
+        return got
 
-    alone = [grads(*record(i)) for i in (0, 1)]
+    alone = [grads(record(i)) for i in (0, 1)]
     live = [record(0), record(1)]
     for i in (first, 1 - first):
-        got = grads(*live[i])
+        got = grads(live[i])
         for n in params:
             assert got[n].tobytes() == alone[i][n].tobytes(), (i, n)
 
@@ -541,13 +528,13 @@ def test_two_live_recorded_passes_backward_in_either_order(first):
 
 
 def step_grads(model, b, seed):
-    """The parameter gradients of one recorded pass, by name."""
-    T.zero_grads(model.parameters())
-    with Tape() as tape:
-        logits, _ = model.forward(b, rng=np.random.default_rng(seed))
-        loss = span_loss(logits, b.golds)
-    backward(tape, loss)
-    return {n: p.grad.tobytes() for n, p in model.parameters().items()}
+    """The parameter gradients of one recorded pass, by name, as bytes."""
+    chain = Chain(model.parameters())
+    logits, _ = model.forward(b, rng=np.random.default_rng(seed), chain=chain)
+    span_loss(logits, b.golds, chain=chain)
+    grads = {}
+    backward(chain, grads)
+    return {n: g.tobytes() for n, g in grads.items()}
 
 
 @pytest.mark.parametrize("variant, cell", [(BERT_BASELINE, GRU), (SEBERTNETS, GRU),
@@ -599,8 +586,8 @@ def test_steady_step_allocates_only_what_it_hands_on(variant, cell):
 
 def test_divergent_step_drops_the_arena():
     """A step whose loss is not finite never returns its arena; the next
-    step takes a new one, and its gradients are bit for bit those of a
-    model built from the same state."""
+    step takes a new one and returns it whole, and the model's gradients
+    are bit for bit those of a model built from the same state."""
     model, _, _, b = build_setup(n_layers=2, dropout=0.1)
     twin, _, _, _ = build_setup(n_layers=2, dropout=0.1)
     model.train_step(b, make_state("adam"), np.random.default_rng(0))
@@ -618,48 +605,100 @@ def test_divergent_step_drops_the_arena():
     assert model._arena is None
     w[:] = kept
     assert step_grads(model, b, 2) == step_grads(twin, b, 2)
+    model.train_step(b, make_state("adam"), np.random.default_rng(3))
     assert model._arena is not None and model._arena is not arena
     assert model._arena.taken_bytes == 0
 
 
 def test_a_second_live_recorded_pass_gets_no_arena():
-    """The model lends its arena to one live tape at a time: a second
-    tape recorded meanwhile takes from malloc, and the arena comes back
-    once the first tape's backward has run. A tape holds the arena only
-    while the model's pass records, so the loss takes from malloc."""
+    """Only a training step lends the model's arena, to its own chain: a
+    pass recorded on a caller's chain takes from that chain's arena,
+    malloc by default, and leaves the model's idle arena untaken, however
+    many such chains are live and whichever runs first."""
     model, _, _, b = build_setup(n_layers=2, dropout=0.1)
     model.train_step(b, make_state("adam"), np.random.default_rng(0))
     arena = model._arena
-    tapes, taken = [], []
+    chains = []
     for seed in (1, 2):
-        with Tape() as tape:
-            logits, _ = model.forward(b, rng=np.random.default_rng(seed))
-            tapes.append((tape, span_loss(logits, b.golds)))
-        taken.append(arena.taken_bytes)
-    assert taken[0] > 0 and taken[1] == taken[0]
-    assert all(tape.arena is T.MALLOC for tape, _ in tapes)
-    assert model._arena is None
-    backward(*tapes[1])
-    assert model._arena is None
-    backward(*tapes[0])
+        chain = Chain(model.parameters())
+        logits, _ = model.forward(b, rng=np.random.default_rng(seed), chain=chain)
+        span_loss(logits, b.golds, chain=chain)
+        chains.append(chain)
+    assert all(chain.arena is T.MALLOC for chain in chains)
+    assert model._arena is arena and arena.taken_bytes == 0
+    for chain in reversed(chains):
+        backward(chain, {})
     assert model._arena is arena and arena.taken_bytes == 0
 
 
-def test_an_arena_with_a_block_left_taken_is_dropped():
-    """A backward that never reaches the model's records leaves their
-    blocks taken; the model then drops the arena instead of keeping it,
-    and the next step takes a new one and returns it whole."""
-    model, _, _, b = build_setup(n_layers=2, dropout=0.1)
-    state = make_state("adam")
-    model.train_step(b, state, np.random.default_rng(0))
-    with Tape() as tape:
-        model.forward(b, rng=np.random.default_rng(1))
-        loss = T.sum_all(model.head_params["w_start"])
-    assert model._arena is None
-    backward(tape, loss)
-    assert model._arena is None
-    model.train_step(b, state, np.random.default_rng(2))
-    assert model._arena.taken_bytes == 0
+class PoisonedArena(T.Arena):
+    """An arena whose ``give`` fills the block's bytes with 0xFF, NaN in
+    float32 and float64, so that a read of a block after it went back
+    shows, as a read after free does under glibc's ``MALLOC_PERTURB_``."""
+
+    def give(self, a):
+        ci, lo, hi = self._taken[a.__array_interface__["data"][0]]
+        self._chunks[ci][0][lo:hi] = 0xFF
+        super().give(a)
+
+
+def adam_run(monkeypatch, arena_class, model, b):
+    """Three Adam steps of ``model`` on ``b`` with ``arena_class`` as the
+    model's arena: each step's loss and gradients, handed to clipping,
+    and the weights after, as bytes."""
+    import sebertnets.model as model_module
+
+    grads = []
+    real_clip = model_module.clip_global_norm
+
+    def clip(g, max_norm):
+        grads.append([a.tobytes() for a in g.values()])
+        return real_clip(g, max_norm)
+
+    state, rng = make_state("adam"), np.random.default_rng(0)
+    with monkeypatch.context() as m:
+        m.setattr(model_module, "Arena", arena_class)
+        m.setattr(model_module, "clip_global_norm", clip)
+        losses = [model.train_step(b, state, rng) for _ in range(3)]
+    return losses, grads, [p.data.tobytes() for p in model.parameters().values()]
+
+
+@pytest.mark.parametrize("placement", ["whole", "split"])
+def test_a_poisoned_arena_changes_no_bit(monkeypatch, placement):
+    """A step reads no arena block after giving it back: with every given
+    block overwritten by NaN, losses, gradients and trained weights are
+    bit for bit those of a clean arena. A split block defers its gives to
+    its sync, so a give that comes too early shows in the whole
+    placement; both run. The ``train_long``-shaped case (rows of about
+    120 tokens, batch 32, hidden 200) spans several arena chunks."""
+    from sebertnets import threads
+
+    monkeypatch.setattr(threads, "threaded", lambda rows: placement == "split")
+    cases = [dict(variant=variant, cell=cell, activation=act, dropout=dropout, dtype=dtype)
+             for variant, cell in ((BERT_BASELINE, GRU), (SEBERTNETS, GRU), (SEBERTNETS, LSTM))
+             for act in ("relu", "gelu") for dropout in (0.0, 0.1)
+             for dtype in (np.float32, np.float64)]
+    if placement == "whole":
+        cases.append(dict(variant=SEBERTNETS, cell=GRU, activation="relu", dropout=0.1,
+                          dtype=np.float32, long=True))
+    for case in cases:
+        runs = []
+        for arena_class in (T.Arena, PoisonedArena):
+            if case.get("long"):
+                corpus = generate_synthetic(SynthConfig(n_examples=32, min_distractors=7,
+                                                        max_distractors=8,
+                                                        filler_len=(7, 9)), 0)
+                model, _, _, b = build_setup(corpus=corpus, d_model=64, hidden=200,
+                                             n_layers=2, n_heads=4, d_ff=256, dropout=0.1,
+                                             max_len=140)
+            else:
+                model, _, _, b = build_setup(variant=case["variant"], cell=case["cell"],
+                                             n=8, n_layers=2, dropout=case["dropout"],
+                                             activation=case["activation"])
+            for p in model.parameters().values():
+                p.data = p.data.astype(case["dtype"])
+            runs.append(adam_run(monkeypatch, arena_class, model, b))
+        assert runs[0] == runs[1], case
 
 
 def test_tape_free_forward_drops_the_idle_arena():
@@ -1156,9 +1195,9 @@ def test_nonfinite_gradient_changes_no_weight(monkeypatch, value):
     model.train_step(b, state, np.random.default_rng(0))
     real_backward = model_module.backward
 
-    def poisoned(tape, loss):
-        real_backward(tape, loss)
-        model.head_params["w_start"].grad[0, 0] = value
+    def poisoned(tape, grads):
+        real_backward(tape, grads)
+        grads["head.w_start"][0, 0] = value
 
     monkeypatch.setattr(model_module, "backward", poisoned)
     before = {n: p.data.copy() for n, p in model.parameters().items()}

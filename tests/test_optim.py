@@ -28,7 +28,7 @@ from sebertnets.tensor import Tensor
 
 def make_params(rng, shapes, dtype=np.float64):
     return {
-        f"p{i}": Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+        f"p{i}": Tensor(rng.standard_normal(s).astype(dtype))
         for i, s in enumerate(shapes)
     }
 
@@ -39,7 +39,7 @@ def make_params(rng, shapes, dtype=np.float64):
 def test_adam_single_step_from_zero():
     # theta=0, g=1, defaults: m_hat ~ 1, v_hat = 1 exactly, so the step
     # is -lr / (1 + eps), within an ulp of -0.001.
-    p = Tensor(np.zeros(1, dtype=np.float64), requires_grad=True)
+    p = Tensor(np.zeros(1, dtype=np.float64))
     st = AdamState()
     adam_step({"p": p}, {"p": np.ones(1)}, st)
     assert st.k == 1
@@ -86,7 +86,7 @@ def test_adam_matches_reference_bitwise():
 
 
 def test_adam_preserves_dtype():
-    p = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
+    p = Tensor(np.ones((2, 2), dtype=np.float32))
     st = AdamState()
     adam_step({"p": p}, {"p": np.ones((2, 2), dtype=np.float32)}, st)
     # moments and updates run at the wider precision numpy promotes to;
@@ -95,7 +95,7 @@ def test_adam_preserves_dtype():
 
 
 def test_adam_rejects_nonfinite_gradient():
-    p = Tensor(np.zeros(2), requires_grad=True)
+    p = Tensor(np.zeros(2))
     st = AdamState()
     with pytest.raises(DivergenceError, match="p"):
         adam_step({"p": p}, {"p": np.array([1.0, np.nan])}, st)
@@ -128,13 +128,13 @@ def test_rejected_step_changes_no_state(make):
 
 
 def test_sgd_step_exact():
-    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    p = Tensor(np.array([1.0, -2.0]))
     sgd_step({"p": p}, {"p": np.array([0.5, 0.5])}, SgdState(lr=0.1))
     assert np.array_equal(p.data, np.array([1.0, -2.0]) - 0.1 * np.array([0.5, 0.5]))
 
 
 def test_sgd_rejects_nonfinite_gradient():
-    p = Tensor(np.zeros(1), requires_grad=True)
+    p = Tensor(np.zeros(1))
     with pytest.raises(DivergenceError):
         sgd_step({"p": p}, {"p": np.array([np.nan])}, SgdState(lr=0.1))
 
@@ -182,7 +182,7 @@ def ref_swats_quadratic(theta0, lr, eps_switch, max_steps):
 
 
 def run_swats_quadratic(theta0, lr, eps_switch, max_steps):
-    theta = Tensor(np.asarray(theta0, dtype=np.float64).copy(), requires_grad=True)
+    theta = Tensor(np.asarray(theta0, dtype=np.float64).copy())
     st = SwatsState(adam=AdamState(lr=lr), eps_switch=eps_switch)
     k_star = None
     traj = [theta.data.copy()]
@@ -230,7 +230,7 @@ def test_swats_pre_switch_is_pure_adam():
     theta0 = np.random.default_rng(0).standard_normal(10)
     _, _, swats_traj = run_swats_quadratic(theta0, 0.01, 1e-4, 11)
 
-    p = Tensor(theta0.copy(), requires_grad=True)
+    p = Tensor(theta0.copy())
     st = AdamState(lr=0.01)
     adam_traj = [p.data.copy()]
     for _ in range(11):
@@ -247,7 +247,7 @@ def test_swats_post_switch_is_pure_sgd():
     k_star, st, swats_traj = run_swats_quadratic(theta0, 0.01, 1e-4, 60)
     assert k_star == 11
 
-    p = Tensor(swats_traj[k_star].copy(), requires_grad=True)
+    p = Tensor(swats_traj[k_star].copy())
     sgd = SgdState(lr=st.sgd_lr)
     for step in range(k_star + 1, 61):
         sgd_step({"theta": p}, {"theta": p.data.copy()}, sgd)
@@ -256,7 +256,7 @@ def test_swats_post_switch_is_pure_sgd():
 
 def test_swats_never_reverts():
     theta0 = np.random.default_rng(0).standard_normal(10)
-    theta = Tensor(theta0.copy(), requires_grad=True)
+    theta = Tensor(theta0.copy())
     st = SwatsState(adam=AdamState(lr=0.01), eps_switch=1e-4)
     switched_at = None
     for k in range(1, 2001):
@@ -273,7 +273,7 @@ def test_swats_never_reverts():
 def test_swats_zero_projection_skips_rate_update():
     # zero gradient at step 1 gives a zero step, so p.g = 0 and the
     # rate estimate must be left untouched rather than divided by zero
-    theta = Tensor(np.ones(3), requires_grad=True)
+    theta = Tensor(np.ones(3))
     st = SwatsState(adam=AdamState(lr=0.01), eps_switch=1e-4)
     swats_step({"theta": theta}, {"theta": np.zeros(3)}, st)
     assert st.phase == "adam"
@@ -298,7 +298,7 @@ def test_swats_multi_param_switches():
 
 
 def test_apply_step_dispatch():
-    p = Tensor(np.ones(2), requires_grad=True)
+    p = Tensor(np.ones(2))
     g = {"p": np.ones(2)}
     apply_step({"p": p}, g, AdamState())
     apply_step({"p": p}, g, SgdState(lr=0.1))

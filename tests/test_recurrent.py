@@ -2,7 +2,7 @@
 bidirectional encoding vs a truncation oracle, gradient checks, and the
 two directions on two threads vs both on the calling thread."""
 
-import contextlib
+import inspect
 import os
 import signal
 import subprocess
@@ -22,7 +22,7 @@ from sebertnets import threads
 from sebertnets.errors import ContractError, DegenerateMaskError, ShapeError
 from sebertnets.tensor import Tensor
 
-from gradcheck import check_grads, square_sum, weighted_sum
+from gradcheck import check_grads, source, square_sum, weighted_sum
 
 @pytest.fixture
 def rng():
@@ -63,6 +63,12 @@ def make_params(cell, d, hid, rng, dtype=np.float64, scale=1.0):
 
 def raw_weights(p):
     return {k: t.data for k, t in p.weights.items()}
+
+
+def weights_of(fwd, bwd):
+    """Both directions' weight Tensors by name, as a chain names them."""
+    return {f"{d}.{k}": t for d, p in (("fwd", fwd), ("bwd", bwd))
+            for k, t in p.weights.items()}
 
 
 class TestLstmStep:
@@ -157,8 +163,9 @@ def test_step_cells_are_forward_only(cell, rng):
             return new.h.data, new.c.data
         return R.gru_step(Tensor(l), Tensor(h), p).data, None
 
-    with T.Tape(), pytest.raises(ContractError, match="forward-only"):
-        run()
+    # forward-only references: no chain to record on
+    for step in (R.lstm_step, R.gru_step):
+        assert "chain" not in inspect.signature(step).parameters
     got_h, got_c = run()
     if cell == R.LSTM:
         want_h, want_c, _ = ref_lstm_step(l, h, c, raw_weights(p))
@@ -292,12 +299,12 @@ class TestGradients:
         seq = rng.standard_normal((s, d))
         mask = np.array([True, True, True, False])
 
-        def build(seq_t, *weight_tensors):
+        def build(chain, seq_t, *weight_tensors):
             k = len(names)
             fwd = R.RecurrentParams(cell, d, hid, dict(zip(names, weight_tensors[:k])))
             bwd = R.RecurrentParams(cell, d, hid, dict(zip(names, weight_tensors[k:])))
-            out = R.bidirectional_encode(seq_t, mask, fwd, bwd)
-            return square_sum(out)
+            out = R.bidirectional_encode(source(chain, seq_t), mask, fwd, bwd, chain=chain)
+            return square_sum(chain, out)
 
         check_grads(build, [seq, *fwd_arrays, *bwd_arrays])
 
@@ -365,17 +372,16 @@ class TestFusedPass:
         R.bidirectional_encode(Tensor(seq), mask, fwd, bwd)
         outs, peaks = [], []
         for taped in (False, True):
-            tape = T.Tape()
-            arena = tape.arena = T.Arena()
+            arena = T.Arena()
+            chain = T.Chain(weights_of(fwd, bwd), arena) if taped else None
             tracemalloc.start()
-            with tape if taped else contextlib.nullcontext():
-                outs.append(R.bidirectional_encode(Tensor(seq), mask, fwd, bwd).data)
+            outs.append(R.bidirectional_encode(Tensor(seq), mask, fwd, bwd, chain=chain).data)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
-            assert bool(len(tape)) == taped
+            assert bool(chain) == taped
             assert bool(arena.taken_bytes) == taped
         assert np.array_equal(outs[0], outs[1])
-        # the taped pass keeps, in its tape's arena, 4 (GRU) or 6 (LSTM)
+        # the taped pass keeps, in its chain's arena, 4 (GRU) or 6 (LSTM)
         # [S, B, H] arrays per direction, each half the size of the
         # output, and its time-major input: one array more or fewer per
         # direction falls outside. The untaped pass takes nothing from the
@@ -396,12 +402,12 @@ class TestFusedPass:
         seq, mask = ragged_batch(rng, d, np.float64)
         w_out = rng.standard_normal((3, 6, 2 * hid))
 
-        def build(seq_t, *weights):
+        def build(chain, seq_t, *weights):
             k = len(names)
             f = R.RecurrentParams(cell, d, hid, dict(zip(names, weights[:k])))
             b = R.RecurrentParams(cell, d, hid, dict(zip(names, weights[k:])))
-            out = R.bidirectional_encode(seq_t, mask, f, b)
-            return weighted_sum(out, w_out)
+            out = R.bidirectional_encode(source(chain, seq_t), mask, f, b, chain=chain)
+            return weighted_sum(chain, out, w_out)
 
         check_grads(build, [seq, *(fwd.weights[n].data for n in names),
                             *(bwd.weights[n].data for n in names)])
@@ -413,11 +419,10 @@ class TestFusedPass:
         bwd = make_params(cell, 3, 2, rng, dtype=np.float32)
         lengths = []
         for s in (4, 64):
-            seq = Tensor(rng.standard_normal((2, s, 3)).astype(np.float32),
-                         requires_grad=True)
-            with T.Tape() as tape:
-                R.bidirectional_encode(seq, np.ones((2, s), dtype=bool), fwd, bwd)
-            lengths.append(len(tape))
+            seq = Tensor(rng.standard_normal((2, s, 3)).astype(np.float32))
+            chain = T.Chain(weights_of(fwd, bwd))
+            R.bidirectional_encode(seq, np.ones((2, s), dtype=bool), fwd, bwd, chain=chain)
+            lengths.append(len(chain))
         assert lengths[0] == lengths[1]
 
     @pytest.mark.parametrize("cell", [R.LSTM, R.GRU])
@@ -426,39 +431,40 @@ class TestFusedPass:
         rng = np.random.default_rng(47)
         fwd = make_params(cell, 3, 2, rng)
         bwd = make_params(cell, 3, 2, rng)
-        seq = Tensor(rng.standard_normal(shape), requires_grad=True)
-        with T.Tape() as tape:
-            out = R.bidirectional_encode(seq, np.ones(shape[:-1], dtype=bool), fwd, bwd)
-        assert len(tape) == 1
+        seq = Tensor(rng.standard_normal(shape))
+        chain = T.Chain(weights_of(fwd, bwd))
+        out = R.bidirectional_encode(seq, np.ones(shape[:-1], dtype=bool), fwd, bwd,
+                                     chain=chain)
+        assert len(chain) == 1
         assert out.shape == shape[:-1] + (4,)
 
 
-def arena_loss(out, w, arena):
-    """sum(out * w) as one test-side op whose gradient, like the span
-    head's, comes from ``arena``, which the layer's backward gives it to."""
+def arena_loss(chain, out, w):
+    """sum(out * w) as the last stage of ``chain``, whose gradient, like
+    the span head's, comes from the chain's arena, which the layer's
+    backward gives it to."""
     w = np.asarray(w, dtype=out.dtype)
-    return T._make((out,), np.asarray((out.data * w).sum(), dtype=out.dtype),
-                   lambda g: (np.multiply(g, w, out=arena.take(w.shape, w.dtype)),))
+    chain.add("arena_loss", lambda _: (np.positive(w, out=chain.arena.take(w.shape, w.dtype)),),
+              ())
 
 
 def recorded_pass(cell, seq, mask, w_out, fwd, bwd, arena):
-    """One forward and backward of the layer recorded on a tape lent a
+    """One forward and backward of the layer recorded on a chain holding a
     fresh ``arena``, from copies of the inputs: the output, the input
     gradient and every weight gradient, fwd's then bwd's, in layout
     order."""
-    seq_t = Tensor(seq.copy(), requires_grad=True)
     params = [R.RecurrentParams(cell, p.input_size, p.hidden_size,
-                                {k: Tensor(t.data.copy(), requires_grad=True)
-                                 for k, t in p.weights.items()}) for p in (fwd, bwd)]
-    with T.Tape() as tape:
-        tape.arena = arena
-        out = R.bidirectional_encode(seq_t, mask, *params)
-        tape.arena = T.MALLOC
-        loss = arena_loss(out, w_out, arena)
-    T.backward(tape, loss)
+                                {k: Tensor(t.data.copy()) for k, t in p.weights.items()})
+              for p in (fwd, bwd)]
+    names = weights_of(*params)
+    chain = T.Chain(names, arena)
+    out = R.bidirectional_encode(Tensor(seq.copy()), mask, *params, chain=chain)
+    arena_loss(chain, out, w_out)
+    grads = {}
+    d_seq = T.backward(chain, grads)
     # only the input gradient, which the layer below gives back, is taken
     assert arena.taken_bytes == -(-seq.nbytes // T.Arena.ALIGN) * T.Arena.ALIGN
-    return [out.data, seq_t.grad, *(t.grad for p in params for t in p.weights.values())]
+    return [out.data, d_seq, *(grads[name] for name in names)]
 
 
 def ragged_rows(rng, b, s, d, dtype):
@@ -539,13 +545,11 @@ class TestTwoThreads:
             halves.append(threading.get_ident())
             real(queue, r)
         monkeypatch.setattr(E, "_run", run)
-        with T.Tape() as tape:
-            tape.arena = arena
-            out = E.encode(ids, np.zeros_like(ids), keys, params, cfg,
-                           rng=np.random.default_rng(0))
-            tape.arena = T.MALLOC
-            loss = arena_loss(out.hidden, rng.standard_normal((8, 10, 8)), arena)
-        T.backward(tape, loss)
+        chain = T.Chain(params, arena)
+        out = E.encode(ids, np.zeros_like(ids), keys, params, cfg,
+                       rng=np.random.default_rng(0), chain=chain)
+        arena_loss(chain, out.hidden, rng.standard_normal((8, 10, 8)))
+        T.backward(chain, {})
         assert sorted(set(t == here for t in halves)) == [False, True]
         assert halves.count(here) == len(halves) // 2
         assert {n for n, _ in calls} == {"take", "give"}
@@ -569,11 +573,10 @@ class TestTwoThreads:
             real(*args)
             finished.set()
         monkeypatch.setattr(R, stage, direction)
-        seq_t = Tensor(seq, requires_grad=True)
+        chain = T.Chain(weights_of(fwd, bwd))
         with pytest.raises(DegenerateMaskError, match="a direction failed"):
-            with T.Tape() as tape:
-                loss = square_sum(R.bidirectional_encode(seq_t, mask, fwd, bwd))
-            T.backward(tape, loss)
+            square_sum(chain, R.bidirectional_encode(Tensor(seq), mask, fwd, bwd, chain=chain))
+            T.backward(chain, {})
         assert finished.is_set()
 
     def test_one_row_or_one_cpu_runs_both_directions_here(self, monkeypatch):

@@ -11,7 +11,7 @@ from sebertnets import tensor as T
 from sebertnets.errors import ContractError, DecodeError
 from sebertnets.tensor import Tensor
 
-from gradcheck import check_grads
+from gradcheck import check_grads, source
 
 
 def logits_1d(start, end, valid):
@@ -151,9 +151,10 @@ class TestScore:
                  ((2, 5, 4), [[False, True, True, True, False],
                               [False, True, True, False, False]], np.array([[1, 3], [2, 2]]))]
         for h_shape, valid, gold in cases:
-            def build(h, ws, we, valid=np.array(valid), gold=gold):
-                logits = S.score(h, {"w_start": ws, "w_end": we}, valid)
-                return S.span_loss(logits, gold)
+            def build(chain, h, ws, we, valid=np.array(valid), gold=gold):
+                logits = S.score(source(chain, h), {"w_start": ws, "w_end": we}, valid,
+                                 chain=chain)
+                return S.span_loss(logits, gold, chain=chain).data
 
             check_grads(build, [rng.standard_normal(h_shape),
                                 rng.standard_normal((4, 1)),
@@ -208,16 +209,15 @@ class TestSpanLoss:
             want -= lp[[0, 1], gold].sum() / 2
             want_grads.append((np.exp(lp) - np.eye(8)[gold]) / 2)
         for dtype, tol in ((np.float32, 1e-6), (np.float64, 1e-12)):
-            lg = S.SpanLogits(Tensor(np.stack([start, end]).astype(dtype),
-                                     requires_grad=True), valid)
-            with T.Tape() as tape:
-                loss = S.span_loss(lg, golds)
-            assert len(tape) == 1
-            T.backward(tape, loss)
+            lg = S.SpanLogits(Tensor(np.stack([start, end]).astype(dtype)), valid)
+            chain = T.Chain({})
+            loss = S.span_loss(lg, golds, chain=chain)
+            assert len(chain) == 1
+            d_scores = T.backward(chain, {})
             assert loss.dtype == dtype
             np.testing.assert_allclose(float(loss.data), want, rtol=tol)
-            assert lg.scores.grad.dtype == dtype
-            for got, grad in zip(lg.scores.grad, want_grads):
+            assert d_scores.dtype == dtype
+            for got, grad in zip(d_scores, want_grads):
                 np.testing.assert_allclose(got, grad, rtol=tol, atol=tol / 10)
 
     def test_batched_is_mean(self):

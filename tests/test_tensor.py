@@ -1,5 +1,6 @@
-"""Tensor core, the encoder's array kernels and the span head op:
-forward values, tape mechanics, and gradients vs finite differences."""
+"""Tensor core, the encoder's array kernels and the span head stage:
+forward values, the chain ``backward`` runs, and gradients vs finite
+differences."""
 
 import threading
 import weakref
@@ -10,11 +11,11 @@ import pytest
 from sebertnets import encoder as E
 from sebertnets import span as S
 from sebertnets import tensor as T
-from sebertnets.errors import ContractError, DegenerateMaskError, ShapeError
+from sebertnets.errors import DegenerateMaskError, ShapeError
 from sebertnets.recurrent import GRU, LSTM, _sigmoid, _step, direction_layout
 
-from gradcheck import (check_grads, grad_close, kernel_op, numeric_grad, square_sum,
-                       weighted_sum)
+from gradcheck import (chain_grads, check_grads, grad_close, kernel_op, numeric_grad,
+                       source, square_sum, weighted_sum)
 
 @pytest.fixture
 def randn():
@@ -29,15 +30,12 @@ def key_bias(mask, dtype=np.float64):
     return np.where(mask, dtype(0), dtype(-np.inf))
 
 
-def head(h, w_start, w_end):
-    """The span head over Tensors: its [2, ..., S] output as a Tensor."""
+def head(chain, h, w_start, w_end):
+    """The span head over Tensors, recorded on ``chain`` after a source
+    stage for ``h``: its [2, ..., S] output as a Tensor."""
     weights = {"w_start": w_start, "w_end": w_end}
-    return S.score(h, weights, np.ones(h.shape[:-1], dtype=bool)).scores
-
-
-def product(a, b):
-    """a * b elementwise, a test-side op."""
-    return T._make((a, b), a.data * b.data, lambda g: (g * b.data, g * a.data))
+    return S.score(source(chain, h), weights, np.ones(h.shape[:-1], dtype=bool),
+                   chain=chain).scores
 
 
 def encode_tiny(mask, ids_shape=(2, 4)):
@@ -54,30 +52,29 @@ class TestForwardValues:
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError) as e:
-            head(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 1))),
+            head(None, T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 1))),
                  T.Tensor(np.zeros((2, 1))))
         assert "(2, 3)" in str(e.value) and "(2, 1)" in str(e.value)
 
     def test_matmul_values(self):
         h = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = head(h, T.Tensor([[5.0], [7.0]]), T.Tensor([[6.0], [8.0]]))
+        out = head(None, h, T.Tensor([[5.0], [7.0]]), T.Tensor([[6.0], [8.0]]))
         np.testing.assert_array_equal(out.data, [[19, 43], [22, 50]])
 
     def test_matmul_inner_dim_check(self):
         w = T.Tensor(np.zeros((2, 1)))
         with pytest.raises(ShapeError):
-            head(T.Tensor(np.zeros((2, 3))), w, w)
+            head(None, T.Tensor(np.zeros((2, 3))), w, w)
         with pytest.raises(ShapeError):  # the two scorers must match
-            head(T.Tensor(np.zeros((2, 2))), w, T.Tensor(np.zeros((3, 1))))
+            head(None, T.Tensor(np.zeros((2, 2))), w, T.Tensor(np.zeros((3, 1))))
         with pytest.raises(ShapeError):  # a vector input has no rule
-            head(T.Tensor(np.zeros(2)), w, w)
+            head(None, T.Tensor(np.zeros(2)), w, w)
 
     def test_dtype_preserved(self, randn):
         for dt in (np.float32, np.float64):
             x = T.Tensor(randn(3, 3).astype(dt))
             w = T.Tensor(randn(3, 1).astype(dt))
-            for out in (head(x, w, w), T.sum_all(x)):
-                assert out.dtype == dt
+            assert head(None, x, w, w).dtype == dt
             out, back = S._head(x.data, w.data, w.data)
             assert all(d.dtype == dt for d in back(out))
             v = randn(2, 3, 3).astype(dt)
@@ -180,145 +177,116 @@ class TestMaskedSoftmax:
 
 
 class TestTapeMechanics:
-    def test_loss_must_be_scalar(self, randn):
-        x = T.Tensor(randn(3, 3), requires_grad=True)
-        with T.Tape() as tape:
-            y = kernel_op(E._relu)(x)
-        with pytest.raises(ContractError):
-            T.backward(tape, y)
-
-    def test_loss_must_be_on_tape(self, randn):
-        x = T.Tensor(randn(3), requires_grad=True)
-        with T.Tape() as tape:
-            T.sum_all(x)
-        with T.Tape():
-            other = T.sum_all(x)
-        with pytest.raises(ContractError):
-            T.backward(tape, other)
+    """The chain of stages that ``backward`` runs (its ``tape``)."""
 
     def test_sum_grad_is_ones(self):
-        x = T.Tensor(np.zeros(3), requires_grad=True)
-        with T.Tape() as tape:
-            loss = T.sum_all(x)
-        T.backward(tape, loss)
-        np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
-
-    def test_grads_accumulate_until_cleared(self):
-        x = T.Tensor(np.ones(3), requires_grad=True)
-        grads = []
-        for _ in range(2):  # two recorded passes: a tape runs backward once
-            with T.Tape() as tape:
-                loss = square_sum(x)
-            T.backward(tape, loss)
-            grads.append(x.grad.copy())
-        np.testing.assert_array_equal(grads[1], 2 * grads[0])
-        x.zero_grad()
-        assert x.grad is None
+        x = T.Tensor(np.zeros(3))
+        (grad,) = chain_grads(lambda c, x: weighted_sum(c, source(c, x), np.ones(3)), [x])
+        np.testing.assert_array_equal(grad, [1.0, 1.0, 1.0])
 
     def test_a_gradient_lives_until_its_record_has_run(self):
-        """When a record's backward runs, no gradient that an earlier-run
-        record received or returned is alive but the one it is handed.
-        The backward consumes the tape: once it returns, no record's saved
-        array is alive, and a second backward raises."""
-        given = []  # weakrefs to every gradient a backward got or returned
+        """When a stage's backward runs, no input gradient that a stage run
+        before it received or returned is alive but the one it is handed.
+        The backward consumes the chain: once it returns, no stage's saved
+        array is alive, and the chain is empty."""
+        given = []  # weakrefs to every input gradient a backward got or returned
         others_alive = []
-        kept = []  # weakrefs to the array each op's backward reads
+        kept = []  # weakrefs to the array each stage's backward reads
+        x = T.Tensor(np.ones(4))
+        ws = [T.Tensor(np.ones(4)) for _ in range(4)]
+        chain = T.Chain({"x": x, **{f"w{i}": w for i, w in enumerate(ws)}})
 
-        def op(t, w):
-            saved = t.data * 2.0
+        def stage(y, w):
+            saved = y * 2.0
             kept.append(weakref.ref(saved))
 
-            def bwd(g):
+            def back(g):
                 others_alive.append(sum(r() is not None and r() is not g for r in given))
-                grads = (g * 2.0, g + saved)
-                given.extend(weakref.ref(a) for a in (g, *grads))
-                return grads
-            return T._make((t, w), saved, bwd)
+                dy = g * 2.0
+                given.extend(weakref.ref(a) for a in (g, dy))
+                return dy, g + saved
+            chain.add("stage", back, [w])
+            return saved
 
-        x = T.Tensor(np.ones(4), requires_grad=True)
-        ws = [T.Tensor(np.ones(4), requires_grad=True) for _ in range(4)]
-        with T.Tape() as tape:
-            y = x
-            for w in ws:
-                y = op(y, w)
-            loss = T.sum_all(y)
+        y = source(chain, x).data
+        for w in ws:
+            y = stage(y, w)
+        weighted_sum(chain, y, np.ones(4))
         del y
-        assert len(tape) == 5
-        T.backward(tape, loss)
+        assert len(chain) == 6
+        grads = {}
+        T.backward(chain, grads)
         assert others_alive == [0] * 4
         assert [r() for r in kept] == [None] * 4
-        np.testing.assert_array_equal(x.grad, np.full(4, 16.0))
-        np.testing.assert_array_equal(ws[0].grad, np.full(4, 8.0 + 2.0))
-        with pytest.raises(ContractError):
-            T.backward(tape, loss)
-        np.testing.assert_array_equal(x.grad, np.full(4, 16.0))
+        assert len(chain) == 0
+        np.testing.assert_array_equal(grads["x"], np.full(4, 16.0))
+        np.testing.assert_array_equal(grads["w0"], np.full(4, 8.0 + 2.0))
 
     def test_no_grad_for_non_requiring_leaf(self, randn):
-        x = T.Tensor(randn(1, 3), requires_grad=True)
+        """A chain writes gradients only under the names of the parameters
+        its stages read; the gradient of the first stage's input, which is
+        no parameter, is what ``backward`` returns."""
+        x = T.Tensor(randn(1, 3))
         c = T.Tensor(randn(3, 1))
         zero = T.Tensor(np.zeros((3, 1)))
-        with T.Tape() as tape:
-            loss = T.sum_all(head(x, c, zero))
-        T.backward(tape, loss)
-        assert c.grad is None and zero.grad is None
-        np.testing.assert_array_equal(x.grad, c.data.T)
+        chain = T.Chain({"c": c, "zero": zero})
+        logits = S.score(x, {"w_start": c, "w_end": zero}, np.ones((1,), dtype=bool),
+                         chain=chain)
+        weighted_sum(chain, logits.scores, np.ones((2, 1)))
+        grads = {}
+        dx = T.backward(chain, grads)
+        assert sorted(grads) == ["c", "zero"]
+        np.testing.assert_array_equal(dx, c.data.T)
+        np.testing.assert_array_equal(grads["c"], x.data.T)
 
     def test_no_tape_means_no_recording(self, randn):
-        x = T.Tensor(randn(3), requires_grad=True)
-        y = T.sum_all(x)
-        assert y.requires_grad
-        with T.Tape() as tape:
-            pass
-        assert len(tape) == 0
-
-    def test_reused_intermediate_fans_in(self):
-        # y = sum(x * x) feeds both operands of one product: loss = y**2,
-        # so dloss/dx = 4 * y * x
-        x = T.Tensor(np.array([[1.0, 2.0]], dtype=np.float64), requires_grad=True)
-        with T.Tape() as tape:
-            y = square_sum(x)
-            loss = T.sum_all(product(y, y))
-        T.backward(tape, loss)
-        np.testing.assert_allclose(x.grad, 4 * 5.0 * x.data)
+        """Without a chain a stage records nothing, and its value is the
+        recorded one."""
+        h, w = T.Tensor(randn(2, 3, 4)), T.Tensor(randn(4, 1))
+        chain = T.Chain({"w": w})
+        plain = head(None, h, w, w)
+        recorded = S.score(h, {"w_start": w, "w_end": w}, np.ones((2, 3), dtype=bool),
+                           chain=chain).scores
+        assert [stage for stage, _, _ in chain] == ["head"]
+        assert plain.data.tobytes() == recorded.data.tobytes()
 
     def test_tapes_on_threads_are_independent(self):
         results = {}
 
         def run(key, seed):
             rng = np.random.default_rng(seed)
-            x = T.Tensor(rng.standard_normal(4), requires_grad=True, dtype=np.float64)
-            with T.Tape() as tape:
-                loss = square_sum(x)
-            T.backward(tape, loss)
-            results[key] = np.abs(x.grad - 2 * x.data).max()
+            x = T.Tensor(rng.standard_normal(4))
+            (grad,) = chain_grads(lambda c, x: square_sum(c, source(c, x)), [x])
+            results[key] = np.abs(grad - 2 * x.data).max()
 
         threads = [threading.Thread(target=run, args=(i, i)) for i in range(4)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        assert all(v == 0.0 for v in results.values())
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert results == {i: 0.0 for i in range(4)}
 
 
 class TestGradientsAgainstFiniteDifferences:
     def test_add_bias(self, randn):
         # the bias of a linear map: its gradient sums over the positions
-        check_grads(lambda x, w, b: square_sum(kernel_op(E._linear)(x, w, b)),
+        check_grads(lambda c, x, w, b: square_sum(c, kernel_op(E._linear)(c, x, w, b)),
                     [randn(1, 4, 3), randn(3, 5), randn(5)])
 
     def test_add_bias_batched(self, randn):
-        check_grads(lambda x, w, b: square_sum(kernel_op(E._linear)(x, w, b)),
+        check_grads(lambda c, x, w, b: square_sum(c, kernel_op(E._linear)(c, x, w, b)),
                     [randn(2, 3, 4), randn(4, 4), randn(4)])
 
     def test_matmul_2d(self, randn):
         # the span head over one example's [S, width] states
         w = randn(2, 3)
-        check_grads(lambda h, a, b: weighted_sum(head(h, a, b), w),
+        check_grads(lambda c, h, a, b: weighted_sum(c, head(c, h, a, b), w),
                     [randn(3, 4), randn(4, 1), randn(4, 1)])
 
     def test_matmul_batched(self, randn):
         w = randn(2, 2, 3)
-        check_grads(lambda h, a, b: weighted_sum(head(h, a, b), w),
+        check_grads(lambda c, h, a, b: weighted_sum(c, head(c, h, a, b), w),
                     [randn(2, 3, 4), randn(4, 1), randn(4, 1)])
 
     def test_matmul_shared_weight(self, randn):
@@ -335,23 +303,23 @@ class TestGradientsAgainstFiniteDifferences:
     def test_sigmoid_tanh_relu_gelu(self, randn):
         x = randn(3, 4) + np.sign(randn(3, 4)) * 0.05  # keep away from relu kink
         w = randn(3, 4)
-        check_grads(lambda t: weighted_sum(kernel_op(E._relu)(t), w), [x])
-        check_grads(lambda t: weighted_sum(kernel_op(E._gelu)(t), w), [x])
+        check_grads(lambda c, t: weighted_sum(c, kernel_op(E._relu)(c, t), w), [x])
+        check_grads(lambda c, t: weighted_sum(c, kernel_op(E._gelu)(c, t), w), [x])
 
     def test_reshape(self, randn):
         # the head reshapes each [.., S, 1] product into a row of its output
         h, a, b = randn(2, 3, 4), randn(4, 1), randn(4, 1)
-        out = head(T.Tensor(h), T.Tensor(a), T.Tensor(b)).data
+        out = head(None, T.Tensor(h), T.Tensor(a), T.Tensor(b)).data
         assert out.shape == (2, 2, 3)
         assert out[0].tobytes() == (h @ a).reshape(2, 3).tobytes()
         assert out[1].tobytes() == (h @ b).reshape(2, 3).tobytes()
-        check_grads(lambda h, a, b: square_sum(head(h, a, b)), [h, a, b])
+        check_grads(lambda c, h, a, b: square_sum(c, head(c, h, a, b)), [h, a, b])
 
     def test_embedding_lookup_accumulates_repeats(self, randn):
         ids, segs = np.array([[0, 2, 2, 1]]), np.zeros((1, 4), dtype=np.int64)
         w = randn(1, 4, 3)
         op = kernel_op(E._embedding, ids, segs, 0.0, None)
-        check_grads(lambda tok, pos, seg, g, b: weighted_sum(op(tok, pos, seg, g, b), w),
+        check_grads(lambda c, *tables: weighted_sum(c, op(c, *tables), w),
                     [randn(4, 3), randn(5, 3), randn(2, 3), 1.0 + 0.1 * randn(3),
                      randn(3)])
         tables = [randn(4, 3), randn(5, 3), randn(2, 3)]
@@ -372,19 +340,19 @@ class TestGradientsAgainstFiniteDifferences:
 
     def test_layer_norm(self, randn):
         w = randn(3, 6)
-        check_grads(lambda x, g, b: weighted_sum(kernel_op(E._layer_norm)(x, g, b), w),
+        check_grads(lambda c, x, g, b: weighted_sum(c, kernel_op(E._layer_norm)(c, x, g, b), w),
                     [randn(3, 6), randn(6), randn(6)])
 
     def test_masked_softmax(self, randn):
         mask = np.array([[True, True, False, True], [True, True, True, False]])
-        check_grads(lambda x: square_sum(kernel_op(E._masked_softmax, key_bias(mask))(x)),
+        check_grads(lambda c, x: square_sum(c, kernel_op(E._masked_softmax, key_bias(mask))(c, x)),
                     [randn(2, 4)])
 
     def test_dropout_fixed_mask(self, randn):
         w = randn(6, 6)
 
-        def build(x):
-            return weighted_sum(kernel_op(E._dropout, 0.5, np.random.default_rng(99))(x), w)
+        def build(c, x):
+            return weighted_sum(c, kernel_op(E._dropout, 0.5, np.random.default_rng(99))(c, x), w)
         check_grads(build, [randn(6, 6)])
 
     def test_dropout_rate_zero_is_identity(self, randn):
@@ -397,9 +365,9 @@ class TestGradientsAgainstFiniteDifferences:
         assert rng.bit_generator.state == state  # nothing drawn
 
     def test_deep_chain(self, randn):
-        def build(x, w1, b1, w2, b2):
-            h = kernel_op(E._relu)(kernel_op(E._linear)(x, w1, b1))
-            return square_sum(kernel_op(E._gelu)(kernel_op(E._linear)(h, w2, b2)))
+        def build(c, x, w1, b1, w2, b2):
+            h = kernel_op(E._relu)(c, kernel_op(E._linear)(c, x, w1, b1))
+            return square_sum(c, kernel_op(E._gelu)(c, kernel_op(E._linear)(c, h, w2, b2)))
         check_grads(build, [randn(2, 4, 6), randn(6, 5), randn(5), randn(5, 3), randn(3)])
 
 

@@ -47,12 +47,13 @@ def outputs(model, b):
     """The recorded logits and loss, every parameter gradient, and the
     losses and weights over 3 Adam steps."""
     params = model.parameters()
-    with T.Tape() as tape:
-        logits, _ = model.forward(b, rng=np.random.default_rng(7))
-        loss = span_loss(logits, b.golds)
+    chain = T.Chain(params, T.Arena())
+    logits, _ = model.forward(b, rng=np.random.default_rng(7), chain=chain)
+    loss = span_loss(logits, b.golds, chain=chain)
     got = [logits.start_logits.data, logits.end_logits.data, loss.data]
-    T.backward(tape, loss)
-    got += [p.grad for p in params.values()]
+    grads = {}
+    T.backward(chain, grads)
+    got += [grads[name] for name in params]
     state, rng = make_state("adam", lr=1e-3), np.random.default_rng(11)
     got += [np.float64(model.train_step(b, state, rng)) for _ in range(3)]
     return got + [p.data for p in params.values()]

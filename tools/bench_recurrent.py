@@ -7,9 +7,10 @@ For GRU and LSTM (input 64, hidden 200, float32, as in the
 ``recurrent.bidirectional_encode``:
 
 * the tape-free forward, as ``eval`` and ``predict`` run it;
-* the recorded forward, on a tape lent an arena as a model lends it;
-* that record's backward (both directions' BPTT and the input and weight
-  gradients), handed an output gradient from the arena.
+* the recorded forward, on a chain holding an arena as a training
+  step's does;
+* the backward of the stage it appends (both directions' BPTT and the
+  input and weight gradients), handed an output gradient from the arena.
 
 Each is timed with both directions on the calling thread ("inline") and
 with the left-to-right one on the worker thread ("threads"), whatever
@@ -72,6 +73,7 @@ def measure(cell: str, s: int, b: int, repeats: int) -> dict[str, dict[str, floa
                 for _ in range(2))
     seq = rng.standard_normal((b, s, INPUT)).astype(np.float32)
     mask = np.ones((b, s), dtype=bool)
+    weights = {f"{i}.{k}": t for i, p in enumerate((fwd, bwd)) for k, t in p.weights.items()}
     arena = T.Arena()
     dy_values = rng.standard_normal((b, s, 2 * HIDDEN)).astype(np.float32)
     times = {name: {"tape_free_forward": [], "recorded_forward": [], "backward": []}
@@ -82,12 +84,10 @@ def measure(cell: str, s: int, b: int, repeats: int) -> dict[str, dict[str, floa
             for name, threaded in PLACEMENTS.items():
                 threads.threaded = lambda rows, on=threaded: on
                 tape_free = _timed(lambda: R.bidirectional_encode(Tensor(seq), mask, fwd, bwd))
-                seq_t = Tensor(seq, requires_grad=True)
-                with T.Tape() as tape:
-                    tape.arena = arena
-                    recorded = _timed(lambda: R.bidirectional_encode(seq_t, mask, fwd, bwd))
-                    tape.arena = T.MALLOC
-                back = tape._records.pop().backward
+                chain = T.Chain(weights, arena)
+                recorded = _timed(lambda: R.bidirectional_encode(Tensor(seq), mask, fwd, bwd,
+                                                                 chain=chain))
+                _, back, _ = chain.pop()
                 dy = arena.take(dy_values.shape, dy_values.dtype)
                 dy[...] = dy_values
                 out = []

@@ -4,13 +4,17 @@ Unpacks each revision with ``git archive`` into a temporary directory,
 runs the same dump under each in a fresh interpreter, and prints every
 SHA-256 digest that differs. The dump covers:
 
-* a matrix of 3 variants x 2 cells x dropout 0/0.1 x float32/float64 x
-  batch 1/32 on short synthetic rows (hidden 8, two encoder layers),
-  plus one sebertnets/GRU case at the ``train_long`` shape (rows of
-  about 120 tokens, batch 32, hidden 200, dropout 0.1); for each case
-  the tape-free logits and attention maps, the recorded logits, loss and
-  every parameter gradient, and the losses and weights over 3 Adam
-  steps;
+* a matrix of 3 variants x 2 cells x relu/gelu x dropout 0/0.1 x
+  float32/float64 x batch 1/32 on short synthetic rows (hidden 8, two
+  encoder layers), plus one sebertnets/GRU case at the ``train_long``
+  shape (rows of about 120 tokens, batch 32, hidden 200, dropout 0.1);
+  for each case the tape-free logits and attention maps, the losses and
+  weights over 3 Adam steps, and, from the first of those steps, the
+  recorded logits and loss as ``sebertnets.model.span_loss`` sees them
+  and every parameter gradient as ``sebertnets.model.clip_global_norm``
+  is handed it, before it scales them. The dump reads nothing but
+  ``train_step``'s calls, so it runs on any revision that trains through
+  those two names;
 * same-seed CLI ``synth``, ``train`` (2 epochs, dropout 0.1, dev on),
   ``eval``, ``predict`` (batch 16 and 1) and ``inspect`` for bert,
   sebertnets/GRU and hsebertnets/LSTM: every file each writes, and its
@@ -39,16 +43,15 @@ import tempfile
 
 # runs in the child, with sys.path[0] the revision's src directory
 _DUMP = r'''
-import contextlib, hashlib, io, json, os, sys
+import contextlib, hashlib, io, itertools, json, os, sys
 import numpy as np
 from sebertnets.cli import console_main
 from sebertnets.data import (SynthConfig, Vocabulary, batch, encode_example,
                              flatten_for_training, generate_synthetic)
+from sebertnets import model as M
 from sebertnets.encoder import EncoderConfig
 from sebertnets.model import Model, ModelConfig
 from sebertnets.optim import make_state
-from sebertnets.span import span_loss
-from sebertnets.tensor import Tape, backward
 
 digests = {}
 
@@ -59,12 +62,37 @@ def put(key, value):
                                   + a.tobytes()).hexdigest()
 
 
-def case(tag, variant, cell, dropout, dtype, n, synth, hidden, d_ff):
+def first_step(tag):
+    """Wrappers of ``M.span_loss`` and ``M.clip_global_norm`` that digest
+    the recorded logits and loss, and the gradients before clipping scales
+    them in place, of the first training step only."""
+    real_loss, real_clip = M.span_loss, M.clip_global_norm
+    seen = set()
+
+    def span_loss(logits, gold, **kwargs):
+        loss = real_loss(logits, gold, **kwargs)
+        if "loss" not in seen:
+            seen.add("loss")
+            put(f"{tag}/recorded/start", logits.start_logits.data)
+            put(f"{tag}/recorded/end", logits.end_logits.data)
+            put(f"{tag}/recorded/loss", loss.data)
+        return loss
+
+    def clip_global_norm(grads, max_norm):
+        if "grads" not in seen:
+            seen.add("grads")
+            for name, g in grads.items():
+                put(f"{tag}/grad/{name}", g)
+        return real_clip(grads, max_norm)
+    return span_loss, clip_global_norm
+
+
+def case(tag, variant, cell, act, dropout, dtype, n, synth, hidden, d_ff):
     corpus = generate_synthetic(synth, 0)
     vocab = Vocabulary.from_corpus(corpus)
     enc_cfg = EncoderConfig(vocab_size=vocab.size, d_model=64 if hidden > 100 else 8,
                             n_layers=2, n_heads=4 if hidden > 100 else 2, d_ff=d_ff,
-                            max_len=140, dropout_rate=dropout)
+                            max_len=140, dropout_rate=dropout, activation=act)
     model = Model(ModelConfig(variant=variant, cell=cell, hidden_size=hidden),
                   enc_cfg, vocab, seed=0)
     params = model.parameters()
@@ -77,35 +105,29 @@ def case(tag, variant, cell, dropout, dtype, n, synth, hidden, d_ff):
     put(f"{tag}/eval/end", logits.end_logits.data)
     for i, m in enumerate(maps):
         put(f"{tag}/eval/map{i}", m)
-    with Tape() as tape:
-        logits, _ = model.forward(b, rng=np.random.default_rng(7))
-        loss = span_loss(logits, b.golds)
-    put(f"{tag}/recorded/start", logits.start_logits.data)
-    put(f"{tag}/recorded/end", logits.end_logits.data)
-    put(f"{tag}/recorded/loss", loss.data)
-    backward(tape, loss)
-    for name, p in params.items():
-        put(f"{tag}/grad/{name}", np.zeros_like(p.data) if p.grad is None else p.grad)
-    state, rng = make_state("adam", lr=1e-3), np.random.default_rng(11)
-    for step in range(3):
-        put(f"{tag}/adam{step}/loss", np.float64(model.train_step(b, state, rng)))
+    real = M.span_loss, M.clip_global_norm
+    M.span_loss, M.clip_global_norm = first_step(tag)
+    try:
+        state, rng = make_state("adam", lr=1e-3), np.random.default_rng(11)
+        for step in range(3):
+            put(f"{tag}/adam{step}/loss", np.float64(model.train_step(b, state, rng)))
+    finally:
+        M.span_loss, M.clip_global_norm = real
     for name, p in params.items():
         put(f"{tag}/adam/{name}", p.data)
 
 
 def matrix(full):
     short = SynthConfig(n_examples=40)
-    for variant in ("bert_baseline", "sebertnets", "hsebertnets"):
-        for cell in ("gru", "lstm"):
-            for dropout in (0.0, 0.1):
-                for dtype in (np.float32, np.float64):
-                    for n in (1, 32):
-                        tag = f"{variant}/{cell}/p{dropout}/{np.dtype(dtype).name}/b{n}"
-                        case(tag, variant, cell, dropout, dtype, n, short, 8, 16)
+    for variant, cell, act, dropout, dtype, n in itertools.product(
+            ("bert_baseline", "sebertnets", "hsebertnets"), ("gru", "lstm"),
+            ("relu", "gelu"), (0.0, 0.1), (np.float32, np.float64), (1, 32)):
+        tag = f"{variant}/{cell}/{act}/p{dropout}/{np.dtype(dtype).name}/b{n}"
+        case(tag, variant, cell, act, dropout, dtype, n, short, 8, 16)
     if full:
         long = SynthConfig(n_examples=32, min_distractors=7, max_distractors=8,
                            filler_len=(7, 9))
-        case("train_long", "sebertnets", "gru", 0.1, np.float32, 32, long, 200, 256)
+        case("train_long", "sebertnets", "gru", "relu", 0.1, np.float32, 32, long, 200, 256)
 
 
 def cli(work):

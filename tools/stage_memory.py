@@ -15,7 +15,8 @@ high-water and reserved bytes, and the process's peak RSS.
 
 Stages are found by wrapping the encoder blocks, the recurrent layer
 and their backwards, ``backward``, clipping and the optimizer step at
-run time; nothing in the library changes. The recurrent layer is one
+run time; nothing in the library changes. The recurrent layer's
+backward is taken from the chain entry the layer appends. The recurrent layer is one
 stage each way, since its two directions run at once on two threads. An
 attention or FFN block split over two batch halves is one stage each
 way too: it returns once both halves are done.
@@ -43,7 +44,6 @@ import numpy as np
 from sebertnets import encoder as E
 from sebertnets import model as M
 from sebertnets import recurrent as R
-from sebertnets import tensor as T
 from sebertnets.data import SynthConfig, Vocabulary, batch, encode_example, generate_synthetic
 from sebertnets.encoder import EncoderConfig
 from sebertnets.model import SEBERTNETS, Model, ModelConfig
@@ -112,14 +112,14 @@ class Stages:
 
     def recurrent(self, fn):
         """``bidirectional_encode``, marking its forward and, through the
-        tape record it makes, its backward: both directions at once, since
-        they run on two threads."""
-        def wrapped(*args, **kwargs):
-            out = fn(*args, **kwargs)
+        chain entry it appends, its backward: both directions at once,
+        since they run on two threads."""
+        def wrapped(*args, chain, **kwargs):
+            out = fn(*args, chain=chain, **kwargs)
             self.mark("recurrent layer forward")
-            rec = T._active_tape()._records[-1]
-            rec.backward = self.after_backward("recurrent layer backward (both directions)",
-                                               rec.backward)
+            stage, back, names = chain[-1]
+            chain[-1] = (stage, self.after_backward(
+                "recurrent layer backward (both directions)", back), names)
             return out
         return wrapped
 
