@@ -36,14 +36,14 @@ they are bit for bit the weights of the forward (the recompute of
 FlashAttention's backward, Dao et al., 2022).
 
 A recorded block takes from its chain's ``Arena`` (``Chain.arena``): it
-writes every whole-batch array into blocks of it with ``out=`` and gives
-each back at its known death.
-A kernel's temporaries go back when the kernel returns, the arrays a
-block keeps once its backward has run, and a block's input gradient
-once the block before has read it: each backward gives back the
-gradient it is handed. A block's output, the attention maps handed out
-and the parameter gradients come from malloc. A tape-free pass takes
-from ``T.MALLOC`` and allocates as numpy does.
+writes every whole-batch array into blocks of it with ``out=``, and
+each block goes back when its last view dies. A kernel's temporaries
+die when the kernel returns, the arrays a block keeps with its
+backward, and a block's input gradient once the block before has read
+it: a backward holds the only reference to the gradient it is handed.
+A block's output, the attention maps handed out and the parameter
+gradients come from malloc. A tape-free pass takes from ``T.MALLOC``
+and allocates as numpy does.
 
 Threads. A recorded attention or FFN block over more than one row,
 where ``threads.threaded`` allows it, runs its per-row work on two batch
@@ -54,11 +54,11 @@ the calling thread: each dropout draw, one ``rng.random`` over the whole
 block shape in the order of an unsplit pass; every sum over the batch
 (each weight gradient's sum of the per-row products, which the halves
 write into one block, the bias sums and the layer norm's gain and bias
-sums); and every arena take and give, so the arena needs no lock. A
-split block gives its blocks back at its next sync, once both halves are
-done with them. Every output and gradient is bit for bit that of the
-whole block. The embedding, tape-free passes and one-row passes run
-whole, on the calling thread.
+sums); and every arena take, so the arena needs no lock. The queued
+work of a split block holds its arrays until its next sync, once both
+halves are done with them. Every output and gradient is bit for bit
+that of the whole block. The embedding, tape-free passes and one-row
+passes run whole, on the calling thread.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def encoder_layout(cfg: EncoderConfig):
 #
 # Most of a block's work each batch row does alone: every product,
 # activation, softmax, layer norm, dropout mask and residual is
-# row-local. The rest reads or changes the whole batch: an arena call, a
+# row-local. The rest reads or changes the whole batch: an arena take, a
 # dropout draw, a sum over the batch. A recorded attention or FFN block
 # over more than one row (``threads.threaded``) runs the row-local work
 # on two batch halves at once and the rest on the calling thread.
@@ -163,24 +163,23 @@ def encoder_layout(cfg: EncoderConfig):
 class _Rows:
     """Where a block's arrays come from and where its per-row work runs.
 
-    A kernel takes its whole-batch arrays with ``rows.take``, gives them
-    back with ``rows.give`` and hands ``rows.each(fn, *arrays, out=out)``
-    the work each row does alone. ``fn`` is called with ``arrays`` and
-    then ``out`` (one array or a tuple of them), whole or on the same
-    rows of each, and returns what it wrote into ``out``, in the same
-    form; so does ``each``. Where ``rows.ahead`` is false (a whole pass on malloc)
-    an output may be None, and ``fn`` lets numpy allocate it. A kernel
-    calls ``rows.sync()`` before it reads what the work wrote over the
-    whole batch.
+    A kernel takes its whole-batch arrays with ``rows.take`` and hands
+    ``rows.each(fn, *arrays, out=out)`` the work each row does alone.
+    ``fn`` is called with ``arrays`` and then ``out`` (one array or a
+    tuple of them), whole or on the same rows of each, and returns what
+    it wrote into ``out``, in the same form; so does ``each``. Where
+    ``rows.ahead`` is false (a whole pass on malloc) an output may be
+    None, and ``fn`` lets numpy allocate it. A kernel calls
+    ``rows.sync()`` before it reads what the work wrote over the whole
+    batch.
 
-    Whole, ``fn`` runs at once, a given block goes straight back and
-    ``sync`` does nothing. Split, ``fn`` joins a queue, and ``sync`` runs
-    the queue in order on each batch half, rows ``[:b//2]`` on the worker
-    thread and the rest here (``threads.both``), then gives back the
-    blocks given since the last sync, which the queued work may have
-    read. Takes, gives, sums and dropout draws stay on the calling
-    thread, so the arena needs no lock and the worker allocates no
-    whole-batch array.
+    Whole, ``fn`` runs at once and ``sync`` does nothing. Split, ``fn``
+    joins a queue, which holds its arrays, and ``sync`` runs the queue in
+    order on each batch half, rows ``[:b//2]`` on the worker thread and
+    the rest here (``threads.both``), then drops it: a block a kernel has
+    dropped goes back once the queued work is done with it. Takes, sums
+    and dropout draws stay on the calling thread, so the worker allocates
+    no whole-batch array.
     """
 
     def __init__(self, arena=T.MALLOC, b: int = 0, split: bool = False):
@@ -188,10 +187,7 @@ class _Rows:
         # false only for a whole pass on malloc, whose outputs numpy allocates
         self.ahead = bool(arena) or split
         self.take = arena.take
-        if not split:
-            self.give = arena.give
         self._queue: list = []
-        self._given: list[np.ndarray] = []
 
     def each(self, fn, *arrays, out=()):
         # a method, not ``__call__``: calling an instance costs a tuple
@@ -201,9 +197,6 @@ class _Rows:
         self._queue.append((fn, arrays + (out if type(out) is tuple else (out,))))
         return out
 
-    def give(self, a: np.ndarray) -> None:
-        self._given.append(a)
-
     def sync(self) -> None:
         if not self.split:
             return
@@ -211,9 +204,6 @@ class _Rows:
         half = self.b // 2
         threads.both(self.b, *(partial(_run, queue, r)
                                for r in (slice(None, half), slice(half, None))))
-        given, self._given = self._given, []
-        for a in given:
-            self.arena.give(a)
 
 
 def _run(queue, r) -> None:
@@ -233,17 +223,16 @@ _WHOLE = _Rows()
 # gradients. A kernel writes its output and its backward's input
 # gradient, of its input's dtype, into blocks from ``rows.take`` (the
 # dropout output from ``into``; the layer norm's output comes from
-# malloc), and its caller gives them back once dead; the kernel gives
-# back its own temporaries when it returns and the arrays it keeps for
-# its backward once that has run. Kernels never write into their inputs
-# or into the gradient they are handed. Every write to a whole-batch
-# array is per-row work handed to ``rows.each``, whose functions name
-# their arrays as the kernel does; a sum over the batch follows a
-# ``rows.sync()``. A tape-free pass hands its forwards None outputs, so
-# numpy allocates them and no block shape is built. An output that stays
-# on malloc (a layer norm's output and scale, the softmax's row max and
-# sum, gelu's tanh) is made with ``np.empty`` only where the pass is
-# split, so that the worker allocates none.
+# malloc). Its temporaries die when it returns, and the arrays its
+# backward reads die with the backward. Kernels never write into their
+# inputs or into the gradient they are handed. Every write to a
+# whole-batch array is per-row work handed to ``rows.each``, whose
+# functions name their arrays as the kernel does; a sum over the batch
+# follows a ``rows.sync()``. A tape-free pass hands its forwards None
+# outputs, so numpy allocates them and no block shape is built. An
+# output that stays on malloc (a layer norm's output and scale, the
+# softmax's row max and sum, gelu's tanh) is made with ``np.empty`` only
+# where the pass is split, so that the worker allocates none.
 
 
 def _linear(x, w, b=None, *, rows=_WHOLE):
@@ -268,21 +257,15 @@ def _linear(x, w, b=None, *, rows=_WHOLE):
         rows.each(per_row, x, g, dx, prod)
         rows.sync()
         grads = (dx, prod.sum(axis=0))
-        rows.give(prod)
         return grads if b is None else grads + (g.sum(axis=(0, 1)),)
     return y, back
 
 
-# Each activation owns its input ``v``: it gives it back once it no
-# longer needs it.
-
-
 def _relu(v, *, rows=_WHOLE):
     """``max(v, 0)``. The backward masks by the output's sign, which is
-    the input's, so the pre-activation is given back at once."""
+    the input's, so it keeps the output and not the pre-activation."""
     y = rows.each(lambda v, y: np.maximum(v, 0.0, out=y), v,
              out=rows.take(v.shape, v.dtype) if rows.ahead else None)
-    rows.give(v)
 
     def back(g):
         mask = rows.take(y.shape, bool)
@@ -292,7 +275,6 @@ def _relu(v, *, rows=_WHOLE):
             np.greater(y, 0.0, out=mask)
             np.multiply(g, mask, out=d)
         rows.each(per_row, y, g, mask, d)
-        rows.give(mask)
         return (d,)
     return y, back
 
@@ -315,7 +297,6 @@ def _gelu(v, *, rows=_WHOLE):
     t = np.empty(v.shape, v.dtype) if rows.split else None
     y, u = (rows.take(v.shape, v.dtype) for _ in range(2)) if rows.ahead else (None, None)
     t, y, u = rows.each(fwd, v, out=(t, y, u))
-    rows.give(u)
 
     def back(g):
         d, u, w, z = (rows.take(g.shape, g.dtype) for _ in range(4))
@@ -337,8 +318,6 @@ def _gelu(v, *, rows=_WHOLE):
             np.add(z, w, out=z)
             np.multiply(g, z, out=d)
         rows.each(per_row, v, t, g, d, u, w, z)
-        for a in (u, w, z, v):
-            rows.give(a)
         return (d,)
     return y, back
 
@@ -369,7 +348,6 @@ def _layer_norm(v, gain, bias, eps=1e-5, *, rows=_WHOLE):
     inv, y = ((np.empty(v.shape[:-1] + (1,), v.dtype), np.empty(v.shape, v.dtype))
               if rows.split else (None, None))
     xhat, sq, inv, y = rows.each(fwd, v, out=(xhat, sq, inv, y))
-    rows.give(sq)
     lead = tuple(range(v.ndim - 1))
 
     def back(g):
@@ -387,10 +365,7 @@ def _layer_norm(v, gain, bias, eps=1e-5, *, rows=_WHOLE):
             np.multiply(g, xhat, out=t)  # the gain's gradient, before its sum
         rows.each(per_row, g, xhat, inv, dx, t)
         rows.sync()
-        d_gain = t.sum(axis=lead)
-        rows.give(t)
-        rows.give(xhat)
-        return dx, d_gain, g.sum(axis=lead)
+        return dx, t.sum(axis=lead), g.sum(axis=lead)
     return y, back
 
 
@@ -424,7 +399,6 @@ def _softmax_back(p, g, *, rows=_WHOLE):
         np.subtract(g, np.add.reduce(gp, axis=-1, keepdims=True), out=g)
         np.multiply(g, p, out=g)
     rows.each(per_row, p, g, gp)
-    rows.give(gp)
     return g
 
 
@@ -448,20 +422,19 @@ def _dropout(v, rate, rng, *, rows=_WHOLE, into=T.MALLOC):
     element, and rebuilds the same scaled mask from it."""
     if rng is None or rate == 0.0:
         return v, lambda g: (g,)
-    draw = rng.random(v.shape, out=rows.take(v.shape, np.float64))
-    keep = rows.take(v.shape, bool)
-    rows.each(lambda draw, keep: np.greater_equal(draw, rate, out=keep), draw, keep)
-    rows.give(draw)
+    keep = rows.each(lambda draw, keep: np.greater_equal(draw, rate, out=keep),
+                     rng.random(v.shape, out=rows.take(v.shape, np.float64)),
+                     out=rows.take(v.shape, bool))
+    dtype = v.dtype  # not ``v``: the backward keeps ``scaled``, which would keep ``v``
 
     def scaled(a, keep, out):
         # a * (keep.astype(dtype) * (1 / (1 - rate))), into ``out``
-        np.multiply(keep, 1.0 / (1.0 - rate), out=out, dtype=v.dtype)
+        np.multiply(keep, 1.0 / (1.0 - rate), out=out, dtype=dtype)
         np.multiply(a, out, out=out)
 
     def back(g):
         d = rows.take(g.shape, g.dtype)
         rows.each(scaled, g, keep, d)
-        rows.give(keep)
         return (d,)
     y = into.take(v.shape, v.dtype)
     rows.each(scaled, v, keep, y)
@@ -489,11 +462,11 @@ def _scatter(table_grad, ids, g) -> None:
 # ------------------------------------------------------------- blocks
 #
 # Each block takes its temporaries and kept arrays from ``rows`` and
-# returns its output from malloc. Its backward gives back the gradient
-# it is handed, which the next block's backward took from the same
-# arena, and returns its input gradient from the arena. The attention
-# and FFN blocks sync their rows before their forward and backward
-# return, so that what they return is written.
+# returns its output from malloc. Its backward is handed a gradient that
+# the next block's backward took from the same arena, and returns its
+# input gradient from the arena. The attention and FFN blocks sync their
+# rows before their forward and backward return, so that what they
+# return is written.
 
 
 def _embedding(tok, pos, seg, gain, bias, ids, segs, rate, rng, *, rows=_WHOLE):
@@ -504,47 +477,36 @@ def _embedding(tok, pos, seg, gain, bias, ids, segs, rate, rng, *, rows=_WHOLE):
     v = tok.take(ids, axis=0, out=rows.take(shape, dtype) if rows.ahead else None,
                  mode="clip")
     np.add(v, pos[:ids.shape[1]], out=v)
-    seg_rows = seg.take(segs, axis=0, out=rows.take(shape, dtype) if rows.ahead else None,
-                        mode="clip")
-    np.add(v, seg_rows, out=v)
-    rows.give(seg_rows)
+    np.add(v, seg.take(segs, axis=0, out=rows.take(shape, dtype) if rows.ahead else None,
+                       mode="clip"), out=v)
     y, ln_back = _layer_norm(v, gain, bias, rows=rows)
-    rows.give(v)
+    v = None  # its block goes back before dropout takes its draw and mask
     out, drop_back = _dropout(y, rate, rng, rows=rows)
 
     def back(g):
         (dy,) = drop_back(g)
         dx, d_gain, d_bias = ln_back(dy)
-        if dy is not g:
-            rows.give(dy)
-        rows.give(g)
         d_tok, d_pos, d_seg = (np.zeros_like(t) for t in (tok, pos, seg))
         _scatter(d_tok, ids, dx)
         # each row holds every position once, so this gradient is a sum
         # over the batch; added to 0.0 as a scatter's is, a -0.0 sum is +0.0
         d_pos[:ids.shape[1]] += dx.sum(axis=0)
         _scatter(d_seg, segs, dx)
-        rows.give(dx)
         return d_tok, d_pos, d_seg, d_gain, d_bias
     return out, back
 
 
 def _sublayer_out(x, o, gain, bias, rate, rng, rows):
-    """Dropout of the sublayer output ``o`` (given back), the residual
-    ``x + o`` and its layer norm: the block output and a backward from
-    its gradient to the residual's and the norm's."""
+    """Dropout of the sublayer output ``o``, the residual ``x + o`` and
+    its layer norm: the block output and a backward from its gradient to
+    the residual's and the norm's."""
     od, drop_back = _dropout(o, rate, rng, rows=rows, into=rows)
     res = rows.each(lambda x, od, res: np.add(x, od, out=res), x, od,
                     out=rows.take(x.shape, x.dtype) if rows.ahead else None)
-    if od is not o:
-        rows.give(od)
-    rows.give(o)
     y, ln_back = _layer_norm(res, gain, bias, rows=rows)
-    rows.give(res)
 
     def back(g):
         d_res, d_gain, d_bias = ln_back(g)
-        rows.give(g)
         (d_o,) = drop_back(d_res)
         return d_res, d_o, d_gain, d_bias
     return y, back
@@ -565,10 +527,9 @@ def _attention(x, wq, bq, wk, wv, bv, wo, bo, gain, bias, neg, n_heads, maps,
         return a.reshape(split).transpose(0, 2, 1, 3)
 
     def merge(a):
-        """[B, nh, S, dh] ``a`` as a [B, S, d] block; ``a`` is given back."""
+        """[B, nh, S, dh] ``a`` as a [B, S, d] block."""
         out = rows.each(_copy, a.transpose(0, 2, 1, 3),
                         out=rows.take(split, dtype) if rows.ahead else None)
-        rows.give(a)
         return out.reshape(b, s, d)
 
     def head_product(a, c):
@@ -592,7 +553,7 @@ def _attention(x, wq, bq, wk, wv, bv, wo, bo, gain, bias, neg, n_heads, maps,
     p, top, total = rows.each(weights, q, kt, neg, out=(p, top, total))
     ctx = merge(head_product(p, v))
     if maps is None:
-        rows.give(p)
+        p = None  # the weights' block goes back before the output projection takes
     o, o_back = _linear(ctx, wo, bo, rows=rows)
     y, out_back = _sublayer_out(x, o, gain, bias, rate, rng, rows)
     rows.sync()
@@ -604,9 +565,6 @@ def _attention(x, wq, bq, wk, wv, bv, wo, bo, gain, bias, neg, n_heads, maps,
     def back(g):
         d_res, d_o, d_gain, d_bias = out_back(g)
         d_ctx, d_wo, d_bo = o_back(d_o)
-        if d_o is not d_res:
-            rows.give(d_o)
-        rows.give(ctx)
         d_heads = np.transpose(d_ctx.reshape(split), (0, 2, 1, 3))
         p = rows.take((b, n_heads, s, s), dtype)
 
@@ -619,23 +577,17 @@ def _attention(x, wq, bq, wk, wv, bv, wo, bo, gain, bias, neg, n_heads, maps,
         d_scores = _softmax_back(p, head_product(d_heads, np.swapaxes(v, -1, -2)), rows=rows)
         rows.each(lambda a: np.multiply(a, scale, out=a), d_scores)
         d_v = merge(head_product(np.swapaxes(p, -1, -2), d_heads))
-        for a in (p, d_ctx):
-            rows.give(a)
         dx_v, d_wv, d_bv = v_back(d_v)
         d_k = merge(np.transpose(head_product(np.swapaxes(q, -1, -2), d_scores), (0, 1, 3, 2)))
         dx_k, d_wk = k_back(d_k)
         d_q = merge(head_product(d_scores, np.swapaxes(kt, -1, -2)))
         dx_q, d_wq, d_bq = q_back(d_q)
-        for a in (d_v, d_k, d_q, d_scores, q2, k2, v2):
-            rows.give(a)
 
         def add_inputs(d_res, *dxs):
             # x feeds q, k, v and the residual: add in reverse order of use
             for dx in dxs:
                 np.add(d_res, dx, out=d_res)
         rows.each(add_inputs, d_res, dx_v, dx_k, dx_q)
-        for dx in (dx_v, dx_k, dx_q):
-            rows.give(dx)
         rows.sync()
         return (d_res, d_wq, d_bq, d_wk, d_wv, d_bv, d_wo, d_bo, d_gain, d_bias)
     return y, back
@@ -653,15 +605,9 @@ def _ffn(x, w1, b1, w2, b2, gain, bias, activation, rate, rng, *, rows=_WHOLE):
     def back(g):
         d_res, d_o, d_gain, d_bias = out_back(g)
         d_a, d_w2, d_b2 = o_back(d_o)
-        if d_o is not d_res:
-            rows.give(d_o)
         (d_h,) = act_back(d_a)
-        rows.give(d_a)
-        rows.give(a)
         dx, d_w1, d_b1 = h_back(d_h)
-        rows.give(d_h)
         rows.each(lambda d_res, dx: np.add(d_res, dx, out=d_res), d_res, dx)
-        rows.give(dx)
         rows.sync()
         return d_res, d_w1, d_b1, d_w2, d_b2, d_gain, d_bias
     return y, back

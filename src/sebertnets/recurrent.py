@@ -28,7 +28,7 @@ finished, and only then raises an error either raised. Otherwise both
 run on the calling thread, in the same functions. Each direction writes
 only its own arrays, and the results are bit for bit those of the
 calling thread alone. What stays whole, on the calling thread: every
-arena take and give, the split of the output gradient into the two
+arena take, the split of the output gradient into the two
 halves and the sum of the two input gradients. Everything the worker
 writes is made before the hand-off: the worker takes nothing from an
 arena, touches no chain and mallocs only per-step [B, H] arrays.
@@ -47,13 +47,12 @@ output gradient and its input gradient.
 
 A recorded layer takes its [S, B, ...] arrays from its chain's arena (as
 ``encoder`` does), all on the calling thread: the time-major input copy
-and the kept activations, given back once both directions' BPTT has
-run; the output gradient's two halves, given back with them; and both
-directions' input gradients, of which the sum is written over one and
-copied batch-major into the layer's input gradient, which the encoder's
-last block gives back. Its output, its weight gradients and the
-per-step [B, H] arrays come from malloc, and a tape-free pass takes
-nothing from an arena.
+and the kept activations, which die with its backward; the output
+gradient's two halves; and both directions' input gradients, of which
+the sum is written over one and copied batch-major into the layer's
+input gradient, handed to the encoder's last block. Its output, its
+weight gradients and the per-step [B, H] arrays come from malloc, and a
+tape-free pass takes nothing from an arena.
 """
 
 from __future__ import annotations
@@ -355,10 +354,9 @@ def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
     A recorded layer takes its time-major copy of ``seq``, the sweeps' kept
     activations and every whole-sequence array of its backward from its
     chain's arena (as in ``encoder.encode``), on the calling thread: it
-    gives back the output gradient it is handed once it has split it
-    into the two directions' halves, the halves and the activations once
-    both directions' BPTT has run, and returns its input gradient from
-    the arena.
+    drops the output gradient it is handed once it has split it into the
+    two directions' halves, and returns its input gradient from the
+    arena.
     """
     if fwd.cell != bwd.cell:
         raise ContractError(f"directions hold different cells ({fwd.cell!r}, {bwd.cell!r})")
@@ -401,7 +399,7 @@ def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
         halves = [np.multiply(t_dy[..., cols], keep_f, out=arena.take((s, b, p.hidden_size),
                                                                       dy.dtype))
                   for p, _, cols in dirs]
-        arena.give(dy)
+        # the span head's gradient goes back before the input gradients are taken
         del dy, t_dy
         # what the two directions write, made here: the worker thread
         # takes nothing from the arena and mallocs only per-step arrays
@@ -413,14 +411,10 @@ def bidirectional_encode(seq: Tensor, mask, fwd: RecurrentParams,
             jobs.append(partial(_bptt, p.cell, np.ascontiguousarray(_cat(w, "u", p.cell).T),
                                 _cat(w, "w", p.cell), x, keep, reverse, kept_p, half, dx, arrays))
         threads.both(b, *jobs)
-        for a in (*kept[0], *kept[1], *halves):
-            arena.give(a)
         dx_f, dx_b = dxs
         total = np.add(dx_b, dx_f, out=dx_b)
         dx = np.positive(total.reshape(s, b, d).transpose(1, 0, 2),
                          out=arena.take((b, s, d), total.dtype), order="C")
-        for a in (total, dx_f, x):
-            arena.give(a)
         return (dx.reshape(seq.shape), *(views[k] for (p, _, _), (_, views) in zip(dirs, grads)
                                          for k in p.weights))
 

@@ -4,7 +4,7 @@ training loss, and decoding.
 The two scorers are one stage (``_head``) whose [2, ..., S] output
 holds the start and end logits as rows, and the loss is the stage after
 it, the last of a recorded pass. The head's input gradient comes from
-its chain's arena, and the layer before gives it back once read.
+its chain's arena, and goes back once the layer before has read it.
 
 The loss and the decoder read one fp64 masked log-softmax
 (``_log_probs``). The loss is -(log p_start + log p_end) at the gold
@@ -129,7 +129,6 @@ def _head(h, w_start, w_end, *, arena=T.MALLOC):
         part = np.multiply(g_start, w_start[:, 0], out=arena.take(h.shape, g.dtype))
         dh = np.multiply(g_end, w_end[:, 0], out=arena.take(h.shape, g.dtype))
         np.add(dh, part, out=dh)
-        arena.give(part)
         # a product with one term, as g @ w.T, adds it to +0.0: the same
         # bits, but a sum of two -0.0 ends as +0.0
         np.add(dh, 0.0, out=dh)

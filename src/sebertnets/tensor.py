@@ -18,14 +18,15 @@ gradient into one name -> array dict.
 
 A chain holds the ``Arena`` its stages take from (``Chain.arena``): their
 whole-batch temporaries, kept activations and inter-stage gradients,
-each given back at its known death. A model lends its arena to the chain
-of one training step; any other chain holds ``MALLOC`` unless it is
-given an arena. ``MALLOC`` allocates and frees as numpy does, and every
-tape-free pass takes from it.
+each going back to it when its last view dies. A model lends its arena
+to the chain of one training step; any other chain holds ``MALLOC``
+unless it is given an arena. ``MALLOC`` allocates and frees as numpy
+does, and every tape-free pass takes from it.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -69,12 +70,16 @@ class Arena:
 
     Chunks of at least ``CHUNK`` bytes are carved by address-ordered
     first fit into blocks aligned to ``ALIGN`` bytes. ``take`` returns a
-    C-contiguous view of a free block; ``give`` finds a block by its
-    data address (not by ``id()``, which a freed view's successor can
-    reuse) and merges it with its free neighbours. A chunk is added when
-    no free block fits, so a pass that repeats an earlier pass's takes and
-    gives reuses its blocks and reserves nothing new. Views keep their
-    chunk alive, so dropping an arena with blocks still taken is safe.
+    C-contiguous array over a free block whose numpy ``base`` is a
+    ``_Block``, as is the base of every view of it. A block goes back
+    when its last view dies: the ``_Block``'s death queues it, on
+    whatever thread it dies, and the next ``take`` or ``taken_bytes``
+    read frees the queued blocks on the calling thread, merging each with
+    its free neighbours. So only the calling thread touches the free
+    lists, and the arena needs no lock. A chunk is added when no free
+    block fits, so a pass that repeats an earlier pass's takes and deaths
+    reuses its blocks and reserves nothing new. A block keeps its chunk
+    alive, so dropping an arena with blocks still taken is safe.
 
     ``CHUNK`` is 32 MiB, glibc's cap on its dynamic mmap threshold, so
     malloc maps each chunk alone and unmaps it whole. A smaller chunk,
@@ -86,46 +91,58 @@ class Arena:
     ALIGN = 64
 
     def __init__(self):
-        # per chunk: its byte buffer and its free [start, end) offsets in
-        # address order
-        self._chunks: list[tuple[np.ndarray, list[list[int]]]] = []
-        self._taken: dict[int, tuple[int, int, int]] = {}  # address -> chunk, start, end
-        self.taken_bytes = 0
+        # per chunk: its byte buffer, its address and its free [start,
+        # end) offsets in address order
+        self._chunks: list[tuple[np.ndarray, int, list[list[int]]]] = []
+        # (chunk, start, end) of each block whose last view has died
+        self._dead: collections.deque[tuple[int, int, int]] = collections.deque()
+        self._taken = 0
         self.high_water = 0
 
     @property
+    def taken_bytes(self) -> int:
+        self._drain()
+        return self._taken
+
+    @property
     def reserved_bytes(self) -> int:
-        return sum(buf.size for buf, _ in self._chunks)
+        return sum(buf.size for buf, _, _ in self._chunks)
 
     def take(self, shape, dtype) -> np.ndarray:
+        self._drain()
         dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize
         size = max(self.ALIGN, -(-nbytes // self.ALIGN) * self.ALIGN)
-        for ci, (buf, free) in enumerate(self._chunks):
+        for ci, (buf, address, free) in enumerate(self._chunks):
             j = next((j for j, (lo, hi) in enumerate(free) if hi - lo >= size), None)
             if j is not None:
                 break
         else:
             ci, buf = len(self._chunks), np.empty(max(self.CHUNK, size) + self.ALIGN,
                                                   np.uint8)
-            lo = -buf.__array_interface__["data"][0] % self.ALIGN
+            address = buf.__array_interface__["data"][0]
+            lo = -address % self.ALIGN
             free, j = [[lo, lo + (buf.size - self.ALIGN)]], 0
-            self._chunks.append((buf, free))
+            self._chunks.append((buf, address, free))
         start = free[j][0]
         if free[j][1] - start == size:
             del free[j]
         else:
             free[j][0] += size
-        view = buf[start:start + nbytes].view(dtype).reshape(shape)
-        self._taken[view.__array_interface__["data"][0]] = (ci, start, start + size)
-        self.taken_bytes += size
-        self.high_water = max(self.high_water, self.taken_bytes)
-        return view
+        self._taken += size
+        self.high_water = max(self.high_water, self._taken)
+        return np.asarray(_Block(buf, address + start, tuple(shape), dtype,
+                                 (ci, start, start + size), self._dead))
 
-    def give(self, a: np.ndarray) -> None:
-        ci, lo, hi = self._taken.pop(a.__array_interface__["data"][0])
-        self.taken_bytes -= hi - lo
-        free = self._chunks[ci][1]
+    def _drain(self) -> None:
+        dead = self._dead
+        while dead:
+            self._free(*dead.popleft())
+
+    def _free(self, ci: int, lo: int, hi: int) -> None:
+        """Put bytes [lo, hi) of chunk ``ci`` back on its free list."""
+        self._taken -= hi - lo
+        free = self._chunks[ci][2]
         j = next((j for j, (start, _) in enumerate(free) if start > lo), len(free))
         if j < len(free) and free[j][0] == hi:
             hi = free.pop(j)[1]
@@ -135,20 +152,34 @@ class Arena:
             free.insert(j, [lo, hi])
 
 
+class _Block:
+    """The base of an array ``Arena.take`` returns, exposing its block of
+    chunk ``buf`` through ``__array_interface__``. It dies with the last
+    view of the block, and its ``__del__`` then queues the block's
+    (chunk, start, end) on its arena's ``dead`` queue; a deque's append
+    is safe on any thread."""
+
+    __slots__ = ("__array_interface__", "_buf", "_block", "_dead")
+
+    def __init__(self, buf, address, shape, dtype, block, dead):
+        self.__array_interface__ = {"shape": shape, "typestr": dtype.str,
+                                    "data": (address, False), "version": 3}
+        self._buf, self._block, self._dead = buf, block, dead
+
+    def __del__(self):
+        self._dead.append(self._block)
+
+
 class _Malloc:
-    """The arena of a pass that has none: ``take`` allocates and ``give``
-    leaves the array to numpy. It is falsy, so a kernel passes
-    ``out=arena.take(shape, dtype) if arena else None`` to a ufunc, which
-    then allocates its own output, and builds no shape for it."""
+    """The arena of a pass that has none: ``take`` allocates as numpy
+    does. It is falsy, so a kernel passes ``out=arena.take(shape, dtype)
+    if arena else None`` to a ufunc, which then allocates its own output,
+    and builds no shape for it."""
 
     take = staticmethod(np.empty)
 
     def __bool__(self) -> bool:
         return False
-
-    @staticmethod
-    def give(a: np.ndarray) -> None:
-        pass
 
 
 MALLOC = _Malloc()
@@ -187,8 +218,8 @@ def backward(tape: Chain, grads: dict[str, np.ndarray]) -> np.ndarray | None:
     arrays that closure keeps, dies once its gradients are taken, so
     ``len(tape)`` read before the call is the number of stages. A
     gradient lives only until its stage has run: the stage's backward
-    holds the only reference to the gradient it is handed, and gives it
-    back to the chain's arena if it came from there.
+    holds the only reference to the gradient it is handed, so an arena
+    block goes back once the backward drops it.
     """
     held = [None]
     while tape:

@@ -2,6 +2,7 @@
 single-layer oracle, padding invariance, and end-to-end gradients."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -279,6 +280,22 @@ class TestDropoutModes:
                      rng=np.random.default_rng(6)).hidden.data
         np.testing.assert_array_equal(a, b)
         assert np.abs(a - c).max() > 0
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_recorded_dropout_keeps_not_its_input(self, split):
+        """A recorded dropout's backward keeps its boolean draw and not
+        its input, which its caller may free at once."""
+        v = np.random.default_rng(0).standard_normal((4, 3, 5)).astype(np.float32)
+        seen = weakref.ref(v)
+        rows = E._Rows(T.Arena(), 4, split)
+        y, back = E._dropout(v, 0.3, np.random.default_rng(1), rows=rows)
+        rows.sync()
+        want = np.where(y != 0, np.float32(1 / 0.7), np.float32(0.0))
+        del v
+        assert seen() is None
+        (d,) = back(np.ones_like(y))
+        rows.sync()
+        assert d.tobytes() == want.tobytes()
 
 
 class TestEndToEndGradients:

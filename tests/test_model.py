@@ -366,9 +366,11 @@ def test_train_step_peak_is_what_the_ops_keep(monkeypatch, variant, cell):
 
     The peak is the arena's taken bytes plus the traced peak outside the
     arena, whose chunks the first step reserved, added per stretch between
-    two arena events, where the taken bytes hold still: the arena holds
-    the kept activations and whole-batch temporaries, and traced memory
-    the block outputs, the gradients and what stays on malloc."""
+    two arena events, a take or a free, where the taken bytes hold still
+    (a block that dies counts as taken until the arena frees it, at the
+    next take): the arena holds the kept activations and whole-batch
+    temporaries, and traced memory the block outputs, the gradients and
+    what stays on malloc."""
     import sebertnets.model as model_module
 
     d, hid, ff, nh = 8, 48, 16, 2
@@ -415,7 +417,7 @@ def test_train_step_peak_is_what_the_ops_keep(monkeypatch, variant, cell):
 
     monkeypatch.setattr(model_module, "clip_global_norm", clip)
     monkeypatch.setattr(arena, "take", at_event(arena.take))
-    monkeypatch.setattr(arena, "give", at_event(arena.give))
+    monkeypatch.setattr(arena, "_free", at_event(arena._free))
     tracemalloc.start()
     try:
         model.train_step(b, state, rng)
@@ -632,14 +634,13 @@ def test_a_second_live_recorded_pass_gets_no_arena():
 
 
 class PoisonedArena(T.Arena):
-    """An arena whose ``give`` fills the block's bytes with 0xFF, NaN in
+    """An arena whose free fills the block's bytes with 0xFF, NaN in
     float32 and float64, so that a read of a block after it went back
     shows, as a read after free does under glibc's ``MALLOC_PERTURB_``."""
 
-    def give(self, a):
-        ci, lo, hi = self._taken[a.__array_interface__["data"][0]]
+    def _free(self, ci, lo, hi):
         self._chunks[ci][0][lo:hi] = 0xFF
-        super().give(a)
+        super()._free(ci, lo, hi)
 
 
 def adam_run(monkeypatch, arena_class, model, b):
@@ -665,12 +666,14 @@ def adam_run(monkeypatch, arena_class, model, b):
 
 @pytest.mark.parametrize("placement", ["whole", "split"])
 def test_a_poisoned_arena_changes_no_bit(monkeypatch, placement):
-    """A step reads no arena block after giving it back: with every given
+    """A step reads no arena block after it went back: with every freed
     block overwritten by NaN, losses, gradients and trained weights are
-    bit for bit those of a clean arena. A split block defers its gives to
-    its sync, so a give that comes too early shows in the whole
-    placement; both run. The ``train_long``-shaped case (rows of about
-    120 tokens, batch 32, hidden 200) spans several arena chunks."""
+    bit for bit those of a clean arena. An array that does not hold its
+    block, so that the block is freed while the array is read, fails it.
+    A split block's queued per-row work holds its arrays until the sync,
+    so such a block shows first in the whole placement; both run. The
+    ``train_long``-shaped case (rows of about 120 tokens, batch 32, hidden
+    200) spans several arena chunks."""
     from sebertnets import threads
 
     monkeypatch.setattr(threads, "threaded", lambda rows: placement == "split")
@@ -699,6 +702,28 @@ def test_a_poisoned_arena_changes_no_bit(monkeypatch, placement):
                 p.data = p.data.astype(case["dtype"])
             runs.append(adam_run(monkeypatch, arena_class, model, b))
         assert runs[0] == runs[1], case
+
+
+@pytest.mark.parametrize("placement", ["whole", "split"])
+def test_a_train_long_step_reserves_two_chunks(monkeypatch, placement):
+    """Two steps shaped like the ``train_long`` benchmark (32 rows padded
+    to 124 tokens, hidden 200, dropout 0.1) take less than two chunks at
+    their high-water mark, and first fit places every block in two: a
+    block that outlives its last use where a later take could have had
+    it spills into a third chunk."""
+    from sebertnets import threads
+
+    monkeypatch.setattr(threads, "threaded", lambda rows: placement == "split")
+    corpus = generate_synthetic(SynthConfig(n_examples=32, min_distractors=7,
+                                            max_distractors=8, filler_len=(7, 9)), 0)
+    model, _, _, b = build_setup(corpus=corpus, d_model=64, hidden=200, n_layers=2,
+                                 n_heads=4, d_ff=256, dropout=0.1, max_len=140)
+    b = batch(b.items, 124)
+    state, rng = make_state("adam", lr=1e-3), np.random.default_rng(0)
+    for _ in range(2):
+        model.train_step(b, state, rng)
+    assert b.token_ids.shape == (32, 124)
+    assert model._arena.reserved_bytes == 2 * (T.Arena.CHUNK + T.Arena.ALIGN)
 
 
 def test_tape_free_forward_drops_the_idle_arena():

@@ -441,8 +441,8 @@ class TestFusedPass:
 
 def arena_loss(chain, out, w):
     """sum(out * w) as the last stage of ``chain``, whose gradient, like
-    the span head's, comes from the chain's arena, which the layer's
-    backward gives it to."""
+    the span head's, comes from the chain's arena and goes back to it
+    when the layer's backward drops it."""
     w = np.asarray(w, dtype=out.dtype)
     chain.add("arena_loss", lambda _: (np.positive(w, out=chain.arena.take(w.shape, w.dtype)),),
               ())
@@ -462,7 +462,7 @@ def recorded_pass(cell, seq, mask, w_out, fwd, bwd, arena):
     arena_loss(chain, out, w_out)
     grads = {}
     d_seq = T.backward(chain, grads)
-    # only the input gradient, which the layer below gives back, is taken
+    # only the input gradient, which the caller holds, is taken
     assert arena.taken_bytes == -(-seq.nbytes // T.Arena.ALIGN) * T.Arena.ALIGN
     return [out.data, d_seq, *(grads[name] for name in names)]
 
@@ -519,7 +519,7 @@ class TestTwoThreads:
                 return real(*args)
             monkeypatch.setattr(R, name, spy)
         arena = T.Arena()
-        for name in ("take", "give"):
+        for name in ("take", "_free"):
             def on_thread(*args, real=getattr(arena, name), name=name):
                 calls.append((name, threading.get_ident()))
                 return real(*args)
@@ -529,7 +529,7 @@ class TestTwoThreads:
         # each stage ran one direction on another thread
         for name in ("_sweep", "_bptt"):
             assert sorted(t == here for n, t in sweeps if n == name) == [False, True]
-        assert {n for n, _ in calls} == {"take", "give"}
+        assert {n for n, _ in calls} == {"take", "_free"}
         assert {t for _, t in calls} == {here}
 
         # a recorded encoder pass: each attention and FFN block runs its
@@ -552,7 +552,7 @@ class TestTwoThreads:
         T.backward(chain, {})
         assert sorted(set(t == here for t in halves)) == [False, True]
         assert halves.count(here) == len(halves) // 2
-        assert {n for n, _ in calls} == {"take", "give"}
+        assert {n for n, _ in calls} == {"take", "_free"}
         assert {t for _, t in calls} == {here}
 
     @pytest.mark.parametrize("stage", ["_sweep", "_bptt"])

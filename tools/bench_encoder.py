@@ -107,7 +107,7 @@ def measure(s: int, b: int, repeats: int) -> dict[str, dict[str, dict[str, float
                     g[...] = g_values
                     grads = []
                     backward = _timed(lambda: grads.extend(out[1](g)))
-                    arena.give(grads[0])
+                    del out, g, grads  # the pass's blocks go back to the arena
                     if rep:  # the first run of each placement warms up
                         for key, ms in zip(KEYS, (tape_free, recorded, backward)):
                             times[name][placement][key].append(ms)

@@ -92,7 +92,7 @@ def measure(cell: str, s: int, b: int, repeats: int) -> dict[str, dict[str, floa
                 dy[...] = dy_values
                 out = []
                 backward = _timed(lambda: out.extend(back(dy)))
-                arena.give(out[0])
+                del back, dy, out  # the pass's blocks go back to the arena
                 if rep:  # the first run of each placement warms up
                     for key, ms in (("tape_free_forward", tape_free),
                                     ("recorded_forward", recorded), ("backward", backward)):

@@ -20,8 +20,9 @@ backward is taken from the chain entry the layer appends. The recurrent layer is
 stage each way, since its two directions run at once on two threads. An
 attention or FFN block split over two batch halves is one stage each
 way too: it returns once both halves are done.
-Each backward wrapper hands its gradient on without holding it, so a
-backward that drops its input frees it as it would unwrapped.
+Each backward wrapper hands its gradient on without holding it, and
+drops the stage's backward before it marks, so that what a backward
+drops or keeps goes back to the arena as it would unwrapped.
 
 Run from the root of a checkout::
 
@@ -44,6 +45,7 @@ import numpy as np
 from sebertnets import encoder as E
 from sebertnets import model as M
 from sebertnets import recurrent as R
+from sebertnets import threads
 from sebertnets.data import SynthConfig, Vocabulary, batch, encode_example, generate_synthetic
 from sebertnets.encoder import EncoderConfig
 from sebertnets.model import SEBERTNETS, Model, ModelConfig
@@ -92,11 +94,14 @@ class Stages:
         return f"{kind} {n}"
 
     def after_backward(self, stage: str, back):
-        """``back``, marking ``stage`` once it returns."""
+        """``back``, marking ``stage`` once it returns and the wrapper has
+        dropped it, with the arrays it keeps."""
+        held = [back]
+
         def wrapped(g):
             box = [g]
             del g
-            out = back(box.pop())
+            out = held.pop()(box.pop())
             self.mark(stage)
             return out
         return wrapped
@@ -180,9 +185,12 @@ def main(argv=None) -> int:
         for mod, name, fn in saved:
             setattr(mod, name, fn)
 
-    print(f"# sebertnets/GRU hidden 200, batch {b.token_ids.shape[0]}, "
+    rows = b.token_ids.shape[0]
+    print(f"# sebertnets/GRU hidden 200, batch {rows}, "
           f"{b.token_ids.shape[1]} tokens, seed {args.seed}; Python "
-          f"{sys.version.split()[0]}, numpy {np.__version__}, nproc {os.cpu_count()}")
+          f"{sys.version.split()[0]}, numpy {np.__version__}, nproc {os.cpu_count()}, "
+          f"BLAS threads {threads.blas_threads() or '?'}, encoder blocks and recurrent "
+          f"directions {'split over two threads' if threads.threaded(rows) else 'whole'}")
     print("| stage | live MB | peak MB | RSS MiB | minor faults | arena taken MB "
           "| arena reserved MB |")
     print("|---|---:|---:|---:|---:|---:|---:|")
